@@ -9,10 +9,9 @@ that re-checks every pinned constant.
 """
 
 from .chow import (BasePoly, BaseProfile, DegreeMismatchError, PTClass,
-                   ProfileMismatchError, SegreVector, as_fraction,
-                   dual_vmrt_generic, eval_product, eval_top,
-                   fiber_line_degree, fraction_str, restrict_to_section,
-                   segre_omega)
+                   ProfileMismatchError, as_fraction, dual_vmrt_generic,
+                   eval_product, eval_top, fiber_line_degree, fraction_str,
+                   restrict_to_section, segre_omega)
 from .claims import Claim, Report, emit, load_registry, run_claims
 from .exprparse import ExprSyntaxError, format_class, parse_expr
 from .hypersurfaces import (HypersurfaceSpec, comb_identity_A,

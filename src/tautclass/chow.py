@@ -293,21 +293,8 @@ class BaseProfile:
         )
 
 
-@dataclass(frozen=True)
-class SegreVector:
-    """Segre classes s_0..s_n of the cotangent bundle of a profile."""
-
-    entries: tuple[BasePoly, ...]
-
-    def __getitem__(self, j: int) -> BasePoly:
-        return self.entries[j]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 @lru_cache(maxsize=None)
-def segre_omega(profile: BaseProfile) -> SegreVector:
+def segre_omega(profile: BaseProfile) -> tuple[BasePoly, ...]:
     """Invert the total Chern class of Omega_X as a truncated power series.
 
     Returns s_0..s_n with s_0 = 1 and, degree by degree,
@@ -321,7 +308,7 @@ def segre_omega(profile: BaseProfile) -> SegreVector:
         for i in range(1, j + 1):
             acc = acc + profile.chern_omega(i) * entries[j - i]
         entries.append(-acc)
-    return SegreVector(tuple(entries))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,9 @@ class Report:
 # ---------------------------------------------------------------------------
 # Operation bindings
 # ---------------------------------------------------------------------------
+# A claim's ``args`` are its op's keyword arguments.  Every op reaches the
+# library through a module attribute at call time, so rebinding a library
+# function (as a tracer does) is seen here.
 
 def _base_poly_from_expr(profile, text: str) -> BasePoly:
     cls = parse_expr(profile, text)
@@ -81,183 +84,144 @@ def _base_poly_from_expr(profile, text: str) -> BasePoly:
     return cls.base_part(0)
 
 
-def _op_eval_expr(args) -> Fraction:
-    profile = get_profile(args["profile"])
-    return eval_top(profile, parse_expr(profile, args["expr"]))
+def _op_eval_expr(profile: str, expr: str) -> Fraction:
+    base = get_profile(profile)
+    return eval_top(base, parse_expr(base, expr))
 
 
-def _op_segre_top(args) -> Fraction:
-    profile = get_profile(args["profile"])
-    return profile.evaluate(segre_omega(profile)[profile.dim])
+def _op_segre_top(profile: str) -> Fraction:
+    base = get_profile(profile)
+    return base.evaluate(segre_omega(base)[base.dim])
 
 
-def _op_dual_vmrt(args) -> PTClass:
-    profile = get_profile(args["profile"])
-    push = _base_poly_from_expr(profile, args["pushforward"])
-    return dual_vmrt_generic(profile, int(args["deg_e"]), push)
+def _op_dual_vmrt(profile: str, deg_e: int, pushforward: str) -> PTClass:
+    base = get_profile(profile)
+    return dual_vmrt_generic(base, deg_e, _base_poly_from_expr(base, pushforward))
 
 
-def _op_restrict_section(args) -> Fraction:
-    return restrict_to_section(args["splitting"], int(args["quotient_index"]),
-                               as_fraction(args["eps"]))
-
-
-def _op_degenerate_count(args) -> int:
-    lattice = surfaces.surface_lattice(int(args["degree"]))
-    counts = {len(pencil.degenerate_members)
-              for pencil in surfaces.conic_pencils(lattice)}
+def _op_degenerate_count(degree: int) -> int:
+    counts = {len(pencil.degenerate_members) for pencil
+              in surfaces.conic_pencils(surfaces.surface_lattice(degree))}
     if len(counts) != 1:
         raise ArithmeticError(f"pencils disagree on member count: {counts}")
     return counts.pop()
 
 
-def _op_lattice_check(args) -> bool:
-    lattice = surfaces.surface_lattice(int(args["degree"]))
+def _op_lattice_check(degree: int) -> bool:
+    lattice = surfaces.surface_lattice(degree)
     return (lattice.pair(lattice.k, lattice.k) == lattice.degree
             and lattice.rank == 10 - lattice.degree)
 
 
-def _op_noether_all(args) -> bool:
-    return all(surfaces.noether_check(d) for d in range(1, 10))
+def _hyp_profile(n: int, d: int):
+    return hyp.hypersurface_profile(hyp.HypersurfaceSpec(n, d))
 
 
-def _op_chi_growth_threshold(args) -> bool:
-    return all((surfaces.chi_sym_cubic_coefficient(d) > 0) == (d >= 7)
-               for d in range(1, 10))
+def _op_chern_value(n: int, d: int, j: int) -> Fraction:
+    profile = _hyp_profile(n, d)
+    return profile.evaluate(profile.chern[j - 1] * profile.symbol("H") ** (n - j))
 
 
-def _op_chern_value(args) -> Fraction:
-    spec = hyp.HypersurfaceSpec(int(args["n"]), int(args["d"]))
-    profile = hyp.hypersurface_profile(spec)
-    j = int(args["j"])
-    h = profile.symbol("H")
-    return profile.evaluate(profile.chern[j - 1] * h ** (spec.n - j))
+def _op_c1_square(n: int, d: int) -> Fraction:
+    profile = _hyp_profile(n, d)
+    return profile.evaluate(profile.chern[0] ** 2 * profile.symbol("H") ** (n - 2))
 
 
-def _op_c1_coeff(args) -> Fraction:
-    spec = hyp.HypersurfaceSpec(int(args["n"]), int(args["d"]))
-    profile = hyp.hypersurface_profile(spec)
-    coeffs = dict(profile.chern[0].terms)
-    return coeffs.get((1,), Fraction(0))
-
-
-def _op_c1_square(args) -> Fraction:
-    spec = hyp.HypersurfaceSpec(int(args["n"]), int(args["d"]))
-    profile = hyp.hypersurface_profile(spec)
-    h = profile.symbol("H")
-    return profile.evaluate(profile.chern[0] ** 2 * h ** (spec.n - 2))
-
-
-def _op_comb_A(args) -> Fraction:
-    brute, _ = hyp.comb_identity_A(int(args["k"]), int(args["n"]))
-    return brute
-
-
-def _op_comb_A_match(args) -> bool:
-    brute, closed = hyp.comb_identity_A(int(args["k"]), int(args["n"]))
+def _op_comb_A_match(k: int, n: int) -> bool:
+    brute, closed = hyp.comb_identity_A(k, n)
     return closed is not None and brute == closed
 
 
-def _op_triple(args) -> Fraction:
-    profile = threefolds.threefold_profile(int(args["d"]), int(args["b3"]))
-    return threefolds.profile_triple(profile)[int(args["index"])]
+def _vmrt_field(d: int, name: str) -> Any:
+    value = getattr(threefolds.vmrt_table()[d], name)
+    if value is None:
+        raise ValueError(f"degree {d} row has no {name}")
+    return value
 
 
-def _op_vmrt_class(args) -> PTClass:
-    row = threefolds.vmrt_table()[int(args["d"])]
-    if row.cls is None:
-        raise ValueError(f"degree {row.degree} row is interval-valued")
-    return row.cls
-
-
-def _op_vmrt_k(args) -> int:
-    return threefolds.vmrt_table()[int(args["d"])].k
-
-
-def _op_vmrt_m_min(args) -> Fraction:
-    row = threefolds.vmrt_table()[int(args["d"])]
-    if row.h_coefficient_min is None:
-        raise ValueError(f"degree {row.degree} row is exact, not interval-valued")
-    return row.h_coefficient_min
-
-
-def _op_not_big(args) -> bool:
-    return threefolds.vmrt_table()[int(args["d"])].not_big_certificate_applies()
-
-
-def _op_k3_value(args) -> Fraction:
-    data = threefolds.k3_quartic_data()
-    return (data.zeta3, data.zeta2_h, data.zeta_h2)[int(args["index"])]
-
-
-OPS: dict[str, Callable[[Mapping[str, Any]], Any]] = {
+OPS: dict[str, Callable[..., Any]] = {
     "chow.eval_expr": _op_eval_expr,
     "chow.segre_top": _op_segre_top,
     "chow.dual_vmrt": _op_dual_vmrt,
-    "chow.restrict_section": _op_restrict_section,
+    "chow.restrict_section": lambda splitting, quotient_index, eps:
+        restrict_to_section(splitting, quotient_index, as_fraction(eps)),
     "surfaces.lattice_check": _op_lattice_check,
-    "surfaces.minus_one_count":
-        lambda a: len(surfaces.minus_one_curves(surfaces.surface_lattice(int(a["degree"])))),
-    "surfaces.conic_count":
-        lambda a: len(surfaces.conic_classes(surfaces.surface_lattice(int(a["degree"])))),
+    "surfaces.minus_one_count": lambda degree:
+        len(surfaces.minus_one_curves(surfaces.surface_lattice(degree))),
+    "surfaces.conic_count": lambda degree:
+        len(surfaces.conic_classes(surfaces.surface_lattice(degree))),
     "surfaces.degenerate_count": _op_degenerate_count,
-    "surfaces.degree4_pairing": lambda a: surfaces.degree4_pairing(),
-    "surfaces.conic_pair_count": lambda a: len(surfaces.degree4_pencil_pairs()),
-    "surfaces.degree4_vmrt_pair_sum": lambda a: surfaces.degree4_vmrt_pair_sum(),
-    "surfaces.degree4_lines_covered": lambda a: surfaces.degree4_lines_covered(),
-    "surfaces.quintic_pairwise": lambda a: surfaces.quintic_conics_pairwise(),
-    "surfaces.degree5_sum": lambda a: surfaces.degree5_sum(),
-    "surfaces.degree5_vmrt_sum": lambda a: surfaces.degree5_vmrt_sum(),
+    "surfaces.degree4_pairing": lambda: surfaces.degree4_pairing(),
+    "surfaces.conic_pair_count": lambda: len(surfaces.degree4_pencil_pairs()),
+    "surfaces.degree4_vmrt_pair_sum": lambda: surfaces.degree4_vmrt_pair_sum(),
+    "surfaces.degree4_lines_covered": lambda: surfaces.degree4_lines_covered(),
+    "surfaces.quintic_pairwise": lambda: surfaces.quintic_conics_pairwise(),
+    "surfaces.degree5_sum": lambda: surfaces.degree5_sum(),
+    "surfaces.degree5_vmrt_sum": lambda: surfaces.degree5_vmrt_sum(),
     "surfaces.cubic_conics_match_lines":
-        lambda a: surfaces.cubic_conics_match_lines(),
-    "surfaces.cubic_certificate":
-        lambda a: getattr(surfaces.cubic_surface_certificate(), a["component"]),
-    "surfaces.chi_sym":
-        lambda a: surfaces.chi_sym_tangent_surface(int(a["degree"]), int(a["m"])),
-    "surfaces.noether_all": _op_noether_all,
-    "surfaces.chi_growth_threshold": _op_chi_growth_threshold,
+        lambda: surfaces.cubic_conics_match_lines(),
+    "surfaces.cubic_certificate": lambda component:
+        getattr(surfaces.cubic_surface_certificate(), component),
+    "surfaces.chi_sym": lambda degree, m:
+        surfaces.chi_sym_tangent_surface(degree, m),
+    "surfaces.noether_all": lambda:
+        all(surfaces.noether_check(d) for d in range(1, 10)),
+    "surfaces.chi_growth_threshold": lambda:
+        all((surfaces.chi_sym_cubic_coefficient(d) > 0) == (d >= 7)
+            for d in range(1, 10)),
     "hyp.chern_value": _op_chern_value,
-    "hyp.c1_coeff": _op_c1_coeff,
+    "hyp.c1_coeff": lambda n, d:
+        dict(_hyp_profile(n, d).chern[0].terms).get((1,), Fraction(0)),
     "hyp.c1_square": _op_c1_square,
-    "hyp.segre_closed":
-        lambda a: hyp.segre_closed_form(
-            hyp.HypersurfaceSpec(int(a["n"]), int(a["d"])), int(a["l"])),
-    "hyp.mnef": lambda a: hyp.cubic_mnef_number(int(a["n"])),
-    "hyp.sum_positive": lambda a: hyp.sum_positive_part(int(a["n"])),
-    "hyp.sum_negative": lambda a: hyp.sum_negative_part(int(a["n"])),
-    "hyp.comb_A": _op_comb_A,
+    "hyp.segre_closed": lambda n, d, l:
+        hyp.segre_closed_form(hyp.HypersurfaceSpec(n, d), l),
+    "hyp.mnef": lambda n: hyp.cubic_mnef_number(n),
+    "hyp.sum_positive": lambda n: hyp.sum_positive_part(n),
+    "hyp.sum_negative": lambda n: hyp.sum_negative_part(n),
+    "hyp.comb_A": lambda k, n: hyp.comb_identity_A(k, n)[0],
     "hyp.comb_A_match": _op_comb_A_match,
-    "hyp.recursion_A": lambda a: hyp.recursion_check_A(int(a["k"]), int(a["n"])),
-    "threefolds.triple": _op_triple,
-    "threefolds.vmrt_class": _op_vmrt_class,
-    "threefolds.vmrt_k": _op_vmrt_k,
-    "threefolds.vmrt_m_min": _op_vmrt_m_min,
-    "threefolds.not_big": _op_not_big,
-    "threefolds.certificate_degree1": lambda a: threefolds.certificate_degree1(),
+    "hyp.recursion_A": lambda k, n: hyp.recursion_check_A(k, n),
+    "threefolds.triple": lambda d, b3, index:
+        threefolds.profile_triple(threefolds.threefold_profile(d, b3))[index],
+    "threefolds.vmrt_class": lambda d: _vmrt_field(d, "cls"),
+    "threefolds.vmrt_k": lambda d: threefolds.vmrt_table()[d].k,
+    "threefolds.vmrt_m_min": lambda d: _vmrt_field(d, "h_coefficient_min"),
+    "threefolds.not_big": lambda d:
+        threefolds.vmrt_table()[d].not_big_certificate_applies(),
+    "threefolds.certificate_degree1": lambda: threefolds.certificate_degree1(),
     "threefolds.certificate_degree2_modnef":
-        lambda a: threefolds.certificate_degree2_modnef(),
+        lambda: threefolds.certificate_degree2_modnef(),
     "threefolds.certificate_degree2_divisor":
-        lambda a: threefolds.certificate_degree2_divisor(),
-    "threefolds.k3_class": lambda a: threefolds.k3_quartic_data().bitangent_class,
+        lambda: threefolds.certificate_degree2_divisor(),
+    "threefolds.k3_class": lambda: threefolds.k3_quartic_data().bitangent_class,
     "threefolds.k3_normalized":
-        lambda a: threefolds.k3_quartic_data().normalized_class,
-    "threefolds.k3_value": _op_k3_value,
-    "schur.dim": lambda a: schur.schur_dim(a["partition"], int(a["n"])),
-    "schur.ssyt": lambda a: schur.ssyt_count(a["partition"], int(a["n"])),
-    "schur.rectangle":
-        lambda a: schur.plethysm_rectangle_check(int(a["n"]), int(a["k"])),
-    "schur.euler_forms":
-        lambda a: schur.euler_char_forms(int(a["n"]), int(a["p"]), int(a["k"])),
-    "schur.bott":
-        lambda a: schur.bott_vanishing(int(a["n"]), int(a["r"]), int(a["j"])),
-    "schur.bridge":
-        lambda a: schur.bridge_identity_check(int(a["n"]), int(a["d"]), int(a["k"])),
+        lambda: threefolds.k3_quartic_data().normalized_class,
+    "threefolds.k3_value": lambda index: getattr(
+        threefolds.k3_quartic_data(), ("zeta3", "zeta2_h", "zeta_h2")[index]),
+    "schur.dim": lambda partition, n: schur.schur_dim(partition, n),
+    "schur.ssyt": lambda partition, n: schur.ssyt_count(partition, n),
+    "schur.rectangle": lambda n, k: schur.plethysm_rectangle_check(n, k),
+    "schur.euler_forms": lambda n, p, k: schur.euler_char_forms(n, p, k),
+    "schur.bott": lambda n, r, j: schur.bott_vanishing(n, r, j),
+    "schur.bridge": lambda n, d, k: schur.bridge_identity_check(n, d, k),
 }
 
 
 # ---------------------------------------------------------------------------
 # Registry and runner
 # ---------------------------------------------------------------------------
+
+EXPECTED_KINDS = ("rational", "int", "bool", "class", "interval")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_arg(value: Any) -> bool:
+    return (_is_int(value) or isinstance(value, str)
+            or (isinstance(value, list) and all(map(_is_int, value))))
+
 
 def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
     """Load and validate the claim registry."""
@@ -283,9 +247,15 @@ def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
         seen.add(claim.id)
         if claim.provenance not in PROVENANCE_TAGS:
             raise ValueError(f"{claim.id}: bad provenance {claim.provenance!r}")
-        if len(claim.expected) != 1 or next(iter(claim.expected)) not in (
-                "rational", "int", "bool", "class", "interval"):
+        if (len(claim.expected) != 1
+                or next(iter(claim.expected)) not in EXPECTED_KINDS):
             raise ValueError(f"{claim.id}: bad expected spec {claim.expected!r}")
+        if not isinstance(claim.args, dict):
+            raise ValueError(f"{claim.id}: args must be an object")
+        for name, value in claim.args.items():
+            if not _is_arg(value):
+                raise ValueError(f"{claim.id}: arg {name!r} must be an int, a "
+                                 f"string or a list of ints, not {value!r}")
         claims.append(claim)
     return tuple(claims)
 
@@ -302,54 +272,58 @@ def _render(value: Any) -> str:
     return str(value)
 
 
-def _render_expected(expected: Mapping[str, Any]) -> str:
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, Fraction)
+
+
+def _decode_expected(expected: Mapping[str, Any]) -> tuple[str, Callable[[Any], bool]]:
+    """Rendered text and match test of an expected-value spec.
+
+    Raises on a spec that cannot be decoded: an unknown kind, a value of the
+    wrong type, an unknown profile or an unparsable class.
+    """
     kind, spec = next(iter(expected.items()))
     if kind == "rational":
-        return str(spec)
+        value = as_fraction(spec)
+        return str(spec), lambda c: _is_number(c) and c == value
     if kind == "int":
-        return str(spec)
+        if not _is_int(spec):
+            raise ValueError(f"int spec {spec!r} is not an integer")
+        return str(spec), lambda c: _is_number(c) and c == spec
     if kind == "bool":
-        return "true" if spec else "false"
+        if not isinstance(spec, bool):
+            raise ValueError(f"bool spec {spec!r} is not a boolean")
+        return "true" if spec else "false", lambda c: c is spec
     if kind == "class":
         profile = get_profile(spec["profile"])
-        return format_class(profile, parse_expr(profile, spec["expr"]))
+        cls = parse_expr(profile, spec["expr"])
+        return format_class(profile, cls), lambda c: (isinstance(c, PTClass)
+                                                      and c == cls)
     if kind == "interval":
-        parts = []
-        if "min" in spec:
-            parts.append(f">= {spec['min']}")
-        if "max" in spec:
-            parts.append(f"<= {spec['max']}")
-        return " and ".join(parts)
+        low, high = (as_fraction(spec[key]) if key in spec else None
+                     for key in ("min", "max"))
+        text = " and ".join(f"{sign} {spec[key]}" for key, sign
+                            in (("min", ">="), ("max", "<=")) if key in spec)
+        return text, lambda c: (_is_number(c) and (low is None or c >= low)
+                                and (high is None or c <= high))
     raise ValueError(f"bad expected kind {kind!r}")
 
 
-def _matches(expected: Mapping[str, Any], computed: Any) -> bool:
-    kind, spec = next(iter(expected.items()))
-    if kind == "rational":
-        return (isinstance(computed, (int, Fraction))
-                and not isinstance(computed, bool)
-                and as_fraction(computed) == Fraction(str(spec)))
-    if kind == "int":
-        return (isinstance(computed, (int, Fraction))
-                and not isinstance(computed, bool)
-                and as_fraction(computed) == int(spec))
-    if kind == "bool":
-        return isinstance(computed, bool) and computed is bool(spec)
-    if kind == "class":
-        if not isinstance(computed, PTClass):
-            return False
-        profile = get_profile(spec["profile"])
-        return computed == parse_expr(profile, spec["expr"])
-    if kind == "interval":
-        if not isinstance(computed, (int, Fraction)) or isinstance(computed, bool):
-            return False
-        value = as_fraction(computed)
-        if "min" in spec and value < Fraction(str(spec["min"])):
-            return False
-        if "max" in spec and value > Fraction(str(spec["max"])):
-            return False
-        return True
-    raise ValueError(f"bad expected kind {kind!r}")
+def _check(claim: Claim) -> tuple[str, str, str]:
+    """Status, computed text and expected text of one claim."""
+    try:
+        expected, matches = _decode_expected(claim.expected)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        return "fail", f"error: bad expected spec: {exc}", json.dumps(
+            claim.expected, sort_keys=True)
+    op = OPS.get(claim.op)
+    if op is None:
+        return "fail", f"error: unknown operation {claim.op!r}", expected
+    try:
+        computed = op(**claim.args)
+    except Exception as exc:  # diagnostic, keep running
+        return "fail", f"error: {exc}", expected
+    return "pass" if matches(computed) else "fail", _render(computed), expected
 
 
 def run_claims(filter_prefix: str | None = None,
@@ -362,24 +336,12 @@ def run_claims(filter_prefix: str | None = None,
         if filter_prefix and not claim.id.startswith(filter_prefix):
             continue
         start = time.perf_counter()
-        op = OPS.get(claim.op)
-        if op is None:
-            computed_text = f"error: unknown operation {claim.op!r}"
-            status = "fail"
-        else:
-            try:
-                computed = op(claim.args)
-            except Exception as exc:  # diagnostic, keep running
-                computed_text = f"error: {exc}"
-                status = "fail"
-            else:
-                computed_text = _render(computed)
-                status = "pass" if _matches(claim.expected, computed) else "fail"
+        status, computed, expected = _check(claim)
         report.results.append(ClaimResult(
             id=claim.id,
             status=status,
-            computed=computed_text,
-            expected=_render_expected(claim.expected),
+            computed=computed,
+            expected=expected,
             provenance=claim.provenance,
             elapsed=time.perf_counter() - start,
         ))

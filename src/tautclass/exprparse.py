@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import BaseProfile, PTClass
+from .chow import BaseProfile, PTClass, fraction_str
 
 _TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|[-+*^()]")
 
@@ -123,7 +123,12 @@ class _Parser:
     def atom(self) -> PTClass:
         token = self.advance()
         if token.kind == "num":
-            return PTClass.one(self.profile) * Fraction(token.text)
+            try:
+                value = Fraction(token.text)
+            except ZeroDivisionError:
+                raise ExprSyntaxError(f"zero denominator in {token.text!r}",
+                                      token.position) from None
+            return PTClass.one(self.profile) * value
         if token.kind == "sym":
             return self.resolve(token)
         if token.text == "(":
@@ -181,18 +186,12 @@ def format_class(profile: BaseProfile, cls: PTClass) -> str:
                 factors.append(name if e == 1 else f"{name}^{e}")
         magnitude = abs(coeff)
         if factors:
-            prefix = "" if magnitude == 1 else _fraction_text(magnitude)
+            prefix = "" if magnitude == 1 else fraction_str(magnitude)
             body = prefix + "*".join(factors)
         else:
-            body = _fraction_text(magnitude)
+            body = fraction_str(magnitude)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
             pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
     return " ".join(pieces)
-
-
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"

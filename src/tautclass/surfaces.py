@@ -270,11 +270,9 @@ def conic_vmrt_class(lattice: PicardLattice, fiber: CurveClass) -> PTClass:
     return dual_vmrt_generic(profile, 1, -relative_k)
 
 
-def cubic_conics_match_lines(lattice: PicardLattice | None = None) -> bool:
+def cubic_conics_match_lines() -> bool:
     """On the cubic, conic classes biject with lines via F = -K - l."""
-    lattice = lattice or surface_lattice(3)
-    if lattice.degree != 3:
-        raise ValueError("the bijection is specific to degree 3")
+    lattice = surface_lattice(3)
     lines = minus_one_curves(lattice)
     conics = set(conic_classes(lattice))
     return conics == {(-lattice.k) - l for l in lines} and len(conics) == len(lines)

@@ -25,9 +25,6 @@ from .chow import (BasePoly, BaseProfile, PTClass, dual_vmrt_generic,
 # c_3 = 4 - b_3.  The d = 4, 5 Betti numbers are literature defaults kept
 # out of every verified claim: only the (k, r) line data enter those rows.
 B3_DEFAULTS = {1: 42, 2: 20, 3: 10, 4: 4, 5: 0}
-B3_PROVENANCE = {1: "reported", 2: "reported", 3: "derived",
-                 4: "literature default (unused in claims)",
-                 5: "literature default (unused in claims)"}
 EVALUATION_DEGREES = {1: 60, 2: 12, 3: 6, 4: 4, 5: 3}
 LINE_COUNTS = {2: 56, 3: 27, 4: 16, 5: 10}
 LINE_COUNT_MIN_D1 = 240

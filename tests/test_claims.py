@@ -45,13 +45,21 @@ def test_filter_prefix():
 def test_unknown_op_fails_with_diagnostic_and_run_continues():
     registry = (
         Claim("x.bad", "bad", "", "no.such_op", {}, {"int": 1}, "trivial"),
+        Claim("x.bad-class", "bad class spec", "", "threefolds.vmrt_class",
+              {"d": 5}, {"class": {"profile": "no-such", "expr": "z"}},
+              "derived"),
+        Claim("x.bad-args", "args do not match the op", "", "schur.dim",
+              {"partition": [2, 2], "dim": 3}, {"int": 6}, "derived"),
         Claim("x.good", "good", "", "schur.dim",
               {"partition": [2, 2], "n": 3}, {"int": 6}, "derived"),
     )
     report = run_claims(registry=registry)
-    assert report.results[0].status == "fail"
+    assert [r.status for r in report.results] == ["fail", "fail", "fail", "pass"]
     assert "unknown operation" in report.results[0].computed
-    assert report.results[1].status == "pass"
+    assert report.results[1].computed.startswith("error:")
+    assert "no-such" in report.results[1].computed
+    assert report.results[2].computed.startswith("error:")
+    assert "dim" in report.results[2].computed
 
 
 def test_emit_json_schema_and_determinism():
@@ -102,6 +110,17 @@ def test_cli_verify_registry_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 1
 
 
+def test_cli_verify_rejects_non_integer_arg(tmp_path, capsys):
+    # a float must not be truncated into a different, passing claim
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"claims": [{
+        "id": "t.float", "description": "d", "anchor": "",
+        "op": "hyp.mnef", "args": {"n": 3.7},
+        "expected": {"rational": "-9"}, "provenance": "reported"}]}))
+    assert main(["verify", "--registry", str(path)]) == 2
+    assert "t.float" in capsys.readouterr().err
+
+
 def test_cli_verify_missing_registry(capsys):
     assert main(["verify", "--registry", "/no/such/registry.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -124,6 +143,10 @@ def test_cli_eval_errors(capsys):
     assert "offset 7" in err
     assert main(["eval", "--profile", "cubic-surface",
                  "--expr", "z^3 + z"]) == 2
+    capsys.readouterr()
+    assert main(["eval", "--profile", "cubic-surface",
+                 "--expr", "1/0*z^3"]) == 2
+    assert "offset 1" in capsys.readouterr().err
 
 
 def test_cli_surface_curves(capsys):
