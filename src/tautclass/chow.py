@@ -29,12 +29,15 @@ freely across threads or processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 Exponents = tuple[int, ...]
+PTKey = tuple[int, Exponents]
 Scalar = Union[int, Fraction]
 
 
@@ -67,7 +70,7 @@ def fraction_str(value: Fraction) -> str:
 
 
 def _add_exponents(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,7 @@ class BaseProfile:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def segre_omega(profile: BaseProfile) -> tuple[BasePoly, ...]:
     """Invert the total Chern class of Omega_X as a truncated power series.
 
@@ -309,6 +312,37 @@ def segre_omega(profile: BaseProfile) -> tuple[BasePoly, ...]:
             acc = acc + profile.chern_omega(i) * entries[j - i]
         entries.append(-acc)
     return tuple(entries)
+
+
+def _numerators(cls: "PTClass") -> tuple[int, dict[PTKey, int]]:
+    """The terms of a class as integer numerators over one denominator."""
+    den = math.lcm(*(c.denominator for _, c in cls.terms))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in cls.terms}
+
+
+def _mul_numerators(a: Mapping[PTKey, int], b: Mapping[PTKey, int],
+                    max_base_degree: int | None = None) -> dict[PTKey, int]:
+    """Exact product of two integer term maps, without zero terms.
+
+    With ``max_base_degree`` set, terms whose base monomial has a larger
+    degree are dropped.
+    """
+    b_terms = [(zp, exps, sum(exps), c) for (zp, exps), c in b.items()]
+    acc: dict[PTKey, int] = {}
+    for (z1, e1), c1 in a.items():
+        d1 = sum(e1)
+        for z2, e2, d2, c2 in b_terms:
+            if max_base_degree is not None and d1 + d2 > max_base_degree:
+                continue
+            key = (z1 + z2, _add_exponents(e1, e2))
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+def _from_numerators(profile_label: str, nsyms: int, den: int,
+                     nums: Mapping[PTKey, int]) -> "PTClass":
+    return PTClass(profile_label, nsyms,
+                   tuple(sorted((k, Fraction(c, den)) for k, c in nums.items())))
 
 
 @dataclass(frozen=True)
@@ -395,12 +429,10 @@ class PTClass:
             return PTClass(self.profile_label, self.nsyms,
                            tuple((k, c * q) for k, c in self.terms))
         self._check(other)
-        acc: dict[tuple[int, Exponents], Fraction] = {}
-        for (z1, e1), c1 in self.terms:
-            for (z2, e2), c2 in other.terms:
-                key = (z1 + z2, _add_exponents(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return PTClass.make(self.profile_label, self.nsyms, acc)
+        den_a, nums_a = _numerators(self)
+        den_b, nums_b = _numerators(other)
+        return _from_numerators(self.profile_label, self.nsyms, den_a * den_b,
+                                _mul_numerators(nums_a, nums_b))
 
     def __rmul__(self, other: Scalar) -> "PTClass":
         return self * other
@@ -449,6 +481,14 @@ def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
             f"profile {profile.label!r}")
 
 
+def _require_top_degree(profile: BaseProfile, degree: int) -> None:
+    n = profile.dim
+    if degree != 2 * n - 1:
+        raise DegreeMismatchError(
+            f"eval_top on {profile.label!r} needs total degree "
+            f"{2 * n - 1} (= 2*{n}-1), got {degree}")
+
+
 def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
     """Intersection number of a homogeneous degree-(2n-1) class on P(T_X).
 
@@ -458,14 +498,10 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
     """
     _require_profile(profile, cls)
     n = profile.dim
-    expected = 2 * n - 1
     degree = cls.homogeneous_degree()
     if degree is None:
         return Fraction(0)
-    if degree != expected:
-        raise DegreeMismatchError(
-            f"eval_top on {profile.label!r} needs total degree "
-            f"{expected} (= 2*{n}-1), got {degree}")
+    _require_top_degree(profile, degree)
     segre = segre_omega(profile)
     total = Fraction(0)
     for (zp, exps), coeff in cls.terms:
@@ -478,12 +514,29 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
 
 
 def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
-    """Expand a product of classes and evaluate it with :func:`eval_top`."""
-    result = PTClass.one(profile)
+    """Evaluate a product of classes with :func:`eval_top`.
+
+    Gives the value of ``eval_top`` on the formal product, but the running
+    product drops base monomials of degree > dim X: they vanish on X, no
+    later factor lowers their degree, and their zeta-power is then below
+    n-1.  Each factor's profile and degree are checked first, so a zero
+    factor gives 0, and a product that is not homogeneous of top degree
+    raises :class:`DegreeMismatchError` as on the formal product.
+    """
+    factors = list(factors)
     for factor in factors:
         _require_profile(profile, factor)
-        result = result * factor
-    return eval_top(profile, result)
+    if any(factor.is_zero for factor in factors):
+        return Fraction(0)
+    _require_top_degree(
+        profile, sum(factor.homogeneous_degree() for factor in factors))
+    den, nums = 1, {(0, (0,) * profile.nsyms): 1}
+    for factor in factors:
+        factor_den, factor_nums = _numerators(factor)
+        den *= factor_den
+        nums = _mul_numerators(nums, factor_nums, profile.dim)
+    return eval_top(profile,
+                    _from_numerators(profile.label, profile.nsyms, den, nums))
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

@@ -56,14 +56,15 @@ def hypersurface_profile(spec: HypersurfaceSpec) -> BaseProfile:
     """Intersection profile of a degree-d hypersurface of dimension n.
 
     Basis {H} with H^n = d; c_j(T_X) is the degree-j coefficient of the
-    series (1+H)^(n+2) / (1+dH), so in particular c_1 = (n+2-d) H.
+    series (1+H)^(n+2) / (1+dH), so in particular c_1 = (n+2-d) H.  From
+    c(T_X) . (1+dH) = (1+H)^(n+2) the coefficients satisfy
+    c_j = C(n+2, j) - d c_(j-1) with c_0 = 1.
     """
     n, d = spec.n, spec.d
-    coeffs = []
+    coeffs = [1]
     for j in range(1, n + 1):
-        c = sum(math.comb(n + 2, i) * (-d) ** (j - i) for i in range(j + 1))
-        coeffs.append(c)
-    chern = [BasePoly.make(1, {(j,): coeffs[j - 1]}) for j in range(1, n + 1)]
+        coeffs.append(math.comb(n + 2, j) - d * coeffs[-1])
+    chern = [BasePoly.make(1, {(j,): coeffs[j]}) for j in range(1, n + 1)]
     return BaseProfile.make(
         label=f"hypersurface-n{n}-d{d}",
         dim=n,

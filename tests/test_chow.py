@@ -112,6 +112,116 @@ def test_class_arithmetic_commutes_and_associates(data):
     assert (x * y) * z == x * (y * z)
 
 
+def _naive_mul(x: PTClass, y: PTClass) -> PTClass:
+    acc: dict = {}
+    for (z1, e1), c1 in x.terms:
+        for (z2, e2), c2 in y.terms:
+            key = (z1 + z2, tuple(a + b for a, b in zip(e1, e2)))
+            acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+    return PTClass.make(x.profile_label, x.nsyms, acc)
+
+
+@st.composite
+def any_classes(draw, profile):
+    # Not necessarily homogeneous; includes the zero and one classes.
+    special = draw(st.sampled_from(["zero", "one", "random"]))
+    if special == "zero":
+        return PTClass.zero(profile)
+    if special == "one":
+        return PTClass.one(profile)
+    keys = st.tuples(st.integers(0, 3),
+                     st.tuples(*[st.integers(0, 3)] * profile.nsyms))
+    terms = draw(st.dictionaries(keys, fractions_st, max_size=5))
+    return PTClass.make(profile.label, profile.nsyms, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ptclass_mul_matches_naive_fraction_product(data):
+    profile = get_profile(data.draw(st.sampled_from(
+        ["dp3-degree1", "cubic-surface", "dp-surface-6"])))
+    x = data.draw(any_classes(profile))
+    y = data.draw(any_classes(profile))
+    product = x * y
+    assert product == _naive_mul(x, y)
+    assert all(isinstance(c, Fraction) and c for _, c in product.terms)
+
+
+@st.composite
+def top_degree_factors(draw, profile):
+    # Homogeneous factors whose degrees add up to 2n-1; every factor of
+    # degree above dim X carries a pure base term, which vanishes on X.
+    n = profile.dim
+    remaining = 2 * n - 1
+    factors = []
+    while remaining:
+        degree = draw(st.integers(1, min(remaining, n + 2)))
+        remaining -= degree
+        keys = [(zp, mono) for zp in range(degree + 1)
+                for mono in compositions(degree - zp, profile.nsyms)]
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1,
+                               max_size=3))
+        if degree > n:
+            chosen.append((0, draw(st.sampled_from(
+                list(compositions(degree, profile.nsyms))))))
+        coeffs = draw(st.lists(fractions_st, min_size=len(chosen),
+                               max_size=len(chosen)))
+        factors.append(PTClass.make(profile.label, profile.nsyms,
+                                    dict(zip(chosen, coeffs))))
+    return factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_eval_product_matches_formal_product(data):
+    # Named profiles: random_profiles() has an empty top form, so every
+    # value on it would be 0.
+    profile = get_profile(data.draw(st.sampled_from(
+        ["cubic-surface", "dp-surface-1", "dp3-degree1",
+         "hypersurface-n4-d3"])))
+    factors = data.draw(top_degree_factors(profile))
+    formal = PTClass.one(profile)
+    for factor in factors:
+        formal = formal * factor
+    assert eval_product(profile, factors) == eval_top(profile, formal)
+
+
+def test_eval_product_guards():
+    profile = get_profile("cubic-surface")
+    zeta = PTClass.zeta(profile)
+    h = PTClass.pullback(profile, profile.symbol("H"))
+    f = PTClass.pullback(profile, profile.symbol("F"))
+    # Dropping z^2 H^3 (H^3 = 0 on X) must not turn the mixed product
+    # into the value of z^3.
+    with pytest.raises(DegreeMismatchError):
+        eval_product(profile, [zeta + h ** 3, zeta, zeta])
+    with pytest.raises(DegreeMismatchError, match="degree 3"):
+        eval_product(profile, [zeta, zeta + h])
+    with pytest.raises(DegreeMismatchError, match="degree 3"):
+        eval_product(profile, [zeta, zeta, h ** 3])
+    with pytest.raises(DegreeMismatchError):
+        eval_product(profile, [])
+    assert eval_product(profile, [zeta, PTClass.zero(profile), zeta]) == 0
+    quartic = get_profile("k3-quartic")
+    with pytest.raises(ProfileMismatchError):
+        eval_product(profile, [zeta, zeta, PTClass.zeta(quartic)])
+    factors = [Fraction(1, 2) * zeta + Fraction(1, 3) * h,
+               2 * zeta - Fraction(3, 4) * f, zeta]
+    formal = factors[0] * factors[1] * factors[2]
+    assert eval_product(profile, factors) == eval_top(profile, formal)
+    assert eval_product(profile, factors) == Fraction(-21, 4)
+
+
+def test_segre_cache_is_bounded():
+    # 200 distinct hypersurface profiles, more than the cache holds.
+    for n in range(3, 13):
+        for d in range(1, 21):
+            segre_omega(get_profile(f"hypersurface-n{n}-d{d}"))
+    info = segre_omega.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
 def test_cubic_surface_ledger():
     profile = get_profile("cubic-surface")
     zeta = PTClass.zeta(profile)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,17 @@ def test_cubic_threefold_profile():
     assert profile.chern[0] == 2 * h
     assert profile.evaluate(profile.chern[1] * h) == 12
     assert profile.evaluate(profile.chern[2]) == -6
+
+
+def test_chern_recurrence_matches_binomial_sum():
+    for n in range(1, 41):
+        for d in range(1, 6):
+            profile = hypersurface_profile(HypersurfaceSpec(n, d))
+            for j in range(1, n + 1):
+                # degree-j coefficient of (1+H)^(n+2) . sum_k (-dH)^k
+                c = sum(math.comb(n + 2, i) * (-d) ** (j - i)
+                        for i in range(j + 1))
+                assert profile.chern[j - 1] == BasePoly.make(1, {(j,): c})
 
 
 def test_cubic_surface_profile_numbers():
@@ -72,6 +84,11 @@ def test_cubic_mnef_values():
 def test_cubic_mnef_strictly_negative():
     for n in range(3, 13):
         assert cubic_mnef_number(n) < 0
+
+
+def test_cubic_mnef_large_n():
+    for n in (40, 72):
+        assert cubic_mnef_number(n) == cubic_mnef_closed_form(n) < 0
 
 
 def test_binomial_sums():
