@@ -8,7 +8,7 @@ curve enumeration, Schur functor dimension calculus, and a claim registry
 that re-checks every pinned constant.
 """
 
-from .chow import (BasePoly, BaseProfile, DegreeMismatchError, PTClass,
+from .chow import (BaseProfile, DegreeMismatchError, PTClass,
                    ProfileMismatchError, as_fraction, dual_vmrt_generic,
                    eval_product, eval_top, fiber_line_degree, fraction_str,
                    restrict_to_section, segre_omega)

@@ -4,8 +4,10 @@ A variety X of dimension n enters all computations through a
 :class:`BaseProfile`: an ordered divisor basis, the top intersection form on
 degree-n monomials, and the Chern classes of the tangent bundle.  Classes on
 the projectivisation P(T_X) are sparse polynomials in the tautological class
-``zeta`` and pulled-back divisors, with ``fractions.Fraction`` coefficients.
-No floating point is used anywhere.
+``zeta`` and pulled-back divisors, with ``fractions.Fraction`` coefficients;
+there is one class type, :class:`PTClass`, and classes on X itself (Chern
+classes, divisors) are its zeta-free values.  No floating point is used
+anywhere.
 
 Sign convention
 ---------------
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -74,109 +76,6 @@ def _add_exponents(a: Exponents, b: Exponents) -> Exponents:
 
 
 @dataclass(frozen=True)
-class BasePoly:
-    """Formal polynomial in the divisor basis of a profile.
-
-    Terms are stored as a sorted tuple of (exponent vector, coefficient)
-    pairs with all coefficients nonzero, so equal polynomials compare and
-    hash equal.
-    """
-
-    nsyms: int
-    terms: tuple[tuple[Exponents, Fraction], ...]
-
-    @staticmethod
-    def make(nsyms: int, terms: Mapping[Exponents, Scalar]) -> "BasePoly":
-        collected: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nsyms:
-                raise ValueError(f"exponent vector {exps} has length != {nsyms}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            q = as_fraction(coeff)
-            if q:
-                collected[exps] = collected.get(exps, Fraction(0)) + q
-        normalized = tuple(sorted((e, c) for e, c in collected.items() if c))
-        return BasePoly(nsyms, normalized)
-
-    @staticmethod
-    def zero(nsyms: int) -> "BasePoly":
-        return BasePoly(nsyms, ())
-
-    @staticmethod
-    def constant(nsyms: int, value: Scalar) -> "BasePoly":
-        return BasePoly.make(nsyms, {(0,) * nsyms: value})
-
-    @staticmethod
-    def symbol(nsyms: int, index: int) -> "BasePoly":
-        exps = tuple(1 if i == index else 0 for i in range(nsyms))
-        return BasePoly.make(nsyms, {exps: 1})
-
-    def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def homogeneous_degree(self) -> int | None:
-        """Common degree of all terms, None for the zero polynomial."""
-        degrees = {sum(e) for e, _ in self.terms}
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise DegreeMismatchError(
-                f"polynomial mixes degrees {sorted(degrees)}")
-        return degrees.pop()
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e, _ in self.terms)
-
-    def _check(self, other: "BasePoly") -> None:
-        if self.nsyms != other.nsyms:
-            raise ValueError("polynomials over different bases")
-
-    def __add__(self, other: "BasePoly") -> "BasePoly":
-        self._check(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return BasePoly.make(self.nsyms, acc)
-
-    def __sub__(self, other: "BasePoly") -> "BasePoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BasePoly":
-        return BasePoly(self.nsyms, tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other: "BasePoly | Scalar") -> "BasePoly":
-        if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if not q:
-                return BasePoly.zero(self.nsyms)
-            return BasePoly(self.nsyms, tuple((e, c * q) for e, c in self.terms))
-        self._check(other)
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = _add_exponents(e1, e2)
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return BasePoly.make(self.nsyms, acc)
-
-    def __rmul__(self, other: Scalar) -> "BasePoly":
-        return self * other
-
-    def __pow__(self, power: int) -> "BasePoly":
-        if power < 0:
-            raise ValueError("negative power")
-        result = BasePoly.constant(self.nsyms, 1)
-        for _ in range(power):
-            result = result * self
-        return result
-
-
-@dataclass(frozen=True)
 class BaseProfile:
     """Finite intersection-theoretic presentation of a variety.
 
@@ -185,23 +84,26 @@ class BaseProfile:
     exponent vector makes the form symmetric by construction.  ``chern``
     lists c_1..c_n of the tangent bundle, entry j homogeneous of degree j.
     ``canonical`` optionally records the canonical divisor class for use by
-    the expression parser.
+    the expression parser.  Classes on X are the zeta-free
+    :class:`PTClass` values over the profile's label; :meth:`make` builds
+    them from exponent-vector term maps.
     """
 
     label: str
     dim: int
     basis: tuple[str, ...]
     top_form: tuple[tuple[Exponents, Fraction], ...]
-    chern: tuple[BasePoly, ...]
-    canonical: BasePoly | None = None
+    chern: tuple[PTClass, ...]
+    canonical: PTClass | None = None
 
     @staticmethod
     def make(label: str,
              dim: int,
              basis: Iterable[str],
              top_form: Mapping[Exponents, Scalar],
-             chern: Iterable[BasePoly],
-             canonical: BasePoly | None = None) -> "BaseProfile":
+             chern: Iterable[Mapping[Exponents, Scalar]],
+             canonical: Mapping[Exponents, Scalar] | None = None
+             ) -> "BaseProfile":
         basis = tuple(basis)
         if dim < 1:
             raise ValueError("dim must be positive")
@@ -219,99 +121,116 @@ class BaseProfile:
             q = as_fraction(value)
             if q:
                 form[exps] = q
+
+        def base_class(terms: Mapping[Exponents, Scalar], degree: int,
+                       name: str) -> PTClass:
+            cls = PTClass.make(label, nsyms,
+                               {(0, exps): c for exps, c in terms.items()})
+            if not _is_base(cls, degree):
+                raise DegreeMismatchError(
+                    f"{name} is not homogeneous of degree {degree}")
+            return cls
+
         chern = tuple(chern)
         if len(chern) != dim:
             raise ValueError(f"need exactly {dim} Chern entries, got {len(chern)}")
-        for j, poly in enumerate(chern, start=1):
-            if poly.nsyms != nsyms:
-                raise ValueError(f"c_{j} is over a different basis")
-            if not poly.is_homogeneous(j):
-                raise DegreeMismatchError(f"c_{j} is not homogeneous of degree {j}")
-        if canonical is not None and not canonical.is_homogeneous(1):
-            raise DegreeMismatchError("canonical class must have degree 1")
-        return BaseProfile(label, dim, basis,
-                           tuple(sorted(form.items())), chern, canonical)
+        return BaseProfile(
+            label, dim, basis, tuple(sorted(form.items())),
+            tuple(base_class(terms, j, f"c_{j}")
+                  for j, terms in enumerate(chern, start=1)),
+            None if canonical is None
+            else base_class(canonical, 1, "canonical class"))
 
     @property
     def nsyms(self) -> int:
         return len(self.basis)
 
-    def symbol(self, name: str) -> BasePoly:
-        return BasePoly.symbol(self.nsyms, self.basis.index(name))
+    @cached_property
+    def _form(self) -> dict[Exponents, Fraction]:
+        return dict(self.top_form)
 
-    def evaluate(self, poly: BasePoly) -> Fraction:
-        """Evaluate a homogeneous degree-n polynomial against the top form."""
-        if poly.nsyms != self.nsyms:
-            raise ValueError("polynomial over a different basis")
-        if not poly.is_homogeneous(self.dim):
+    def symbol(self, name: str) -> PTClass:
+        """The pulled-back divisor class of a basis symbol."""
+        index = self.basis.index(name)
+        exps = tuple(1 if i == index else 0 for i in range(self.nsyms))
+        return PTClass.make(self.label, self.nsyms, {(0, exps): 1})
+
+    def evaluate(self, cls: PTClass) -> Fraction:
+        """Evaluate a zeta-free degree-n class against the top form."""
+        _require_profile(self, cls)
+        if not _is_base(cls, self.dim):
             raise DegreeMismatchError(
-                f"top evaluation needs degree {self.dim}, "
-                f"got degrees {sorted({sum(e) for e, _ in poly.terms})}")
-        form = dict(self.top_form)
-        return sum((c * form.get(e, Fraction(0)) for e, c in poly.terms),
+                f"top evaluation needs a zeta-free class of degree {self.dim}, "
+                f"got degrees {sorted(cls.total_degrees())}")
+        form = self._form
+        return sum((c * form.get(e, 0) for (_, e), c in cls.terms),
                    Fraction(0))
 
-    def chern_omega(self, j: int) -> BasePoly:
+    def chern_omega(self, j: int) -> PTClass:
         """c_j of the cotangent bundle: (-1)^j c_j(T_X)."""
         if j == 0:
-            return BasePoly.constant(self.nsyms, 1)
-        poly = self.chern[j - 1]
-        return poly if j % 2 == 0 else -poly
+            return PTClass.one(self)
+        cls = self.chern[j - 1]
+        return cls if j % 2 == 0 else -cls
 
     def to_json(self) -> dict:
-        def poly_json(poly: BasePoly) -> list[dict]:
+        def entries(terms) -> list[dict]:
             return [{"exponents": list(e), "value": fraction_str(c)}
-                    for e, c in poly.terms]
+                    for e, c in terms]
+
+        def class_json(cls: PTClass) -> list[dict]:
+            return entries((e, c) for (_, e), c in cls.terms)
 
         doc = {
             "label": self.label,
             "dim": self.dim,
             "basis": list(self.basis),
-            "top_form": [{"exponents": list(e), "value": fraction_str(c)}
-                         for e, c in self.top_form],
-            "chern": [poly_json(p) for p in self.chern],
+            "top_form": entries(self.top_form),
+            "chern": [class_json(cls) for cls in self.chern],
         }
         if self.canonical is not None:
-            doc["canonical"] = poly_json(self.canonical)
+            doc["canonical"] = class_json(self.canonical)
         return doc
 
     @staticmethod
     def from_json(doc: Mapping) -> "BaseProfile":
-        nsyms = len(doc["basis"])
-
-        def poly_from(entries) -> BasePoly:
-            return BasePoly.make(
-                nsyms,
-                {tuple(item["exponents"]): as_fraction(item["value"])
-                 for item in entries})
+        def terms(entries) -> dict[Exponents, str]:
+            return {tuple(item["exponents"]): item["value"] for item in entries}
 
         return BaseProfile.make(
             doc["label"],
             int(doc["dim"]),
             doc["basis"],
-            {tuple(item["exponents"]): as_fraction(item["value"])
-             for item in doc["top_form"]},
-            [poly_from(entries) for entries in doc["chern"]],
-            poly_from(doc["canonical"]) if "canonical" in doc else None,
+            terms(doc["top_form"]),
+            [terms(entries) for entries in doc["chern"]],
+            terms(doc["canonical"]) if "canonical" in doc else None,
         )
 
 
 @lru_cache(maxsize=128)
-def segre_omega(profile: BaseProfile) -> tuple[BasePoly, ...]:
+def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     """Invert the total Chern class of Omega_X as a truncated power series.
 
     Returns s_0..s_n with s_0 = 1 and, degree by degree,
     s_j = -(c_1(Omega) s_{j-1} + ... + c_j(Omega) s_0), so that the
-    truncated product s(Omega) . c(Omega) equals 1.
+    truncated product s(Omega) . c(Omega) equals 1.  With every c_i(Omega)
+    written over one denominator D, s_j is an integer term map over D^j,
+    and c_i(Omega) s_{j-i} is scaled by D^(i-1) onto that denominator.
     """
     n = profile.dim
-    entries = [BasePoly.constant(profile.nsyms, 1)]
+    omega = [_numerators(profile.chern_omega(i)) for i in range(1, n + 1)]
+    den = math.lcm(*(d for d, _ in omega))
+    scaled = [{k: -c * (den // d) * den ** (i - 1) for k, c in nums.items()}
+              for i, (d, nums) in enumerate(omega, start=1)]
+    entries = [{(0, (0,) * profile.nsyms): 1}]
     for j in range(1, n + 1):
-        acc = BasePoly.zero(profile.nsyms)
+        acc: dict[PTKey, int] = {}
         for i in range(1, j + 1):
-            acc = acc + profile.chern_omega(i) * entries[j - i]
-        entries.append(-acc)
-    return tuple(entries)
+            for k, c in _mul_numerators(scaled[i - 1], entries[j - i]).items():
+                acc[k] = acc.get(k, 0) + c
+        entries.append({k: c for k, c in acc.items() if c})
+    return tuple(_from_numerators(profile.label, profile.nsyms, den ** j, nums)
+                 for j, nums in enumerate(entries))
 
 
 def _numerators(cls: "PTClass") -> tuple[int, dict[PTKey, int]]:
@@ -387,13 +306,6 @@ class PTClass:
         return PTClass.make(profile.label, profile.nsyms,
                             {(power, (0,) * profile.nsyms): 1})
 
-    @staticmethod
-    def pullback(profile: BaseProfile, poly: BasePoly) -> "PTClass":
-        if poly.nsyms != profile.nsyms:
-            raise ValueError("polynomial over a different basis")
-        return PTClass.make(profile.label, profile.nsyms,
-                            {(0, e): c for e, c in poly.terms})
-
     def items(self) -> Iterator[tuple[tuple[int, Exponents], Fraction]]:
         return iter(self.terms)
 
@@ -467,18 +379,17 @@ class PTClass:
                 return c
         return Fraction(0)
 
-    def base_part(self, zeta_power: int) -> BasePoly:
-        """The base polynomial multiplying zeta^k."""
-        return BasePoly.make(
-            self.nsyms,
-            {e: c for (zp, e), c in self.terms if zp == zeta_power})
-
 
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
     if cls.profile_label != profile.label or cls.nsyms != profile.nsyms:
         raise ProfileMismatchError(
             f"class over {cls.profile_label!r} evaluated against "
             f"profile {profile.label!r}")
+
+
+def _is_base(cls: PTClass, degree: int) -> bool:
+    """Whether every term of a class is zeta-free of base degree ``degree``."""
+    return all(zp == 0 and sum(e) == degree for (zp, e), _ in cls.terms)
 
 
 def _require_top_degree(profile: BaseProfile, degree: int) -> None:
@@ -503,13 +414,15 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
         return Fraction(0)
     _require_top_degree(profile, degree)
     segre = segre_omega(profile)
+    form = profile._form
     total = Fraction(0)
     for (zp, exps), coeff in cls.terms:
         j = zp - (n - 1)
         if j < 0:
             continue
-        mono = BasePoly.make(profile.nsyms, {exps: 1})
-        total += coeff * profile.evaluate(segre[j] * mono)
+        total += coeff * sum(
+            (s * form.get(_add_exponents(e, exps), 0)
+             for (_, e), s in segre[j].terms), Fraction(0))
     return total
 
 
@@ -570,7 +483,7 @@ def restrict_to_section(splitting: Iterable[int], quotient_index: int,
 
 
 def dual_vmrt_generic(profile: BaseProfile, deg_e: int,
-                      pushforward_c1: BasePoly) -> PTClass:
+                      pushforward_c1: PTClass) -> PTClass:
     """Divisor class of a total dual VMRT from its two ingredients.
 
     For a minimal rational curve family with generically finite evaluation
@@ -579,8 +492,8 @@ def dual_vmrt_generic(profile: BaseProfile, deg_e: int,
     """
     if deg_e <= 0:
         raise ValueError("deg_e must be a positive integer")
-    if not pushforward_c1.is_homogeneous(1):
+    _require_profile(profile, pushforward_c1)
+    if not _is_base(pushforward_c1, 1):
         raise DegreeMismatchError(
-            "pushforward class must be homogeneous of degree 1")
-    return (PTClass.zeta(profile) * deg_e
-            - PTClass.pullback(profile, pushforward_c1))
+            "pushforward class must be zeta-free and homogeneous of degree 1")
+    return PTClass.zeta(profile) * deg_e - pushforward_c1

@@ -23,7 +23,7 @@ from . import hypersurfaces as hyp
 from . import schur
 from . import surfaces
 from . import threefolds
-from .chow import (BasePoly, PTClass, as_fraction, eval_top, fraction_str,
+from .chow import (PTClass, as_fraction, eval_top, fraction_str,
                    restrict_to_section, segre_omega, dual_vmrt_generic)
 from .exprparse import format_class, parse_expr
 from .profiles import get_profile
@@ -77,13 +77,6 @@ class Report:
 # library through a module attribute at call time, so rebinding a library
 # function (as a tracer does) is seen here.
 
-def _base_poly_from_expr(profile, text: str) -> BasePoly:
-    cls = parse_expr(profile, text)
-    if any(zp for (zp, _), _ in cls.terms):
-        raise ValueError(f"{text!r} is not a pulled-back divisor expression")
-    return cls.base_part(0)
-
-
 def _op_eval_expr(profile: str, expr: str) -> Fraction:
     base = get_profile(profile)
     return eval_top(base, parse_expr(base, expr))
@@ -96,7 +89,7 @@ def _op_segre_top(profile: str) -> Fraction:
 
 def _op_dual_vmrt(profile: str, deg_e: int, pushforward: str) -> PTClass:
     base = get_profile(profile)
-    return dual_vmrt_generic(base, deg_e, _base_poly_from_expr(base, pushforward))
+    return dual_vmrt_generic(base, deg_e, parse_expr(base, pushforward))
 
 
 def _op_degenerate_count(degree: int) -> int:
@@ -171,7 +164,7 @@ OPS: dict[str, Callable[..., Any]] = {
             for d in range(1, 10)),
     "hyp.chern_value": _op_chern_value,
     "hyp.c1_coeff": lambda n, d:
-        dict(_hyp_profile(n, d).chern[0].terms).get((1,), Fraction(0)),
+        dict(_hyp_profile(n, d).chern[0].terms).get((0, (1,)), Fraction(0)),
     "hyp.c1_square": _op_c1_square,
     "hyp.segre_closed": lambda n, d, l:
         hyp.segre_closed_form(hyp.HypersurfaceSpec(n, d), l),

@@ -146,13 +146,13 @@ class _Parser:
         if token.text == "z":
             return PTClass.zeta(profile)
         if token.text in profile.basis:
-            return PTClass.pullback(profile, profile.symbol(token.text))
+            return profile.symbol(token.text)
         if token.text == "K":
             if profile.canonical is None:
                 raise ExprSyntaxError(
                     f"profile {profile.label!r} defines no canonical class",
                     token.position)
-            return PTClass.pullback(profile, profile.canonical)
+            return profile.canonical
         raise ExprSyntaxError(
             f"unknown symbol {token.text!r} for profile {profile.label!r}",
             token.position)

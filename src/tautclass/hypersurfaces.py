@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import BasePoly, BaseProfile, PTClass, eval_product
+from .chow import BaseProfile, PTClass, eval_product
 
 
 def binom(a: int, b: int) -> int:
@@ -64,14 +64,13 @@ def hypersurface_profile(spec: HypersurfaceSpec) -> BaseProfile:
     coeffs = [1]
     for j in range(1, n + 1):
         coeffs.append(math.comb(n + 2, j) - d * coeffs[-1])
-    chern = [BasePoly.make(1, {(j,): coeffs[j]}) for j in range(1, n + 1)]
     return BaseProfile.make(
         label=f"hypersurface-n{n}-d{d}",
         dim=n,
         basis=("H",),
         top_form={(n,): d},
-        chern=chern,
-        canonical=BasePoly.make(1, {(1,): d - n - 2}),
+        chern=[{(j,): coeffs[j]} for j in range(1, n + 1)],
+        canonical={(1,): d - n - 2},
     )
 
 
@@ -111,7 +110,7 @@ def cubic_mnef_number(n: int) -> Fraction:
         raise ValueError("need n >= 3")
     profile = hypersurface_profile(HypersurfaceSpec(n, 3))
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     value = eval_product(profile, [zeta, zeta] + [zeta + h] * (2 * n - 3))
     closed = cubic_mnef_closed_form(n)
     if value != closed:

@@ -2,7 +2,10 @@
 
 Fixed labels cover the surfaces and threefolds with pinned data; the
 patterns ``dp-surface-<d>`` and ``hypersurface-n<n>-d<d>`` construct
-lattice and hypersurface profiles on demand.
+lattice and hypersurface profiles on demand.  Hypersurface labels are
+capped at n <= MAX_HYPERSURFACE_DIM: evaluation cost grows at least
+quadratically in n (the Segre inversion alone takes O(n^2) products), so a
+larger label is a usage error rather than a long wait.
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from .hypersurfaces import HypersurfaceSpec, hypersurface_profile
 from .surfaces import cubic_surface_profile, surface_lattice_profile
 from .threefolds import default_threefold_profile, k3_quartic_profile
 
-_HYPERSURFACE_RE = re.compile(r"^hypersurface-n(\d+)-d(\d+)$")
+MAX_HYPERSURFACE_DIM = 200
+
+# At most 9 digits of n are read, so int() never sees a huge digit string;
+# a longer n is above the cap anyway.
+_HYPERSURFACE_RE = re.compile(r"^hypersurface-n(\d{1,9})-d(\d+)$")
 _DP_SURFACE_RE = re.compile(r"^dp-surface-([1-7])$")
 _DP3_RE = re.compile(r"^dp3-degree([1-5])$")
 
@@ -37,7 +44,8 @@ FIXED_LABELS = (
 
 
 def get_profile(label: str) -> BaseProfile:
-    """Resolve a profile label; raises KeyError for unknown labels."""
+    """Resolve a profile label; raises KeyError for unknown labels and for
+    hypersurface labels above the dimension cap."""
     if label == "cubic-surface":
         return cubic_surface_profile()
     if label == "k3-quartic":
@@ -49,9 +57,9 @@ def get_profile(label: str) -> BaseProfile:
     if match:
         return surface_lattice_profile(int(match.group(1)))
     match = _HYPERSURFACE_RE.match(label)
-    if match:
+    if match and int(match.group(1)) <= MAX_HYPERSURFACE_DIM:
         return hypersurface_profile(HypersurfaceSpec(int(match.group(1)),
                                                      int(match.group(2))))
     raise KeyError(
         f"unknown profile {label!r}; fixed labels: {', '.join(FIXED_LABELS)}, "
-        "plus hypersurface-n<n>-d<d>")
+        f"plus hypersurface-n<n>-d<d> with n <= {MAX_HYPERSURFACE_DIM}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chow import BasePoly, BaseProfile, PTClass, Scalar, as_fraction
+from .chow import BaseProfile, PTClass, Scalar, as_fraction
 from .chow import dual_vmrt_generic, eval_product, fiber_line_degree
 
 A0_MAX = 7
@@ -103,17 +103,17 @@ def surface_lattice_profile(degree: int) -> BaseProfile:
     for i in range(nsyms):
         exps = tuple(2 if j == i else 0 for j in range(nsyms))
         top[exps] = 1 if i == 0 else -1
-    c1 = BasePoly.make(nsyms, {tuple(1 if j == i else 0 for j in range(nsyms)):
-                               (3 if i == 0 else -1) for i in range(nsyms)})
+    c1 = {tuple(1 if j == i else 0 for j in range(nsyms)): 3 if i == 0 else -1
+          for i in range(nsyms)}
     h_sq = tuple(2 if j == 0 else 0 for j in range(nsyms))
-    c2 = BasePoly.make(nsyms, {h_sq: 12 - degree})
+    c2 = {h_sq: 12 - degree}
     return BaseProfile.make(
         label=f"dp-surface-{degree}",
         dim=2,
         basis=("H",) + tuple(f"E{i}" for i in range(1, r + 1)),
         top_form=top,
         chern=[c1, c2],
-        canonical=-c1,
+        canonical={exps: -c for exps, c in c1.items()},
     )
 
 
@@ -123,25 +123,23 @@ def cubic_surface_profile() -> BaseProfile:
     H is the hyperplane (anticanonical) class and F a conic-bundle fibre,
     so H^2 = 3, H.F = 2, F^2 = 0, c_1 = H and c_2 evaluates to 9.
     """
-    c1 = BasePoly.make(2, {(1, 0): 1})
-    c2 = BasePoly.make(2, {(2, 0): 3})
     return BaseProfile.make(
         label="cubic-surface",
         dim=2,
         basis=("H", "F"),
         top_form={(2, 0): 3, (1, 1): 2},
-        chern=[c1, c2],
-        canonical=-c1,
+        chern=[{(1, 0): 1}, {(2, 0): 3}],
+        canonical={(1, 0): -1},
     )
 
 
-def curve_poly(profile: BaseProfile, curve: CurveClass) -> BasePoly:
-    """Degree-1 polynomial of a curve class over a lattice profile."""
+def curve_poly(profile: BaseProfile, curve: CurveClass) -> PTClass:
+    """Pulled-back divisor class of a curve class over a lattice profile."""
     if len(curve.coeffs) != profile.nsyms:
         raise ValueError("curve class length does not match the profile basis")
-    return BasePoly.make(
-        profile.nsyms,
-        {tuple(1 if j == i else 0 for j in range(profile.nsyms)): c
+    return PTClass.make(
+        profile.label, profile.nsyms,
+        {(0, tuple(1 if j == i else 0 for j in range(profile.nsyms))): c
          for i, c in enumerate(curve.coeffs) if c})
 
 
@@ -288,8 +286,8 @@ class CubicCertificate:
 
 
 def cubic_surface_certificate(profile: BaseProfile | None = None,
-                              h_class: BasePoly | None = None,
-                              f_class: BasePoly | None = None) -> CubicCertificate:
+                              h_class: PTClass | None = None,
+                              f_class: PTClass | None = None) -> CubicCertificate:
     """Compute (a, b, budget) for the cubic surface.
 
     With C = zeta + pi^*(K + 2F) the dual VMRT of one of the 27 conic
@@ -302,7 +300,7 @@ def cubic_surface_certificate(profile: BaseProfile | None = None,
     From a = -1, b = -4 each Zariski coefficient must be >= 1/4, and the
     budget being negative yields the contradiction.  By default this runs
     on the reduced {H, F} profile; pass the rank-7 lattice profile with
-    explicit H and F polynomials to cross-check.
+    explicit H and F classes to cross-check.
     """
     if profile is None:
         profile = cubic_surface_profile()
@@ -310,10 +308,9 @@ def cubic_surface_certificate(profile: BaseProfile | None = None,
         f_class = profile.symbol("F")
     assert h_class is not None and f_class is not None
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, h_class)
     vmrt = dual_vmrt_generic(profile, 1, h_class - 2 * f_class)
-    a = eval_product(profile, [zeta, vmrt, zeta + h])
-    b = eval_product(profile, [vmrt, vmrt, zeta + h])
+    a = eval_product(profile, [zeta, vmrt, zeta + h_class])
+    b = eval_product(profile, [vmrt, vmrt, zeta + h_class])
     budget = fiber_line_degree(profile, zeta - Fraction(27, 4) * vmrt)
     return CubicCertificate(a, b, budget)
 
@@ -387,7 +384,7 @@ def degree5_sum() -> bool:
     profile = surface_lattice_profile(5)
     vmrt_sum = degree5_vmrt_sum()
     lhs = PTClass.zeta(profile) * 5 - vmrt_sum
-    rhs = PTClass.pullback(profile, -curve_poly(profile, lattice.k))
+    rhs = -curve_poly(profile, lattice.k)
     return lhs == rhs
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import (BasePoly, BaseProfile, PTClass, dual_vmrt_generic,
+from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
 
 # b_3 for d = 1, 2 and the line data are reported values; b_3 = 10 for the
@@ -75,11 +75,11 @@ def threefold_profile(d: int, b3: int) -> BaseProfile:
         basis=("H",),
         top_form={(3,): d},
         chern=[
-            BasePoly.make(1, {(1,): 2}),
-            BasePoly.make(1, {(2,): Fraction(12, d)}),
-            BasePoly.make(1, {(3,): Fraction(4 - b3, d)}),
+            {(1,): 2},
+            {(2,): Fraction(12, d)},
+            {(3,): Fraction(4 - b3, d)},
         ],
-        canonical=BasePoly.make(1, {(1,): -2}),
+        canonical={(1,): -2},
     )
 
 
@@ -90,7 +90,7 @@ def default_threefold_profile(d: int) -> BaseProfile:
 def profile_triple(profile: BaseProfile) -> tuple[Fraction, Fraction, Fraction]:
     """(zeta^5, zeta^4.pi^*H, zeta^3.pi^*H^2) on a rank-one threefold profile."""
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     return (eval_top(profile, zeta ** 5),
             eval_top(profile, zeta ** 4 * h),
             eval_top(profile, zeta ** 3 * h * h))
@@ -101,7 +101,7 @@ def vmrt_class_threefold(d: int, k: int, r: int) -> PTClass:
     if d < 1 or k < 1 or r < 1:
         raise ValueError("d, k, r must be positive")
     profile = default_threefold_profile(d)
-    push = BasePoly.make(1, {(1,): k - Fraction(r, d)})
+    push = (k - Fraction(r, d)) * profile.symbol("H")
     return dual_vmrt_generic(profile, k, push)
 
 
@@ -186,12 +186,10 @@ def not_big_certificate(cls: PTClass) -> bool:
     if cls.nsyms != 1:
         raise ValueError("expected a class over a single-symbol basis")
     k = cls.zeta_coefficient(1)
-    m = cls.base_part(0)
     extra = [key for key, _ in cls.terms if key not in ((1, (0,)), (0, (1,)))]
     if extra or k <= 0:
         raise ValueError("expected a class of the form k*zeta + m*pi^*H with k > 0")
-    coeffs = dict(m.terms)
-    return coeffs.get((1,), Fraction(0)) >= 0
+    return dict(cls.terms).get((0, (1,)), Fraction(0)) >= 0
 
 
 def certificate_degree1() -> Fraction:
@@ -203,7 +201,7 @@ def certificate_degree1() -> Fraction:
     """
     profile = default_threefold_profile(1)
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     return eval_product(
         profile, [zeta, zeta + h, zeta + 3 * h, zeta + 3 * h, zeta + 4 * h])
 
@@ -213,7 +211,7 @@ def certificate_degree2_modnef() -> Fraction:
     modified nef."""
     profile = default_threefold_profile(2)
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     return eval_product(profile, [zeta, zeta] + [zeta + 2 * h] * 3)
 
 
@@ -227,7 +225,7 @@ def certificate_degree2_divisor() -> Fraction:
     """
     profile = default_threefold_profile(2)
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     return eval_product(
         profile,
         [zeta, zeta + h, zeta + Fraction(4, 3) * h,
@@ -246,8 +244,8 @@ def k3_quartic_profile() -> BaseProfile:
         dim=2,
         basis=("H",),
         top_form={(2,): 4},
-        chern=[BasePoly.zero(1), BasePoly.make(1, {(2,): 6})],
-        canonical=BasePoly.zero(1),
+        chern=[{}, {(2,): 6}],
+        canonical={},
     )
 
 
@@ -272,7 +270,7 @@ def k3_quartic_data() -> K3QuarticData:
     """
     profile = k3_quartic_profile()
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     bitangent = 6 * zeta + 8 * h
     data = K3QuarticData(
         bitangent_class=bitangent,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from tautclass import claims as claims_mod
 from tautclass import schur
-from tautclass.chow import (BasePoly, BaseProfile, PTClass, eval_top,
+from tautclass.chow import (BaseProfile, PTClass, eval_top,
                             segre_omega)
 from tautclass.exprparse import format_class, parse_expr
 from tautclass.hypersurfaces import (HypersurfaceSpec, comb_identity_A,
@@ -109,7 +109,7 @@ def test_criterion_03_degree5_surface():
     for fiber in conics:
         vmrt_sum = vmrt_sum + conic_vmrt_class(lattice, fiber)
     expected = (PTClass.zeta(profile) * 5
-                + PTClass.pullback(profile, curve_poly(profile, lattice.k)))
+                + curve_poly(profile, lattice.k))
     _check(failures, vmrt_sum == expected, "dual-VMRT sum != 5 zeta + K")
     _report(3, "degree-5 surface conic geometry", failures)
 
@@ -139,10 +139,12 @@ def test_criterion_05_segre_closed_form_grid():
     for n in range(2, 9):
         for d in range(1, 7):
             spec = HypersurfaceSpec(n, d)
-            segre = segre_omega(hypersurface_profile(spec))
+            profile = hypersurface_profile(spec)
+            segre = segre_omega(profile)
             for l in range(1, n + 1):
                 closed = Fraction((-1) ** l) * segre_closed_form(spec, l)
-                _check(failures, segre[l] == BasePoly.make(1, {(l,): closed}),
+                expected = PTClass.make(profile.label, 1, {(0, (l,)): closed})
+                _check(failures, segre[l] == expected,
                        f"(n,d,l) = ({n},{d},{l})")
     _report(5, "Segre closed form vs series inversion on the full grid",
             failures)
@@ -188,8 +190,8 @@ def test_criterion_08_threefold_triples():
     cubic = hypersurface_profile(HypersurfaceSpec(3, 3))
     dp3 = threefold_profile(3, 10)
     for zp in range(6):
-        h1 = PTClass.pullback(cubic, cubic.symbol("H"))
-        h2 = PTClass.pullback(dp3, dp3.symbol("H"))
+        h1 = cubic.symbol("H")
+        h2 = dp3.symbol("H")
         lhs = eval_top(cubic, PTClass.zeta(cubic) ** zp * h1 ** (5 - zp))
         rhs = eval_top(dp3, PTClass.zeta(dp3) ** zp * h2 ** (5 - zp))
         _check(failures, lhs == rhs, f"route mismatch at zeta^{zp}")
@@ -306,22 +308,22 @@ def test_criterion_13_property_suites():
         nsyms = rng.randint(1, 3)
         chern = []
         for j in range(1, dim + 1):
-            chern.append(BasePoly.make(
-                nsyms, {mono: random_fraction()
-                        for mono in compositions(j, nsyms)}))
+            chern.append({mono: random_fraction()
+                          for mono in compositions(j, nsyms)})
         profile = BaseProfile.make(f"rand-{trial}", dim,
                                    [f"D{i}" for i in range(nsyms)], {}, chern)
         segre = segre_omega(profile)
-        total_s = BasePoly.zero(nsyms)
-        total_c = BasePoly.constant(nsyms, 1)
+        total_s = PTClass.zero(profile)
+        total_c = PTClass.one(profile)
         for j in range(dim + 1):
             total_s = total_s + segre[j]
             if j >= 1:
                 total_c = total_c + profile.chern_omega(j)
         product = total_s * total_c
-        truncated = BasePoly.make(
-            nsyms, {e: c for e, c in product.terms if sum(e) <= dim})
-        _check(failures, truncated == BasePoly.constant(nsyms, 1),
+        truncated = PTClass.make(
+            profile.label, nsyms,
+            {k: c for k, c in product.terms if sum(k[1]) <= dim})
+        _check(failures, truncated == PTClass.one(profile),
                f"inversion failed on trial {trial}")
 
     # eval_top linearity on 200 random cases

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautclass.chow import (BasePoly, BaseProfile, DegreeMismatchError,
+from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
                             eval_product, eval_top, fiber_line_degree,
-                            restrict_to_section, segre_omega)
+                            fraction_str, restrict_to_section, segre_omega)
 from tautclass.profiles import get_profile
 
 
@@ -36,7 +36,7 @@ def random_profiles(draw):
         monos = list(compositions(j, nsyms))
         coeffs = draw(st.lists(fractions_st, min_size=len(monos),
                                max_size=len(monos)))
-        chern.append(BasePoly.make(nsyms, dict(zip(monos, coeffs))))
+        chern.append(dict(zip(monos, coeffs)))
     return BaseProfile.make("random", dim, [f"D{i}" for i in range(nsyms)],
                             {}, chern)
 
@@ -46,23 +46,23 @@ def random_profiles(draw):
 def test_segre_inversion_identity(profile):
     # truncated product s(Omega) . c(Omega) must be exactly 1
     segre = segre_omega(profile)
-    total_s = BasePoly.zero(profile.nsyms)
-    total_c = BasePoly.constant(profile.nsyms, 1)
+    total_s = PTClass.zero(profile)
+    total_c = PTClass.one(profile)
     for j in range(profile.dim + 1):
         total_s = total_s + segre[j]
         if j >= 1:
             total_c = total_c + profile.chern_omega(j)
     product = total_s * total_c
-    truncated = BasePoly.make(
-        profile.nsyms,
-        {e: c for e, c in product.terms if sum(e) <= profile.dim})
-    assert truncated == BasePoly.constant(profile.nsyms, 1)
+    truncated = PTClass.make(
+        profile.label, profile.nsyms,
+        {k: c for k, c in product.terms if sum(k[1]) <= profile.dim})
+    assert truncated == PTClass.one(profile)
 
 
 def test_segre_first_entries():
     profile = get_profile("dp3-degree2")
     segre = segre_omega(profile)
-    assert segre[0] == BasePoly.constant(1, 1)
+    assert segre[0] == PTClass.one(profile)
     assert segre[1] == profile.chern[0]  # s_1(Omega) = c_1(T_X)
 
 
@@ -90,6 +90,73 @@ def test_eval_top_is_linear(data):
     combined = a * cls_a + b * cls_b
     assert (eval_top(profile, combined)
             == a * eval_top(profile, cls_a) + b * eval_top(profile, cls_b))
+
+
+def _sympy_eval_top(doc: dict, cls: PTClass) -> Fraction:
+    """eval_top by a second route, from the profile's JSON form only.
+
+    s(Omega) is the series inverse 1/c(Omega) = sum_k (1 - c(Omega))^k in a
+    sympy polynomial ring (k <= n suffices, (1 - c)^k has degree >= k), and
+    each monomial zeta^(n-1+j) m pushes forward to s_j(Omega) m.
+    """
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    qq = sympy.QQ
+    n = doc["dim"]
+    poly_ring, *_ = ring(",".join(doc["basis"]), qq)
+
+    def rational(text: str):
+        return qq(*map(int, text.split("/")))
+
+    def poly(entries):
+        return poly_ring.from_dict({tuple(item["exponents"]):
+                                    rational(item["value"])
+                                    for item in entries})
+
+    c_omega = poly_ring.one
+    for j, entries in enumerate(doc["chern"], start=1):
+        c_omega += (-1) ** j * poly(entries)
+    series = power = poly_ring.one
+    for _ in range(n):
+        power *= poly_ring.one - c_omega
+        series += power
+    segre = [poly_ring.from_dict({m: c for m, c in series.terms()
+                                  if sum(m) == j})
+             for j in range(n + 1)]
+    pushed = poly_ring.zero
+    for (zp, exps), coeff in cls.terms:
+        j = zp - (n - 1)
+        if j >= 0:
+            pushed += segre[j] * poly_ring.from_dict(
+                {exps: qq(coeff.numerator, coeff.denominator)})
+    top = {tuple(item["exponents"]): rational(item["value"])
+           for item in doc["top_form"]}
+    total = sum((c * top.get(m, qq(0)) for m, c in pushed.terms()), qq(0))
+    return Fraction(int(total.numerator), int(total.denominator))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_eval_top_matches_sympy_route(data):
+    doc = data.draw(random_profiles()).to_json()
+    monos = list(compositions(doc["dim"], len(doc["basis"])))
+    values = data.draw(st.lists(fractions_st, min_size=len(monos),
+                                max_size=len(monos)))
+    doc["top_form"] = [{"exponents": list(m), "value": fraction_str(v)}
+                       for m, v in zip(monos, values)]
+    profile = BaseProfile.from_json(doc)
+    cls = data.draw(homogeneous_classes(profile))
+    assert eval_top(profile, cls) == _sympy_eval_top(profile.to_json(), cls)
+
+
+def test_sympy_route_anchors():
+    for label, power, value in (("cubic-surface", 3, -6),
+                                ("dp3-degree1", 5, -78)):
+        profile = get_profile(label)
+        zeta = PTClass.zeta(profile, power)
+        assert _sympy_eval_top(profile.to_json(), zeta) == value
+        assert eval_top(profile, zeta) == value
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,8 +256,8 @@ def test_eval_product_matches_formal_product(data):
 def test_eval_product_guards():
     profile = get_profile("cubic-surface")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
-    f = PTClass.pullback(profile, profile.symbol("F"))
+    h = profile.symbol("H")
+    f = profile.symbol("F")
     # Dropping z^2 H^3 (H^3 = 0 on X) must not turn the mixed product
     # into the value of z^3.
     with pytest.raises(DegreeMismatchError):
@@ -225,8 +292,8 @@ def test_segre_cache_is_bounded():
 def test_cubic_surface_ledger():
     profile = get_profile("cubic-surface")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
-    f = PTClass.pullback(profile, profile.symbol("F"))
+    h = profile.symbol("H")
+    f = profile.symbol("F")
     assert eval_top(profile, zeta ** 3) == -6
     assert eval_top(profile, zeta ** 2 * h) == 3
     assert eval_top(profile, zeta ** 2 * f) == 2
@@ -236,7 +303,7 @@ def test_cubic_surface_ledger():
 def test_threefold_degree1_ledger():
     profile = get_profile("dp3-degree1")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     assert eval_top(profile, zeta ** 5) == -78
     assert eval_top(profile, zeta ** 4 * h) == -8
     assert eval_top(profile, zeta ** 3 * h * h) == 2
@@ -245,7 +312,7 @@ def test_threefold_degree1_ledger():
 def test_low_zeta_powers_push_to_zero():
     profile = get_profile("dp3-degree1")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     assert eval_top(profile, zeta * h ** 4) == 0
     assert eval_top(profile, h ** 5) == 0
 
@@ -253,14 +320,14 @@ def test_low_zeta_powers_push_to_zero():
 def test_eval_product_certificates():
     profile = get_profile("dp3-degree1")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     value = eval_product(
         profile, [zeta, zeta + h, zeta + 3 * h, zeta + 3 * h, zeta + 4 * h])
     assert value == -11
 
     profile2 = get_profile("dp3-degree2")
     zeta2 = PTClass.zeta(profile2)
-    h2 = PTClass.pullback(profile2, profile2.symbol("H"))
+    h2 = profile2.symbol("H")
     assert eval_product(profile2, [zeta2, zeta2] + [zeta2 + 2 * h2] * 3) == -8
 
 
@@ -268,7 +335,7 @@ def test_elementary_symmetric_expansion_matches_product():
     # expand prod(zeta + lam H) over lam in {0,1,3,3,4} by hand and compare
     profile = get_profile("dp3-degree1")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     lams = [Fraction(v) for v in (0, 1, 3, 3, 4)]
     elementary = [Fraction(1)] + [
         sum((_prod(combo) for combo in itertools.combinations(lams, i)),
@@ -321,9 +388,9 @@ def test_dual_vmrt_generic():
     h, f = profile.symbol("H"), profile.symbol("F")
     cls = dual_vmrt_generic(profile, 1, h - 2 * f)
     expected = (PTClass.zeta(profile)
-                + PTClass.pullback(profile, 2 * f - h))
+                + (2 * f - h))
     assert cls == expected
-    assert dual_vmrt_generic(profile, 1, BasePoly.zero(2)) == PTClass.zeta(profile)
+    assert dual_vmrt_generic(profile, 1, PTClass.zero(profile)) == PTClass.zeta(profile)
     with pytest.raises(DegreeMismatchError):
         dual_vmrt_generic(profile, 1, h * h)
     with pytest.raises(ValueError):
@@ -333,7 +400,7 @@ def test_dual_vmrt_generic():
 def test_fiber_line_degree():
     profile = get_profile("cubic-surface")
     zeta = PTClass.zeta(profile)
-    h = PTClass.pullback(profile, profile.symbol("H"))
+    h = profile.symbol("H")
     assert fiber_line_degree(profile, 3 * zeta - 2 * h) == 3
     with pytest.raises(DegreeMismatchError):
         fiber_line_degree(profile, zeta ** 2)
@@ -348,10 +415,8 @@ def test_profile_json_round_trip():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        BaseProfile.make("bad", 2, ["H"], {(1,): 1}, [BasePoly.make(1, {(1,): 1}),
-                                                      BasePoly.make(1, {(2,): 1})])
+        BaseProfile.make("bad", 2, ["H"], {(1,): 1}, [{(1,): 1}, {(2,): 1}])
     with pytest.raises(ValueError):
-        BaseProfile.make("bad", 2, ["H"], {}, [BasePoly.make(1, {(1,): 1})])
+        BaseProfile.make("bad", 2, ["H"], {}, [{(1,): 1}])
     with pytest.raises(DegreeMismatchError):
-        BaseProfile.make("bad", 2, ["H"], {}, [BasePoly.make(1, {(2,): 1}),
-                                               BasePoly.make(1, {(2,): 1})])
+        BaseProfile.make("bad", 2, ["H"], {}, [{(2,): 1}, {(2,): 1}])

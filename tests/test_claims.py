@@ -8,6 +8,7 @@ import pytest
 
 from tautclass.claims import (OPS, Claim, emit, load_registry, run_claims)
 from tautclass.cli import main
+from tautclass.profiles import MAX_HYPERSURFACE_DIM, get_profile
 
 
 def test_registry_loads_and_ids_unique():
@@ -147,6 +148,15 @@ def test_cli_eval_errors(capsys):
     assert main(["eval", "--profile", "cubic-surface",
                  "--expr", "1/0*z^3"]) == 2
     assert "offset 1" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_oversized_hypersurface_label(capsys):
+    for n in ("201", "7" * 5000):
+        assert main(["eval", "--profile", f"hypersurface-n{n}-d3",
+                     "--expr", "z"]) == 2
+        assert f"n <= {MAX_HYPERSURFACE_DIM}" in capsys.readouterr().err
+    assert MAX_HYPERSURFACE_DIM == 200
+    assert get_profile("hypersurface-n200-d3").dim == 200
 
 
 def test_cli_surface_curves(capsys):

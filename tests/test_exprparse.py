@@ -22,7 +22,8 @@ def test_eval_expression_examples():
 def test_rational_literal_coefficient():
     profile = get_profile("dp3-degree2")
     cls = parse_expr(profile, "(z+(4/3)*H)")
-    assert cls.base_part(0).terms == (((1,), Fraction(4, 3)),)
+    assert (tuple((k, c) for k, c in cls.terms if k[0] == 0)
+            == (((0, (1,)), Fraction(4, 3)),))
 
 
 def test_unbalanced_parenthesis_offset():

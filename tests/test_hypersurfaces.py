@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautclass.chow import BasePoly, segre_omega
+from tautclass.chow import PTClass, segre_omega
 from tautclass.hypersurfaces import (HypersurfaceSpec, binom, comb_A_brute,
                                      comb_identity_A, cubic_mnef_closed_form,
                                      cubic_mnef_number, hypersurface_profile,
@@ -37,7 +37,8 @@ def test_chern_recurrence_matches_binomial_sum():
                 # degree-j coefficient of (1+H)^(n+2) . sum_k (-dH)^k
                 c = sum(math.comb(n + 2, i) * (-d) ** (j - i)
                         for i in range(j + 1))
-                assert profile.chern[j - 1] == BasePoly.make(1, {(j,): c})
+                assert profile.chern[j - 1] == PTClass.make(
+                    profile.label, 1, {(0, (j,)): c})
 
 
 def test_cubic_surface_profile_numbers():
@@ -64,11 +65,13 @@ def test_segre_closed_form_matches_series_inversion():
     for n in range(2, 9):
         for d in range(1, 7):
             spec = HypersurfaceSpec(n, d)
-            segre = segre_omega(hypersurface_profile(spec))
+            profile = hypersurface_profile(spec)
+            segre = segre_omega(profile)
             for l in range(1, n + 1):
                 # s_l(T) = (-1)^l s_l(Omega)
                 omega_coeff = Fraction((-1) ** l) * segre_closed_form(spec, l)
-                assert segre[l] == BasePoly.make(1, {(l,): omega_coeff})
+                assert segre[l] == PTClass.make(profile.label, 1,
+                                                {(0, (l,)): omega_coeff})
                 assert (segre_closed_form_factored(spec, l)
                         == segre_closed_form(spec, l))
 

@@ -104,7 +104,7 @@ def test_degree5_conics():
     assert degree5_sum()
     profile = surface_lattice_profile(5)
     expected = (PTClass.zeta(profile) * 5
-                + PTClass.pullback(profile, curve_poly(profile, lattice.k)))
+                + curve_poly(profile, lattice.k))
     assert degree5_vmrt_sum() == expected
 
 

@@ -47,8 +47,8 @@ def test_degree3_route_matches_hypersurface():
         mono_power = 5 - zp
         for profile_pair in ((cubic_3fold, dp3),):
             first, second = profile_pair
-            h1 = PTClass.pullback(first, first.symbol("H"))
-            h2 = PTClass.pullback(second, second.symbol("H"))
+            h1 = first.symbol("H")
+            h2 = second.symbol("H")
             lhs = eval_top(first, PTClass.zeta(first) ** zp * h1 ** mono_power)
             rhs = eval_top(second, PTClass.zeta(second) ** zp * h2 ** mono_power)
             assert lhs == rhs
@@ -116,8 +116,8 @@ def test_k3_profile_matches_hypersurface_route():
     quartic = hypersurface_profile(HypersurfaceSpec(2, 4))
     k3 = k3_quartic_profile()
     for zp in range(4):
-        h1 = PTClass.pullback(quartic, quartic.symbol("H"))
-        h2 = PTClass.pullback(k3, k3.symbol("H"))
+        h1 = quartic.symbol("H")
+        h2 = k3.symbol("H")
         lhs = eval_top(quartic, PTClass.zeta(quartic) ** zp * h1 ** (3 - zp))
         rhs = eval_top(k3, PTClass.zeta(k3) ** zp * h2 ** (3 - zp))
         assert lhs == rhs
