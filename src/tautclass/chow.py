@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Exponents = tuple[int, ...]
 PTKey = tuple[int, Exponents]
@@ -81,20 +81,22 @@ class BaseProfile:
 
     ``top_form`` assigns a rational number to degree-``dim`` exponent
     vectors over ``basis`` (missing monomials evaluate to zero); keying by
-    exponent vector makes the form symmetric by construction.  ``chern``
-    lists c_1..c_n of the tangent bundle, entry j homogeneous of degree j.
-    ``canonical`` optionally records the canonical divisor class for use by
-    the expression parser.  Classes on X are the zeta-free
-    :class:`PTClass` values over the profile's label; :meth:`make` builds
-    them from exponent-vector term maps.
+    exponent vector makes the form symmetric by construction.
+    ``chern_terms`` holds c_1..c_n of the tangent bundle, entry j
+    homogeneous of degree j, and ``canonical_terms`` optionally the
+    canonical divisor class for use by the expression parser, all as sorted
+    exponent-vector term maps that :meth:`make` validates.  :attr:`chern`
+    and :attr:`canonical` are the same data as zeta-free :class:`PTClass`
+    values over the profile.  Profiles compare by value, so a profile
+    rebuilt from its JSON equals the original.
     """
 
     label: str
     dim: int
     basis: tuple[str, ...]
     top_form: tuple[tuple[Exponents, Fraction], ...]
-    chern: tuple[PTClass, ...]
-    canonical: PTClass | None = None
+    chern_terms: tuple[tuple[tuple[Exponents, Fraction], ...], ...]
+    canonical_terms: tuple[tuple[Exponents, Fraction], ...] | None = None
 
     @staticmethod
     def make(label: str,
@@ -109,51 +111,78 @@ class BaseProfile:
             raise ValueError("dim must be positive")
         if len(set(basis)) != len(basis) or not basis:
             raise ValueError("basis symbols must be distinct and nonempty")
-        nsyms = len(basis)
-        form: dict[Exponents, Fraction] = {}
-        for exps, value in top_form.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nsyms or any(e < 0 for e in exps):
-                raise ValueError(f"bad top_form exponents {exps}")
-            if sum(exps) != dim:
-                raise ValueError(
-                    f"top_form entry {exps} has degree {sum(exps)} != {dim}")
-            q = as_fraction(value)
-            if q:
-                form[exps] = q
 
-        def base_class(terms: Mapping[Exponents, Scalar], degree: int,
-                       name: str) -> PTClass:
-            cls = PTClass.make(label, nsyms,
-                               {(0, exps): c for exps, c in terms.items()})
-            if not _is_base(cls, degree):
-                raise DegreeMismatchError(
-                    f"{name} is not homogeneous of degree {degree}")
-            return cls
+        def homogeneous(terms: Mapping[Exponents, Scalar], degree: int,
+                        name: str) -> tuple[tuple[Exponents, Fraction], ...]:
+            collected: dict[Exponents, Fraction] = {}
+            for exps, value in terms.items():
+                exps = tuple(int(e) for e in exps)
+                if len(exps) != len(basis) or any(e < 0 for e in exps):
+                    raise ValueError(f"bad {name} exponents {exps}")
+                if sum(exps) != degree:
+                    raise DegreeMismatchError(
+                        f"{name} entry {exps} has degree {sum(exps)} != {degree}")
+                collected[exps] = (collected.get(exps, Fraction(0))
+                                   + as_fraction(value))
+            return tuple(sorted((e, c) for e, c in collected.items() if c))
 
+        form = homogeneous(top_form, dim, "top_form")
         chern = tuple(chern)
         if len(chern) != dim:
             raise ValueError(f"need exactly {dim} Chern entries, got {len(chern)}")
         return BaseProfile(
-            label, dim, basis, tuple(sorted(form.items())),
-            tuple(base_class(terms, j, f"c_{j}")
+            label, dim, basis, form,
+            tuple(homogeneous(terms, j, f"c_{j}")
                   for j, terms in enumerate(chern, start=1)),
             None if canonical is None
-            else base_class(canonical, 1, "canonical class"))
+            else homogeneous(canonical, 1, "canonical class"))
 
     @property
     def nsyms(self) -> int:
         return len(self.basis)
 
+    def _base_class(self, terms: tuple[tuple[Exponents, Fraction], ...]
+                    ) -> PTClass:
+        return PTClass(self, tuple(((0, e), c) for e, c in terms))
+
+    @cached_property
+    def chern(self) -> tuple[PTClass, ...]:
+        """c_1..c_n of the tangent bundle as zeta-free classes."""
+        return tuple(map(self._base_class, self.chern_terms))
+
+    @cached_property
+    def canonical(self) -> PTClass | None:
+        """The canonical divisor class, None if the profile records none."""
+        terms = self.canonical_terms
+        return None if terms is None else self._base_class(terms)
+
     @cached_property
     def _form(self) -> dict[Exponents, Fraction]:
         return dict(self.top_form)
+
+    @cached_property
+    def _segre(self) -> tuple[PTClass, ...]:
+        """s_0..s_n of Omega_X, see :func:`segre_omega`."""
+        n = self.dim
+        omega = [_numerators(self.chern_omega(i)) for i in range(1, n + 1)]
+        den = math.lcm(*(d for d, _ in omega))
+        scaled = [{k: -c * (den // d) * den ** (i - 1) for k, c in nums.items()}
+                  for i, (d, nums) in enumerate(omega, start=1)]
+        entries = [{(0, (0,) * self.nsyms): 1}]
+        for j in range(1, n + 1):
+            acc: dict[PTKey, int] = {}
+            for i in range(1, j + 1):
+                for k, c in _mul_numerators(scaled[i - 1], entries[j - i]).items():
+                    acc[k] = acc.get(k, 0) + c
+            entries.append({k: c for k, c in acc.items() if c})
+        return tuple(_from_numerators(self, den ** j, nums)
+                     for j, nums in enumerate(entries))
 
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
         index = self.basis.index(name)
         exps = tuple(1 if i == index else 0 for i in range(self.nsyms))
-        return PTClass.make(self.label, self.nsyms, {(0, exps): 1})
+        return PTClass.make(self, {(0, exps): 1})
 
     def evaluate(self, cls: PTClass) -> Fraction:
         """Evaluate a zeta-free degree-n class against the top form."""
@@ -178,18 +207,15 @@ class BaseProfile:
             return [{"exponents": list(e), "value": fraction_str(c)}
                     for e, c in terms]
 
-        def class_json(cls: PTClass) -> list[dict]:
-            return entries((e, c) for (_, e), c in cls.terms)
-
         doc = {
             "label": self.label,
             "dim": self.dim,
             "basis": list(self.basis),
             "top_form": entries(self.top_form),
-            "chern": [class_json(cls) for cls in self.chern],
+            "chern": [entries(terms) for terms in self.chern_terms],
         }
-        if self.canonical is not None:
-            doc["canonical"] = class_json(self.canonical)
+        if self.canonical_terms is not None:
+            doc["canonical"] = entries(self.canonical_terms)
         return doc
 
     @staticmethod
@@ -207,7 +233,6 @@ class BaseProfile:
         )
 
 
-@lru_cache(maxsize=128)
 def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     """Invert the total Chern class of Omega_X as a truncated power series.
 
@@ -215,22 +240,10 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     s_j = -(c_1(Omega) s_{j-1} + ... + c_j(Omega) s_0), so that the
     truncated product s(Omega) . c(Omega) equals 1.  With every c_i(Omega)
     written over one denominator D, s_j is an integer term map over D^j,
-    and c_i(Omega) s_{j-i} is scaled by D^(i-1) onto that denominator.
+    and c_i(Omega) s_{j-i} is scaled by D^(i-1) onto that denominator.  The
+    inversion runs once per profile object, which keeps the result.
     """
-    n = profile.dim
-    omega = [_numerators(profile.chern_omega(i)) for i in range(1, n + 1)]
-    den = math.lcm(*(d for d, _ in omega))
-    scaled = [{k: -c * (den // d) * den ** (i - 1) for k, c in nums.items()}
-              for i, (d, nums) in enumerate(omega, start=1)]
-    entries = [{(0, (0,) * profile.nsyms): 1}]
-    for j in range(1, n + 1):
-        acc: dict[PTKey, int] = {}
-        for i in range(1, j + 1):
-            for k, c in _mul_numerators(scaled[i - 1], entries[j - i]).items():
-                acc[k] = acc.get(k, 0) + c
-        entries.append({k: c for k, c in acc.items() if c})
-    return tuple(_from_numerators(profile.label, profile.nsyms, den ** j, nums)
-                 for j, nums in enumerate(entries))
+    return profile._segre
 
 
 def _numerators(cls: "PTClass") -> tuple[int, dict[PTKey, int]]:
@@ -258,9 +271,9 @@ def _mul_numerators(a: Mapping[PTKey, int], b: Mapping[PTKey, int],
     return {k: c for k, c in acc.items() if c}
 
 
-def _from_numerators(profile_label: str, nsyms: int, den: int,
+def _from_numerators(profile: BaseProfile, den: int,
                      nums: Mapping[PTKey, int]) -> "PTClass":
-    return PTClass(profile_label, nsyms,
+    return PTClass(profile,
                    tuple(sorted((k, Fraction(c, den)) for k, c in nums.items())))
 
 
@@ -269,81 +282,70 @@ class PTClass:
     """Sparse graded class on P(T_X) in zeta and pulled-back divisors.
 
     Terms map (zeta power, base exponent vector) to a Fraction; the class
-    remembers the label of the profile it lives over, and arithmetic between
-    classes over different profiles is rejected.
+    points to the profile it lives over, and arithmetic between classes
+    over different profiles is rejected.
     """
 
-    profile_label: str
-    nsyms: int
+    profile: BaseProfile
     terms: tuple[tuple[tuple[int, Exponents], Fraction], ...]
 
     @staticmethod
-    def make(profile_label: str, nsyms: int,
+    def make(profile: BaseProfile,
              terms: Mapping[tuple[int, Exponents], Scalar]) -> "PTClass":
         collected: dict[tuple[int, Exponents], Fraction] = {}
         for (zp, exps), coeff in terms.items():
             exps = tuple(int(e) for e in exps)
-            if zp < 0 or len(exps) != nsyms or any(e < 0 for e in exps):
+            if zp < 0 or len(exps) != profile.nsyms or any(e < 0 for e in exps):
                 raise ValueError(f"bad term key ({zp}, {exps})")
             q = as_fraction(coeff)
             if q:
                 key = (int(zp), exps)
                 collected[key] = collected.get(key, Fraction(0)) + q
         normalized = tuple(sorted((k, c) for k, c in collected.items() if c))
-        return PTClass(profile_label, nsyms, normalized)
+        return PTClass(profile, normalized)
 
     @staticmethod
     def zero(profile: BaseProfile) -> "PTClass":
-        return PTClass(profile.label, profile.nsyms, ())
+        return PTClass(profile, ())
 
     @staticmethod
     def one(profile: BaseProfile) -> "PTClass":
-        return PTClass.make(profile.label, profile.nsyms,
-                            {(0, (0,) * profile.nsyms): 1})
+        return PTClass.zeta(profile, 0)
 
     @staticmethod
     def zeta(profile: BaseProfile, power: int = 1) -> "PTClass":
-        return PTClass.make(profile.label, profile.nsyms,
-                            {(power, (0,) * profile.nsyms): 1})
+        return PTClass.make(profile, {(power, (0,) * profile.nsyms): 1})
 
-    def items(self) -> Iterator[tuple[tuple[int, Exponents], Fraction]]:
-        return iter(self.terms)
+    @property
+    def profile_label(self) -> str:
+        """Label of the profile, for display."""
+        return self.profile.label
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check(self, other: "PTClass") -> None:
-        if self.profile_label != other.profile_label or self.nsyms != other.nsyms:
-            raise ProfileMismatchError(
-                f"classes over {self.profile_label!r} and "
-                f"{other.profile_label!r} cannot be combined")
-
     def __add__(self, other: "PTClass") -> "PTClass":
-        self._check(other)
+        _require_profile(self.profile, other)
         acc = dict(self.terms)
         for k, c in other.terms:
             acc[k] = acc.get(k, Fraction(0)) + c
-        return PTClass.make(self.profile_label, self.nsyms, acc)
+        return PTClass.make(self.profile, acc)
 
     def __sub__(self, other: "PTClass") -> "PTClass":
         return self + (-other)
 
     def __neg__(self) -> "PTClass":
-        return PTClass(self.profile_label, self.nsyms,
-                       tuple((k, -c) for k, c in self.terms))
+        return PTClass(self.profile, tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other: "PTClass | Scalar") -> "PTClass":
         if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if not q:
-                return PTClass(self.profile_label, self.nsyms, ())
-            return PTClass(self.profile_label, self.nsyms,
-                           tuple((k, c * q) for k, c in self.terms))
-        self._check(other)
+            terms = tuple((k, c * other) for k, c in self.terms) if other else ()
+            return PTClass(self.profile, terms)
+        _require_profile(self.profile, other)
         den_a, nums_a = _numerators(self)
         den_b, nums_b = _numerators(other)
-        return _from_numerators(self.profile_label, self.nsyms, den_a * den_b,
+        return _from_numerators(self.profile, den_a * den_b,
                                 _mul_numerators(nums_a, nums_b))
 
     def __rmul__(self, other: Scalar) -> "PTClass":
@@ -352,8 +354,7 @@ class PTClass:
     def __pow__(self, power: int) -> "PTClass":
         if power < 0:
             raise ValueError("negative power")
-        result = PTClass.make(self.profile_label, self.nsyms,
-                              {(0, (0,) * self.nsyms): 1})
+        result = PTClass.one(self.profile)
         for _ in range(power):
             result = result * self
         return result
@@ -373,18 +374,14 @@ class PTClass:
 
     def zeta_coefficient(self, zeta_power: int) -> Fraction:
         """Coefficient of zeta^k with trivial base monomial."""
-        key = (zeta_power, (0,) * self.nsyms)
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return Fraction(0)
+        key = (zeta_power, (0,) * self.profile.nsyms)
+        return dict(self.terms).get(key, Fraction(0))
 
 
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
-    if cls.profile_label != profile.label or cls.nsyms != profile.nsyms:
-        raise ProfileMismatchError(
-            f"class over {cls.profile_label!r} evaluated against "
-            f"profile {profile.label!r}")
+    if cls.profile != profile:
+        raise ProfileMismatchError(f"class over {cls.profile.label!r} used "
+                                   f"with a different profile {profile.label!r}")
 
 
 def _is_base(cls: PTClass, degree: int) -> bool:
@@ -448,8 +445,7 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
         factor_den, factor_nums = _numerators(factor)
         den *= factor_den
         nums = _mul_numerators(nums, factor_nums, profile.dim)
-    return eval_top(profile,
-                    _from_numerators(profile.label, profile.nsyms, den, nums))
+    return eval_top(profile, _from_numerators(profile, den, nums))
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

@@ -261,7 +261,7 @@ def _render(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, PTClass):
-        return format_class(get_profile(value.profile_label), value)
+        return format_class(value.profile, value)
     return str(value)
 
 
@@ -288,10 +288,8 @@ def _decode_expected(expected: Mapping[str, Any]) -> tuple[str, Callable[[Any], 
             raise ValueError(f"bool spec {spec!r} is not a boolean")
         return "true" if spec else "false", lambda c: c is spec
     if kind == "class":
-        profile = get_profile(spec["profile"])
-        cls = parse_expr(profile, spec["expr"])
-        return format_class(profile, cls), lambda c: (isinstance(c, PTClass)
-                                                      and c == cls)
+        cls = parse_expr(get_profile(spec["profile"]), spec["expr"])
+        return _render(cls), lambda c: isinstance(c, PTClass) and c == cls
     if kind == "interval":
         low, high = (as_fraction(spec[key]) if key in spec else None
                      for key in ("min", "max"))

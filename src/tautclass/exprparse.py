@@ -169,15 +169,12 @@ def format_class(profile: BaseProfile, cls: PTClass) -> str:
     Terms are ordered by descending zeta power, then descending base
     exponents, e.g. ``3z - H`` or ``z^5 + 6z^4*H``.
     """
-    if cls.profile_label != profile.label:
+    if cls.profile != profile:
         raise ValueError("class belongs to a different profile")
     if cls.is_zero:
         return "0"
-    ordered = sorted(cls.terms,
-                     key=lambda item: (-item[0][0],
-                                       tuple(-e for e in item[0][1])))
     pieces: list[str] = []
-    for (zp, exps), coeff in ordered:
+    for (zp, exps), coeff in sorted(cls.terms, reverse=True):
         factors: list[str] = []
         if zp:
             factors.append("z" if zp == 1 else f"z^{zp}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chow import BaseProfile, PTClass, eval_product
 
@@ -52,6 +53,7 @@ class HypersurfaceSpec:
         return self.n >= 3
 
 
+@lru_cache(maxsize=128)
 def hypersurface_profile(spec: HypersurfaceSpec) -> BaseProfile:
     """Intersection profile of a degree-d hypersurface of dimension n.
 

@@ -2,10 +2,12 @@
 
 Fixed labels cover the surfaces and threefolds with pinned data; the
 patterns ``dp-surface-<d>`` and ``hypersurface-n<n>-d<d>`` construct
-lattice and hypersurface profiles on demand.  Hypersurface labels are
-capped at n <= MAX_HYPERSURFACE_DIM: evaluation cost grows at least
-quadratically in n (the Segre inversion alone takes O(n^2) products), so a
-larger label is a usage error rather than a long wait.
+lattice and hypersurface profiles on demand; the builders are memoized,
+so a label resolves to one profile object.  Hypersurface labels write n
+and d without leading zeros and are capped at n <= MAX_HYPERSURFACE_DIM:
+evaluation cost grows at least quadratically in n (the Segre inversion
+alone takes O(n^2) products), so a larger label is a usage error rather
+than a long wait.  d has at most 9 digits, so Chern numbers stay printable.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from .threefolds import default_threefold_profile, k3_quartic_profile
 
 MAX_HYPERSURFACE_DIM = 200
 
-# At most 9 digits of n are read, so int() never sees a huge digit string;
-# a longer n is above the cap anyway.
-_HYPERSURFACE_RE = re.compile(r"^hypersurface-n(\d{1,9})-d(\d+)$")
+# At most 9 digits of n and d are read, so int() never sees a huge digit
+# string; a longer n is above the cap anyway.
+_HYPERSURFACE_RE = re.compile(r"^hypersurface-n([1-9]\d{0,8})-d([1-9]\d{0,8})$")
 _DP_SURFACE_RE = re.compile(r"^dp-surface-([1-7])$")
 _DP3_RE = re.compile(r"^dp3-degree([1-5])$")
 
@@ -45,7 +47,7 @@ FIXED_LABELS = (
 
 def get_profile(label: str) -> BaseProfile:
     """Resolve a profile label; raises KeyError for unknown labels and for
-    hypersurface labels above the dimension cap."""
+    hypersurface labels with leading zeros or above the caps."""
     if label == "cubic-surface":
         return cubic_surface_profile()
     if label == "k3-quartic":
@@ -62,4 +64,5 @@ def get_profile(label: str) -> BaseProfile:
                                                      int(match.group(2))))
     raise KeyError(
         f"unknown profile {label!r}; fixed labels: {', '.join(FIXED_LABELS)}, "
-        f"plus hypersurface-n<n>-d<d> with n <= {MAX_HYPERSURFACE_DIM}")
+        f"plus hypersurface-n<n>-d<d> with n <= {MAX_HYPERSURFACE_DIM} and d "
+        f"of at most 9 digits, both without leading zeros")

@@ -94,6 +94,7 @@ def surface_lattice(degree: int) -> PicardLattice:
     return PicardLattice(degree)
 
 
+@lru_cache(maxsize=None)
 def surface_lattice_profile(degree: int) -> BaseProfile:
     """Intersection profile over the full blow-up basis (H, E1, ..., Er)."""
     lattice = surface_lattice(degree)
@@ -117,6 +118,7 @@ def surface_lattice_profile(degree: int) -> BaseProfile:
     )
 
 
+@lru_cache(maxsize=None)
 def cubic_surface_profile() -> BaseProfile:
     """Reduced two-symbol profile of the cubic surface.
 
@@ -138,7 +140,7 @@ def curve_poly(profile: BaseProfile, curve: CurveClass) -> PTClass:
     if len(curve.coeffs) != profile.nsyms:
         raise ValueError("curve class length does not match the profile basis")
     return PTClass.make(
-        profile.label, profile.nsyms,
+        profile,
         {(0, tuple(1 if j == i else 0 for j in range(profile.nsyms))): c
          for i, c in enumerate(curve.coeffs) if c})
 

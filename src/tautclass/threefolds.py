@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
@@ -59,6 +60,7 @@ def default_spec(d: int) -> ThreefoldSpec:
                          r=LINE_COUNTS[d])
 
 
+@lru_cache(maxsize=128)
 def threefold_profile(d: int, b3: int) -> BaseProfile:
     """Profile with basis {H}, H^3 = d, c_1 = 2H, H.c_2 = 12, c_3 = (4-b_3)[pt]."""
     if d < 1:
@@ -141,8 +143,7 @@ class VmrtRow:
             doc["r"] = self.r
             assert self.h_coefficient is not None and self.cls is not None
             doc["h_coefficient"] = fraction_str(self.h_coefficient)
-            doc["class"] = format_class(default_threefold_profile(self.degree),
-                                        self.cls)
+            doc["class"] = format_class(self.cls.profile, self.cls)
         else:
             doc["r_min"] = self.r_min
             doc["h_coefficient_min"] = fraction_str(self.h_coefficient_min)
@@ -183,7 +184,7 @@ def not_big_certificate(cls: PTClass) -> bool:
     The certificate applies exactly when m >= 0; classes not of this shape
     (over a one-symbol basis, k > 0) are rejected.
     """
-    if cls.nsyms != 1:
+    if cls.profile.nsyms != 1:
         raise ValueError("expected a class over a single-symbol basis")
     k = cls.zeta_coefficient(1)
     extra = [key for key, _ in cls.terms if key not in ((1, (0,)), (0, (1,)))]
@@ -237,6 +238,7 @@ def certificate_degree2() -> tuple[Fraction, Fraction]:
     return certificate_degree2_modnef(), certificate_degree2_divisor()
 
 
+@lru_cache(maxsize=None)
 def k3_quartic_profile() -> BaseProfile:
     """Profile of a smooth quartic K3 surface: c_1 = 0, c_2 = 24, H^2 = 4."""
     return BaseProfile.make(

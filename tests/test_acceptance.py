@@ -143,7 +143,7 @@ def test_criterion_05_segre_closed_form_grid():
             segre = segre_omega(profile)
             for l in range(1, n + 1):
                 closed = Fraction((-1) ** l) * segre_closed_form(spec, l)
-                expected = PTClass.make(profile.label, 1, {(0, (l,)): closed})
+                expected = PTClass.make(profile, {(0, (l,)): closed})
                 _check(failures, segre[l] == expected,
                        f"(n,d,l) = ({n},{d},{l})")
     _report(5, "Segre closed form vs series inversion on the full grid",
@@ -321,8 +321,7 @@ def test_criterion_13_property_suites():
                 total_c = total_c + profile.chern_omega(j)
         product = total_s * total_c
         truncated = PTClass.make(
-            profile.label, nsyms,
-            {k: c for k, c in product.terms if sum(k[1]) <= dim})
+            profile, {k: c for k, c in product.terms if sum(k[1]) <= dim})
         _check(failures, truncated == PTClass.one(profile),
                f"inversion failed on trial {trial}")
 
@@ -336,7 +335,7 @@ def test_criterion_13_property_suites():
 
         def random_class():
             chosen = [rng.choice(keys) for _ in range(rng.randint(1, 5))]
-            return PTClass.make(profile.label, profile.nsyms,
+            return PTClass.make(profile,
                                 {key: random_fraction() for key in chosen})
 
         cls_a, cls_b = random_class(), random_class()

@@ -12,6 +12,7 @@ from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
                             eval_product, eval_top, fiber_line_degree,
                             fraction_str, restrict_to_section, segre_omega)
+from tautclass.hypersurfaces import hypersurface_profile
 from tautclass.profiles import get_profile
 
 
@@ -54,8 +55,7 @@ def test_segre_inversion_identity(profile):
             total_c = total_c + profile.chern_omega(j)
     product = total_s * total_c
     truncated = PTClass.make(
-        profile.label, profile.nsyms,
-        {k: c for k, c in product.terms if sum(k[1]) <= profile.dim})
+        profile, {k: c for k, c in product.terms if sum(k[1]) <= profile.dim})
     assert truncated == PTClass.one(profile)
 
 
@@ -74,8 +74,7 @@ def homogeneous_classes(draw, profile):
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6))
     coeffs = draw(st.lists(fractions_st, min_size=len(chosen),
                            max_size=len(chosen)))
-    return PTClass.make(profile.label, profile.nsyms,
-                        dict(zip(chosen, coeffs)))
+    return PTClass.make(profile, dict(zip(chosen, coeffs)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,7 +169,7 @@ def test_class_arithmetic_commutes_and_associates(data):
                                     max_size=4))
         coeffs = data.draw(st.lists(fractions_st, min_size=len(chosen),
                                     max_size=len(chosen)))
-        return PTClass.make(profile.label, 2, dict(zip(chosen, coeffs)))
+        return PTClass.make(profile, dict(zip(chosen, coeffs)))
 
     x, y, z = draw_class(), draw_class(), draw_class()
     assert x + y == y + x
@@ -185,7 +184,7 @@ def _naive_mul(x: PTClass, y: PTClass) -> PTClass:
         for (z2, e2), c2 in y.terms:
             key = (z1 + z2, tuple(a + b for a, b in zip(e1, e2)))
             acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-    return PTClass.make(x.profile_label, x.nsyms, acc)
+    return PTClass.make(x.profile, acc)
 
 
 @st.composite
@@ -199,7 +198,7 @@ def any_classes(draw, profile):
     keys = st.tuples(st.integers(0, 3),
                      st.tuples(*[st.integers(0, 3)] * profile.nsyms))
     terms = draw(st.dictionaries(keys, fractions_st, max_size=5))
-    return PTClass.make(profile.label, profile.nsyms, terms)
+    return PTClass.make(profile, terms)
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,8 +232,7 @@ def top_degree_factors(draw, profile):
                 list(compositions(degree, profile.nsyms))))))
         coeffs = draw(st.lists(fractions_st, min_size=len(chosen),
                                max_size=len(chosen)))
-        factors.append(PTClass.make(profile.label, profile.nsyms,
-                                    dict(zip(chosen, coeffs))))
+        factors.append(PTClass.make(profile, dict(zip(chosen, coeffs))))
     return factors
 
 
@@ -280,11 +278,14 @@ def test_eval_product_guards():
 
 
 def test_segre_cache_is_bounded():
-    # 200 distinct hypersurface profiles, more than the cache holds.
+    # Segre tuples are kept on their profiles, and the hypersurface
+    # builder's cache bounds how many profiles it keeps alive: 200 distinct
+    # hypersurface profiles, more than the cache holds.
     for n in range(3, 13):
         for d in range(1, 21):
-            segre_omega(get_profile(f"hypersurface-n{n}-d{d}"))
-    info = segre_omega.cache_info()
+            profile = get_profile(f"hypersurface-n{n}-d{d}")
+            assert segre_omega(profile) is segre_omega(profile)
+    info = hypersurface_profile.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
 
@@ -372,6 +373,21 @@ def test_profile_mismatch_rejected():
         PTClass.zeta(cubic) + PTClass.zeta(quartic)
     with pytest.raises(ProfileMismatchError):
         eval_top(quartic, PTClass.zeta(cubic) ** 3)
+
+
+def test_profiles_sharing_a_label_do_not_combine():
+    a = BaseProfile.make("x", 1, ["H"], {(1,): 1}, [{(1,): 2}])
+    b = BaseProfile.make("x", 1, ["H"], {(1,): 3}, [{(1,): 2}])
+    with pytest.raises(ProfileMismatchError):
+        a.symbol("H") + b.symbol("H")
+    with pytest.raises(ProfileMismatchError):
+        a.symbol("H") * b.symbol("H")
+    with pytest.raises(ProfileMismatchError):
+        eval_top(b, PTClass.zeta(a))
+    # an equal profile built a second time is the same profile
+    twin = BaseProfile.from_json(a.to_json())
+    assert twin is not a
+    assert a.symbol("H") + twin.symbol("H") == 2 * a.symbol("H")
 
 
 def test_restrict_to_section():

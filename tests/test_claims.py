@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from tautclass.claims import (OPS, Claim, emit, load_registry, run_claims)
+from collections import Counter
+
+from tautclass import hypersurfaces, surfaces, threefolds
+from tautclass.chow import BaseProfile, PTClass
+from tautclass.claims import (OPS, Claim, _render, emit, load_registry,
+                              run_claims)
 from tautclass.cli import main
 from tautclass.profiles import MAX_HYPERSURFACE_DIM, get_profile
 
@@ -157,6 +162,60 @@ def test_cli_eval_rejects_oversized_hypersurface_label(capsys):
         assert f"n <= {MAX_HYPERSURFACE_DIM}" in capsys.readouterr().err
     assert MAX_HYPERSURFACE_DIM == 200
     assert get_profile("hypersurface-n200-d3").dim == 200
+
+
+def test_cli_eval_rejects_oversized_hypersurface_degree(capsys):
+    assert main(["eval", "--profile", f"hypersurface-n3-d{'7' * 4000}",
+                 "--expr", "z^5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "9 digits" in err
+    assert get_profile("hypersurface-n3-d999999999").label == (
+        "hypersurface-n3-d999999999")
+
+
+def test_hypersurface_labels_have_one_spelling(capsys):
+    for label in ("hypersurface-n003-d3", "hypersurface-n3-d03",
+                  "hypersurface-n0-d3", "hypersurface-n3-d0"):
+        with pytest.raises(KeyError, match="leading zeros"):
+            get_profile(label)
+        assert main(["eval", "--profile", label, "--expr", "z"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_profile_routes_share_one_object():
+    assert get_profile("dp3-degree2") is threefolds.default_threefold_profile(2)
+    assert get_profile("hypersurface-n4-d3") is (
+        hypersurfaces.hypersurface_profile(hypersurfaces.HypersurfaceSpec(4, 3)))
+    assert get_profile("dp-surface-3") is get_profile("dp-surface-3")
+
+
+def test_render_class_over_unnamed_profile():
+    # dp3-d2-b3-22 is no get_profile label; the class carries its profile.
+    profile = threefolds.threefold_profile(2, 22)
+    h = profile.symbol("H")
+    assert _render(3 * PTClass.zeta(profile) - h) == "3z - H"
+
+
+def test_cold_run_makes_each_profile_once(monkeypatch):
+    for builder in (surfaces.cubic_surface_profile,
+                    surfaces.surface_lattice_profile,
+                    threefolds.k3_quartic_profile,
+                    threefolds.threefold_profile,
+                    hypersurfaces.hypersurface_profile):
+        builder.cache_clear()
+    made = Counter()
+    make = BaseProfile.make
+
+    def counting_make(*args, **kwargs):
+        profile = make(*args, **kwargs)
+        made[profile.label] += 1
+        return profile
+
+    monkeypatch.setattr(BaseProfile, "make", staticmethod(counting_make))
+    run_claims()
+    assert len(made) == 14
+    assert set(made.values()) == {1}
 
 
 def test_cli_surface_curves(capsys):

@@ -37,8 +37,8 @@ def test_chern_recurrence_matches_binomial_sum():
                 # degree-j coefficient of (1+H)^(n+2) . sum_k (-dH)^k
                 c = sum(math.comb(n + 2, i) * (-d) ** (j - i)
                         for i in range(j + 1))
-                assert profile.chern[j - 1] == PTClass.make(
-                    profile.label, 1, {(0, (j,)): c})
+                assert profile.chern[j - 1] == PTClass.make(profile,
+                                                            {(0, (j,)): c})
 
 
 def test_cubic_surface_profile_numbers():
@@ -70,8 +70,8 @@ def test_segre_closed_form_matches_series_inversion():
             for l in range(1, n + 1):
                 # s_l(T) = (-1)^l s_l(Omega)
                 omega_coeff = Fraction((-1) ** l) * segre_closed_form(spec, l)
-                assert segre[l] == PTClass.make(profile.label, 1,
-                                                {(0, (l,)): omega_coeff})
+                assert segre[l] == PTClass.make(
+                    profile, {(0, (l,)): omega_coeff})
                 assert (segre_closed_form_factored(spec, l)
                         == segre_closed_form(spec, l))
 
