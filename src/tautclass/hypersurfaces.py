@@ -42,16 +42,6 @@ class HypersurfaceSpec:
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
 
-    @property
-    def in_vanishing_range(self) -> bool:
-        """Range where twisted symmetric vector fields vanish (n>=2, d>=3)."""
-        return self.n >= 2 and self.d >= 3
-
-    @property
-    def in_modified_nef_range(self) -> bool:
-        """Range of the cubic modified-nef identity (n >= 3)."""
-        return self.n >= 3
-
 
 @lru_cache(maxsize=128)
 def hypersurface_profile(spec: HypersurfaceSpec) -> BaseProfile:

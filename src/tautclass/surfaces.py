@@ -6,15 +6,27 @@ lattice Z^(10-d) with form diag(1, -1, ..., -1) in the blow-up basis
 Lines are classes with C^2 = K.C = -1, conics satisfy F^2 = 0, -K.F = 2,
 and every conic pencil degenerates into 8 - d pairs of concurrent lines.
 
-Enumeration is a bounded exhaustive search over the coefficient boxes
-0 <= a0 <= 7, -1 <= ai <= 4 in the (a0; a1..ar) notation; completeness is
-certified by Weyl-reflection closure plus the known counts rather than an
-a-priori bound.
+Enumeration is complete by an a-priori bound.  Write C = (a0; -a1, ..., -ar)
+with target C^2 = s and -K.C = k, so that sum ai = 3 a0 - k and
+sum ai^2 = a0^2 - s.  Cauchy-Schwarz, (sum ai)^2 <= r sum ai^2, gives
+
+    (9 - r) a0^2 - 6k a0 + (k^2 + r s) <= 0,  i.e.
+    ((9 - r) a0 - 3k)^2 <= 9k^2 - (9 - r)(k^2 + r s),
+
+and as r <= 8 the leading coefficient 9 - r is positive, so a0 runs over
+an integer interval.  With a0 fixed, the ai are placed in non-increasing
+order.  While m slots remain with sum S and sum of squares Q still to
+place, the next value v is the largest of them, so m v >= S, and
+Cauchy-Schwarz on the other m - 1 values, (S - v)^2 <= (m - 1)(Q - v^2),
+reads (m v - S)^2 <= (m - 1)(m Q - S^2); in particular |v| <= isqrt(Q).
+Every class with the target invariants passes all of these tests, so the
+search finds all of them, and the line and conic counts are outputs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +34,6 @@ from functools import lru_cache
 
 from .chow import BaseProfile, PTClass, Scalar, as_fraction
 from .chow import dual_vmrt_generic, eval_product, fiber_line_degree
-
-A0_MAX = 7
-AI_MIN, AI_MAX = -1, 4
-
-MINUS_ONE_COUNTS = {1: 240, 2: 56, 3: 27, 4: 16, 5: 10, 6: 6, 7: 3}
-CONIC_COUNTS = {3: 27, 4: 10, 5: 5}
 
 
 @dataclass(frozen=True)
@@ -166,39 +172,46 @@ def _distinct_arrangements(values: tuple[int, ...]):
 
 
 def _box_solutions(r: int, sum_target: int, sq_target: int):
-    """Non-increasing tuples in [AI_MIN, AI_MAX]^r with given sum and sum of squares."""
+    """Non-increasing integer r-tuples with given sum and sum of squares.
+
+    Needs sum_target^2 <= r * sq_target, which every a0 in ``_a0_range``
+    satisfies.
+    """
     out = []
-    max_sq = max(AI_MIN * AI_MIN, AI_MAX * AI_MAX)
 
     def rec(slots: int, s: int, q: int, cap: int, acc: list[int]):
         if slots == 0:
-            if s == 0 and q == 0:
+            if q == 0:
                 out.append(tuple(acc))
             return
-        for v in range(min(cap, AI_MAX), AI_MIN - 1, -1):
-            s2, q2 = s - v, q - v * v
-            if s2 < (slots - 1) * AI_MIN or s2 > (slots - 1) * v:
-                continue
-            if q2 < 0 or q2 > (slots - 1) * max_sq:
-                continue
+        # Cauchy-Schwarz on the other slots - 1 values, (s - v)^2 <=
+        # (slots - 1)(q - v^2), solved for v; v >= s / slots as v is the
+        # largest remaining value
+        root = math.isqrt((slots - 1) * (slots * q - s * s))
+        for v in range(min(cap, (s + root) // slots), -((-s) // slots) - 1, -1):
             acc.append(v)
-            rec(slots - 1, s2, q2, v, acc)
+            rec(slots - 1, s - v, q - v * v, v, acc)
             acc.pop()
 
-    rec(r, sum_target, sq_target, AI_MAX, [])
+    rec(r, sum_target, sq_target, math.isqrt(sq_target), [])
     return out
+
+
+def _a0_range(r: int, selfint: int, anticanonical_degree: int) -> range:
+    """Every a0 allowed by ((9 - r) a0 - 3k)^2 <= 9k^2 - (9 - r)(k^2 + r s)."""
+    c, k = 9 - r, anticanonical_degree
+    root = math.isqrt(9 * k * k - c * (k * k + r * selfint))
+    return range(-((root - 3 * k) // c), (3 * k + root) // c + 1)
 
 
 def _enumerate_classes(lattice: PicardLattice, selfint: int,
                        anticanonical_degree: int) -> list[CurveClass]:
-    """All classes C in the search box with C^2 = selfint, -K.C = degree."""
+    """All classes C with C^2 = selfint and -K.C = anticanonical_degree."""
     r = lattice.r
     found = []
-    for a0 in range(A0_MAX + 1):
+    for a0 in _a0_range(r, selfint, anticanonical_degree):
         sum_target = 3 * a0 - anticanonical_degree
         sq_target = a0 * a0 - selfint
-        if sq_target < 0:
-            continue
         for shape in _box_solutions(r, sum_target, sq_target):
             for arrangement in _distinct_arrangements(shape):
                 found.append(CurveClass((a0,) + tuple(-a for a in arrangement)))
@@ -208,13 +221,7 @@ def _enumerate_classes(lattice: PicardLattice, selfint: int,
 @lru_cache(maxsize=None)
 def minus_one_curves(lattice: PicardLattice) -> tuple[CurveClass, ...]:
     """All classes with C^2 = -1 and K.C = -1, in lexicographic order."""
-    classes = _enumerate_classes(lattice, selfint=-1, anticanonical_degree=1)
-    expected = MINUS_ONE_COUNTS[lattice.degree]
-    if len(classes) != expected:
-        raise ArithmeticError(
-            f"degree {lattice.degree}: found {len(classes)} (-1)-classes, "
-            f"expected {expected}")
-    return tuple(classes)
+    return tuple(_enumerate_classes(lattice, selfint=-1, anticanonical_degree=1))
 
 
 @lru_cache(maxsize=None)
@@ -222,13 +229,7 @@ def conic_classes(lattice: PicardLattice) -> tuple[CurveClass, ...]:
     """All classes with F^2 = 0 and -K.F = 2, in lexicographic order."""
     if lattice.degree < 3:
         raise ValueError("conic classes are enumerated for degree >= 3")
-    classes = _enumerate_classes(lattice, selfint=0, anticanonical_degree=2)
-    expected = CONIC_COUNTS.get(lattice.degree)
-    if expected is not None and len(classes) != expected:
-        raise ArithmeticError(
-            f"degree {lattice.degree}: found {len(classes)} conic classes, "
-            f"expected {expected}")
-    return tuple(classes)
+    return tuple(_enumerate_classes(lattice, selfint=0, anticanonical_degree=2))
 
 
 def degenerate_members(lattice: PicardLattice,

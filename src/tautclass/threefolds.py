@@ -20,15 +20,14 @@ from functools import lru_cache
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
+from .surfaces import minus_one_curves, surface_lattice
 
-# b_3 for d = 1, 2 and the line data are reported values; b_3 = 10 for the
-# cubic (d = 3) is derived from its hypersurface Chern data via
+# b_3 for d = 1, 2 and the evaluation degrees k are reported values; b_3 =
+# 10 for the cubic (d = 3) is derived from its hypersurface Chern data via
 # c_3 = 4 - b_3.  The d = 4, 5 Betti numbers are literature defaults kept
 # out of every verified claim: only the (k, r) line data enter those rows.
 B3_DEFAULTS = {1: 42, 2: 20, 3: 10, 4: 4, 5: 0}
 EVALUATION_DEGREES = {1: 60, 2: 12, 3: 6, 4: 4, 5: 3}
-LINE_COUNTS = {2: 56, 3: 27, 4: 16, 5: 10}
-LINE_COUNT_MIN_D1 = 240
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,12 @@ class ThreefoldSpec:
 
 
 def default_spec(d: int) -> ThreefoldSpec:
+    """Reported b_3 and k; r counts the lines of the degree-d surface section."""
+    lines = len(minus_one_curves(surface_lattice(d)))
     if d == 1:
         return ThreefoldSpec(1, B3_DEFAULTS[1], EVALUATION_DEGREES[1],
-                             r_min=LINE_COUNT_MIN_D1)
-    return ThreefoldSpec(d, B3_DEFAULTS[d], EVALUATION_DEGREES[d],
-                         r=LINE_COUNTS[d])
+                             r_min=lines)
+    return ThreefoldSpec(d, B3_DEFAULTS[d], EVALUATION_DEGREES[d], r=lines)
 
 
 @lru_cache(maxsize=128)

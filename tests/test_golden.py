@@ -1,10 +1,12 @@
 """Byte-for-byte golden outputs of the CLI and of profile JSON.
 
 The files under ``tests/data/golden`` hold the exact bytes of a few CLI
-runs and of ``json.dumps(profile.to_json(), sort_keys=True)`` for every
-fixed profile label, one line per label.  A changed number, class
-rendering or report layout shows up here as a byte difference.  After an
-intended output change, rerun the command and overwrite its file.
+runs, of every del Pezzo line and conic list ``surface curves`` prints (so
+their contents and order are pinned), and of
+``json.dumps(profile.to_json(), sort_keys=True)`` for every fixed profile
+label, one line per label.  A changed number, class rendering or report
+layout shows up here as a byte difference.  After an intended output
+change, rerun the command and overwrite its file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ CASES = [
       "--expr", "(2z+3H-E1-2E2+E3-E4+E5-E6+2E7-1/2E8)^3"], 0),
     ("eval_dp3_high_base.txt",
      ["eval", "--profile", "dp3-degree1", "--expr", "z*H^4"], 0),
+    *((f"surface_lines_d{d}.json",
+       ["surface", "curves", "--degree", str(d)], 0) for d in range(1, 8)),
+    *((f"surface_conics_d{d}.json",
+       ["surface", "curves", "--degree", str(d), "--conics"], 0)
+      for d in range(3, 8)),
 ]
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from tautclass.chow import PTClass
-from tautclass.surfaces import (CurveClass, budget_against_fibre_line,
+from tautclass.surfaces import (CurveClass, _a0_range,
+                                budget_against_fibre_line,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, conic_classes,
                                 conic_vmrt_class, cubic_conics_match_lines,
@@ -152,6 +154,57 @@ def test_weyl_reflection_closure():
         conics = set(conic_classes(lattice))
         for root in simple_roots(lattice):
             assert {reflect(lattice, c, root) for c in conics} == conics
+
+
+def _weyl_orbit(lattice, seed):
+    orbit, frontier = {seed}, [seed]
+    roots = simple_roots(lattice)
+    while frontier:
+        curve = frontier.pop()
+        for root in roots:
+            image = reflect(lattice, curve, root)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def test_weyl_orbits_match_enumeration():
+    # second route: lines are the Weyl orbit of E_r, conics that of H - E1
+    for degree, count in zip(range(1, 7), (240, 56, 27, 16, 10, 6)):
+        lattice = surface_lattice(degree)
+        orbit = _weyl_orbit(lattice, CurveClass((0,) * lattice.r + (1,)))
+        assert len(orbit) == count
+        assert orbit == set(minus_one_curves(lattice))
+    for degree, count in zip(range(3, 8), (27, 10, 5, 3, 2)):
+        lattice = surface_lattice(degree)
+        orbit = _weyl_orbit(lattice, CurveClass((1, -1) + (0,) * (lattice.r - 1)))
+        assert len(orbit) == count
+        assert orbit == set(conic_classes(lattice))
+    # degree 7 has no root H - E1 - E2 - E3: E1, E2 form one orbit and
+    # H - E1 - E2 is the third line
+    lattice = surface_lattice(7)
+    orbit = _weyl_orbit(lattice, CurveClass((0, 0, 1)))
+    assert orbit == {CurveClass((0, 1, 0)), CurveClass((0, 0, 1))}
+    assert set(minus_one_curves(lattice)) == orbit | {CurveClass((1, -1, -1))}
+
+
+def test_enumeration_bounds_lose_nothing_in_a_wider_box():
+    box = range(-3, 4)
+    for degree in (5, 6, 7):
+        lattice = surface_lattice(degree)
+        for selfint, k, enumerated in ((-1, 1, minus_one_curves(lattice)),
+                                       (0, 2, conic_classes(lattice))):
+            a0s = _a0_range(lattice.r, selfint, k)
+            ai_bound = math.isqrt(max(a0 * a0 for a0 in a0s) - selfint)
+            # the box is strictly wider than the derived bounds
+            assert box[0] < a0s[0] and a0s[-1] < box[-1]
+            assert ai_bound < box[-1]
+            found = [c for c in map(CurveClass, itertools.product(
+                         box, repeat=lattice.rank))
+                     if lattice.selfint(c) == selfint
+                     and lattice.pair(lattice.k, c) == -k]
+            assert found == list(enumerated)
 
 
 def test_chi_sym_values():
