@@ -21,14 +21,13 @@ from .hypersurfaces import (HypersurfaceSpec, comb_identity_A,
 from .profiles import get_profile
 from .schur import (bott_vanishing, bridge_identity_check, euler_char_forms,
                     plethysm_rectangle_check, schur_dim, ssyt_count)
-from .surfaces import (ConicPencil, CurveClass, PicardLattice,
-                       chi_sym_tangent_surface, conic_classes,
-                       conic_vmrt_class, cubic_surface_certificate,
-                       degenerate_members, degree4_pairing, degree5_sum,
-                       minus_one_curves, noether_check, surface_lattice)
-from .threefolds import (ThreefoldSpec, certificate_degree1,
-                         certificate_degree2, k3_quartic_data,
-                         not_big_certificate, threefold_profile,
-                         vmrt_class_threefold, vmrt_table)
+from .surfaces import (CurveClass, PicardLattice, chi_sym_tangent_surface,
+                       conic_classes, conic_vmrt_class,
+                       cubic_surface_certificate, degenerate_members,
+                       degree4_pairing, degree5_sum, minus_one_curves,
+                       noether_check, surface_lattice)
+from .threefolds import (certificate_degree1, certificate_degree2,
+                         k3_quartic_data, not_big_certificate,
+                         threefold_profile, vmrt_class_threefold, vmrt_table)
 
 __version__ = "0.1.0"

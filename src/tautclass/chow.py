@@ -83,12 +83,11 @@ class BaseProfile:
     vectors over ``basis`` (missing monomials evaluate to zero); keying by
     exponent vector makes the form symmetric by construction.
     ``chern_terms`` holds c_1..c_n of the tangent bundle, entry j
-    homogeneous of degree j, and ``canonical_terms`` optionally the
-    canonical divisor class for use by the expression parser, all as sorted
-    exponent-vector term maps that :meth:`make` validates.  :attr:`chern`
-    and :attr:`canonical` are the same data as zeta-free :class:`PTClass`
-    values over the profile.  Profiles compare by value, so a profile
-    rebuilt from its JSON equals the original.
+    homogeneous of degree j, as sorted exponent-vector term maps that
+    :meth:`make` validates.  :attr:`chern` is the same data as zeta-free
+    :class:`PTClass` values over the profile, and :attr:`canonical` is
+    K_X = -c_1(T_X).  Profiles compare by value, so a profile rebuilt from
+    its JSON equals the original.
     """
 
     label: str
@@ -96,15 +95,13 @@ class BaseProfile:
     basis: tuple[str, ...]
     top_form: tuple[tuple[Exponents, Fraction], ...]
     chern_terms: tuple[tuple[tuple[Exponents, Fraction], ...], ...]
-    canonical_terms: tuple[tuple[Exponents, Fraction], ...] | None = None
 
     @staticmethod
     def make(label: str,
              dim: int,
              basis: Iterable[str],
              top_form: Mapping[Exponents, Scalar],
-             chern: Iterable[Mapping[Exponents, Scalar]],
-             canonical: Mapping[Exponents, Scalar] | None = None
+             chern: Iterable[Mapping[Exponents, Scalar]]
              ) -> "BaseProfile":
         basis = tuple(basis)
         if dim < 1:
@@ -133,28 +130,22 @@ class BaseProfile:
         return BaseProfile(
             label, dim, basis, form,
             tuple(homogeneous(terms, j, f"c_{j}")
-                  for j, terms in enumerate(chern, start=1)),
-            None if canonical is None
-            else homogeneous(canonical, 1, "canonical class"))
+                  for j, terms in enumerate(chern, start=1)))
 
     @property
     def nsyms(self) -> int:
         return len(self.basis)
 
-    def _base_class(self, terms: tuple[tuple[Exponents, Fraction], ...]
-                    ) -> PTClass:
-        return PTClass(self, tuple(((0, e), c) for e, c in terms))
-
     @cached_property
     def chern(self) -> tuple[PTClass, ...]:
         """c_1..c_n of the tangent bundle as zeta-free classes."""
-        return tuple(map(self._base_class, self.chern_terms))
+        return tuple(PTClass(self, tuple(((0, e), c) for e, c in terms))
+                     for terms in self.chern_terms)
 
     @cached_property
-    def canonical(self) -> PTClass | None:
-        """The canonical divisor class, None if the profile records none."""
-        terms = self.canonical_terms
-        return None if terms is None else self._base_class(terms)
+    def canonical(self) -> PTClass:
+        """The canonical divisor class K_X = -c_1(T_X)."""
+        return -self.chern[0]
 
     @cached_property
     def _form(self) -> dict[Exponents, Fraction]:
@@ -207,16 +198,14 @@ class BaseProfile:
             return [{"exponents": list(e), "value": fraction_str(c)}
                     for e, c in terms]
 
-        doc = {
+        return {
             "label": self.label,
             "dim": self.dim,
             "basis": list(self.basis),
             "top_form": entries(self.top_form),
             "chern": [entries(terms) for terms in self.chern_terms],
+            "canonical": entries((e, -c) for e, c in self.chern_terms[0]),
         }
-        if self.canonical_terms is not None:
-            doc["canonical"] = entries(self.canonical_terms)
-        return doc
 
     @staticmethod
     def from_json(doc: Mapping) -> "BaseProfile":
@@ -229,7 +218,6 @@ class BaseProfile:
             doc["basis"],
             terms(doc["top_form"]),
             [terms(entries) for entries in doc["chern"]],
-            terms(doc["canonical"]) if "canonical" in doc else None,
         )
 
 

@@ -91,8 +91,9 @@ def _op_dual_vmrt(profile: str, deg_e: int, pushforward: str) -> PTClass:
 
 
 def _op_degenerate_count(degree: int) -> int:
-    counts = {len(pencil.degenerate_members) for pencil
-              in surfaces.conic_pencils(surfaces.surface_lattice(degree))}
+    lattice = surfaces.surface_lattice(degree)
+    counts = {len(surfaces.degenerate_members(lattice, f))
+              for f in surfaces.conic_classes(lattice)}
     if len(counts) != 1:
         raise ArithmeticError(f"pencils disagree on member count: {counts}")
     return counts.pop()

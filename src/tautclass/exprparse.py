@@ -2,7 +2,7 @@
 
 Grammar: rational literals (``2``, ``4/3``), the tautological symbol ``z``,
 the divisor symbols of the profile's basis, ``K`` for the canonical class
-when the profile defines one, operators ``+ - * ^`` and parentheses.
+K_X = -c_1(T_X), operators ``+ - * ^`` and parentheses.
 A numeric literal directly followed by a symbol or ``(`` multiplies it, so
 printed forms like ``3z - H`` parse back to the same class.
 
@@ -148,10 +148,6 @@ class _Parser:
         if token.text in profile.basis:
             return profile.symbol(token.text)
         if token.text == "K":
-            if profile.canonical is None:
-                raise ExprSyntaxError(
-                    f"profile {profile.label!r} defines no canonical class",
-                    token.position)
             return profile.canonical
         raise ExprSyntaxError(
             f"unknown symbol {token.text!r} for profile {profile.label!r}",

@@ -62,7 +62,6 @@ def hypersurface_profile(spec: HypersurfaceSpec) -> BaseProfile:
         basis=("H",),
         top_form={(n,): d},
         chern=[{(j,): coeffs[j]} for j in range(1, n + 1)],
-        canonical={(1,): d - n - 2},
     )
 
 

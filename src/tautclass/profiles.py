@@ -1,13 +1,15 @@
 """Named intersection profiles used across the package and the CLI.
 
-Fixed labels cover the surfaces and threefolds with pinned data; the
-patterns ``dp-surface-<d>`` and ``hypersurface-n<n>-d<d>`` construct
-lattice and hypersurface profiles on demand; the builders are memoized,
-so a label resolves to one profile object.  Hypersurface labels write n
-and d without leading zeros and are capped at n <= MAX_HYPERSURFACE_DIM:
-evaluation cost grows at least quadratically in n (the Segre inversion
-alone takes O(n^2) products), so a larger label is a usage error rather
-than a long wait.  d has at most 9 digits, so Chern numbers stay printable.
+One table maps each fixed label (the cubic and K3 surfaces,
+``dp3-degree1..5`` and ``dp-surface-1..7``) to its builder, and
+:data:`FIXED_LABELS` is read from it; the pattern ``hypersurface-n<n>-d<d>``
+constructs hypersurface profiles on demand.  A label must match exactly,
+and the builders are memoized, so a label resolves to one profile object.
+Hypersurface labels write n and d without leading zeros and are capped at
+n <= MAX_HYPERSURFACE_DIM: evaluation cost grows at least quadratically in
+n (the Segre inversion alone takes O(n^2) products), so a larger label is
+a usage error rather than a long wait.  d has at most 9 digits, so Chern
+numbers stay printable.
 """
 
 from __future__ import annotations
@@ -23,42 +25,28 @@ MAX_HYPERSURFACE_DIM = 200
 
 # At most 9 digits of n and d are read, so int() never sees a huge digit
 # string; a longer n is above the cap anyway.
-_HYPERSURFACE_RE = re.compile(r"^hypersurface-n([1-9]\d{0,8})-d([1-9]\d{0,8})$")
-_DP_SURFACE_RE = re.compile(r"^dp-surface-([1-7])$")
-_DP3_RE = re.compile(r"^dp3-degree([1-5])$")
+_HYPERSURFACE_RE = re.compile(r"hypersurface-n([1-9]\d{0,8})-d([1-9]\d{0,8})")
 
-FIXED_LABELS = (
-    "cubic-surface",
-    "k3-quartic",
-    "dp3-degree1",
-    "dp3-degree2",
-    "dp3-degree3",
-    "dp3-degree4",
-    "dp3-degree5",
-    "dp-surface-1",
-    "dp-surface-2",
-    "dp-surface-3",
-    "dp-surface-4",
-    "dp-surface-5",
-    "dp-surface-6",
-    "dp-surface-7",
-)
+# Each entry looks its builder up when called, so a rebound module name
+# (a tracer's wrapper, a test's monkeypatch) is seen.
+_FIXED = {
+    "cubic-surface": lambda: cubic_surface_profile(),
+    "k3-quartic": lambda: k3_quartic_profile(),
+    **{f"dp3-degree{d}": (lambda d=d: default_threefold_profile(d))
+       for d in range(1, 6)},
+    **{f"dp-surface-{d}": (lambda d=d: surface_lattice_profile(d))
+       for d in range(1, 8)},
+}
+FIXED_LABELS = tuple(_FIXED)
 
 
 def get_profile(label: str) -> BaseProfile:
     """Resolve a profile label; raises KeyError for unknown labels and for
     hypersurface labels with leading zeros or above the caps."""
-    if label == "cubic-surface":
-        return cubic_surface_profile()
-    if label == "k3-quartic":
-        return k3_quartic_profile()
-    match = _DP3_RE.match(label)
-    if match:
-        return default_threefold_profile(int(match.group(1)))
-    match = _DP_SURFACE_RE.match(label)
-    if match:
-        return surface_lattice_profile(int(match.group(1)))
-    match = _HYPERSURFACE_RE.match(label)
+    build = _FIXED.get(label)
+    if build is not None:
+        return build()
+    match = _HYPERSURFACE_RE.fullmatch(label)
     if match and int(match.group(1)) <= MAX_HYPERSURFACE_DIM:
         return hypersurface_profile(HypersurfaceSpec(int(match.group(1)),
                                                      int(match.group(2))))

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chow import BaseProfile, PTClass, Scalar, as_fraction
-from .chow import dual_vmrt_generic, eval_product, fiber_line_degree
+from .chow import (BaseProfile, PTClass, dual_vmrt_generic, eval_product,
+                   fiber_line_degree)
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,6 @@ class PicardLattice:
         return self.pair(a, a)
 
 
-@dataclass(frozen=True)
-class ConicPencil:
-    """A conic class together with its degenerate members."""
-
-    fiber_class: CurveClass
-    degenerate_members: tuple[tuple[CurveClass, CurveClass], ...]
-
-
 def surface_lattice(degree: int) -> PicardLattice:
     if not 1 <= degree <= 7:
         raise ValueError(f"degree must lie in 1..7, got {degree}")
@@ -120,7 +112,6 @@ def surface_lattice_profile(degree: int) -> BaseProfile:
         basis=("H",) + tuple(f"E{i}" for i in range(1, r + 1)),
         top_form=top,
         chern=[c1, c2],
-        canonical={exps: -c for exps, c in c1.items()},
     )
 
 
@@ -137,7 +128,6 @@ def cubic_surface_profile() -> BaseProfile:
         basis=("H", "F"),
         top_form={(2, 0): 3, (1, 1): 2},
         chern=[{(1, 0): 1}, {(2, 0): 3}],
-        canonical={(1, 0): -1},
     )
 
 
@@ -246,16 +236,7 @@ def degenerate_members(lattice: PicardLattice,
         l2 = fiber - l1
         if l2 in lines and l1.coeffs < l2.coeffs:
             pairs.append((l1, l2))
-    if len(pairs) != 8 - lattice.degree:
-        raise ArithmeticError(
-            f"degree {lattice.degree}: conic {fiber.coeffs} has "
-            f"{len(pairs)} degenerate members, expected {8 - lattice.degree}")
     return tuple(pairs)
-
-
-def conic_pencils(lattice: PicardLattice) -> tuple[ConicPencil, ...]:
-    return tuple(ConicPencil(f, degenerate_members(lattice, f))
-                 for f in conic_classes(lattice))
 
 
 def conic_vmrt_class(lattice: PicardLattice, fiber: CurveClass) -> PTClass:
@@ -472,12 +453,3 @@ def noether_check(degree: int) -> bool:
     """c_1^2 + c_2 = 12 from the two independent lattice computations."""
     c1sq, c2 = _surface_chern_numbers(degree)
     return c1sq + c2 == 12
-
-
-def budget_against_fibre_line(lambda_coeff: Scalar = Fraction(1, 4)) -> Fraction:
-    """(zeta - lambda . sum of the 27 dual VMRTs) paired with a fibre line."""
-    profile = cubic_surface_profile()
-    zeta = PTClass.zeta(profile)
-    vmrt = dual_vmrt_generic(profile, 1,
-                             profile.symbol("H") - 2 * profile.symbol("F"))
-    return fiber_line_degree(profile, zeta - 27 * as_fraction(lambda_coeff) * vmrt)

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
@@ -28,36 +30,6 @@ from .surfaces import minus_one_curves, surface_lattice
 # out of every verified claim: only the (k, r) line data enter those rows.
 B3_DEFAULTS = {1: 42, 2: 20, 3: 10, 4: 4, 5: 0}
 EVALUATION_DEGREES = {1: 60, 2: 12, 3: 6, 4: 4, 5: 3}
-
-
-@dataclass(frozen=True)
-class ThreefoldSpec:
-    """Degree, third Betti number and line data of a del Pezzo threefold."""
-
-    d: int
-    b3: int
-    k: int
-    r: int | None = None
-    r_min: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.d <= 5:
-            raise ValueError("degree must lie in 1..5")
-        if self.b3 < 0 or self.b3 % 2:
-            raise ValueError("b3 must be a non-negative even integer")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if (self.r is None) == (self.r_min is None):
-            raise ValueError("exactly one of r and r_min must be set")
-
-
-def default_spec(d: int) -> ThreefoldSpec:
-    """Reported b_3 and k; r counts the lines of the degree-d surface section."""
-    lines = len(minus_one_curves(surface_lattice(d)))
-    if d == 1:
-        return ThreefoldSpec(1, B3_DEFAULTS[1], EVALUATION_DEGREES[1],
-                             r_min=lines)
-    return ThreefoldSpec(d, B3_DEFAULTS[d], EVALUATION_DEGREES[d], r=lines)
 
 
 @lru_cache(maxsize=128)
@@ -81,7 +53,6 @@ def threefold_profile(d: int, b3: int) -> BaseProfile:
             {(2,): Fraction(12, d)},
             {(3,): Fraction(4 - b3, d)},
         ],
-        canonical={(1,): -2},
     )
 
 
@@ -152,30 +123,32 @@ class VmrtRow:
         return doc
 
 
-def vmrt_table() -> dict[int, VmrtRow]:
-    """Dual-VMRT classes for the irreducible line families, degrees 1..5."""
+@lru_cache(maxsize=None)
+def vmrt_table() -> Mapping[int, VmrtRow]:
+    """Dual-VMRT classes for the irreducible line families, degrees 1..5.
+
+    k is the reported evaluation degree and r the number of lines of the
+    degree-d surface section, read from the enumeration; for d = 1 that
+    count is only the bound r_min.  The read-only table is built once.
+    """
     rows: dict[int, VmrtRow] = {}
-    for d in range(1, 6):
-        spec = default_spec(d)
-        if spec.r is not None:
-            cls = vmrt_class_threefold(d, spec.k, spec.r)
+    for d, k in EVALUATION_DEGREES.items():
+        lines = len(minus_one_curves(surface_lattice(d)))
+        if d == 1:
             rows[d] = VmrtRow(
-                degree=d, k=spec.k, r=spec.r, r_min=None,
-                h_coefficient=Fraction(spec.r, d) - spec.k,
-                h_coefficient_min=None, cls=cls,
-                note=(f"k = {spec.k} from the line family; r = {spec.r} "
+                degree=d, k=k, r=None, r_min=lines, h_coefficient=None,
+                h_coefficient_min=Fraction(lines, d) - k, cls=None,
+                note=(f"k = {k}; only the bound r >= {lines} is "
+                      "available, so the H-coefficient is interval-valued"))
+        else:
+            rows[d] = VmrtRow(
+                degree=d, k=k, r=lines, r_min=None,
+                h_coefficient=Fraction(lines, d) - k, h_coefficient_min=None,
+                cls=vmrt_class_threefold(d, k, lines),
+                note=(f"k = {k} from the line family; r = {lines} "
                       "matches the (-1)-curve count of the degree-"
                       f"{d} surface section"))
-        else:
-            assert spec.r_min is not None
-            rows[d] = VmrtRow(
-                degree=d, k=spec.k, r=None, r_min=spec.r_min,
-                h_coefficient=None,
-                h_coefficient_min=Fraction(spec.r_min, d) - spec.k,
-                cls=None,
-                note=(f"k = {spec.k}; only the bound r >= {spec.r_min} is "
-                      "available, so the H-coefficient is interval-valued"))
-    return rows
+    return MappingProxyType(rows)
 
 
 def not_big_certificate(cls: PTClass) -> bool:
@@ -247,7 +220,6 @@ def k3_quartic_profile() -> BaseProfile:
         basis=("H",),
         top_form={(2,): 4},
         chern=[{}, {(2,): 6}],
-        canonical={},
     )
 
 
@@ -274,13 +246,10 @@ def k3_quartic_data() -> K3QuarticData:
     zeta = PTClass.zeta(profile)
     h = profile.symbol("H")
     bitangent = 6 * zeta + 8 * h
-    data = K3QuarticData(
+    return K3QuarticData(
         bitangent_class=bitangent,
         normalized_class=Fraction(1, 6) * bitangent,
         zeta3=eval_top(profile, zeta ** 3),
         zeta2_h=eval_top(profile, zeta ** 2 * h),
         zeta_h2=eval_top(profile, zeta * h * h),
     )
-    if (data.zeta3, data.zeta2_h, data.zeta_h2) != (-24, 0, 4):
-        raise ArithmeticError("K3 quartic sanity values changed")
-    return data

@@ -12,8 +12,9 @@ from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
                             eval_product, eval_top, fiber_line_degree,
                             fraction_str, restrict_to_section, segre_omega)
+from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import hypersurface_profile
-from tautclass.profiles import get_profile
+from tautclass.profiles import FIXED_LABELS, get_profile
 
 
 def compositions(total: int, parts: int):
@@ -427,6 +428,19 @@ def test_profile_json_round_trip():
                   "dp-surface-4", "hypersurface-n3-d3"):
         profile = get_profile(label)
         assert BaseProfile.from_json(profile.to_json()) == profile
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_profiles())
+def test_canonical_is_minus_c1(random_profile):
+    # K_X = -c_1(T_X) on every profile: in the parser and in the JSON form
+    for profile in (random_profile, *map(get_profile, FIXED_LABELS)):
+        assert parse_expr(profile, "K") == -profile.chern[0]
+        doc = profile.to_json()
+        assert doc["canonical"] == [
+            {"exponents": e["exponents"],
+             "value": fraction_str(-Fraction(e["value"]))}
+            for e in doc["chern"][0]]
 
 
 def test_profile_validation():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
-
-from collections import Counter
 
 from tautclass import hypersurfaces, surfaces, threefolds
 from tautclass.chow import BaseProfile, PTClass
@@ -29,6 +31,25 @@ def test_every_dispatch_op_is_claimed():
     # no silent dead operations: the registry exercises every binding
     used = {c.op for c in load_registry()}
     assert used == set(OPS)
+
+
+def test_coverage_doc_names_public_operations():
+    # each operation in a module's table of docs/claims-coverage.md is a
+    # public attribute of that module, so a deleted name cannot linger there
+    doc = Path(__file__).parents[1] / "docs" / "claims-coverage.md"
+    module, seen = None, set()
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = line[3:].strip()
+            module = (importlib.import_module(f"tautclass.{heading}")
+                      if heading.isidentifier() else None)
+        elif module is not None and line.startswith("| `"):
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                assert not name.startswith("_"), name
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+                seen.add(module.__name__)
+    assert seen == {f"tautclass.{m}" for m in (
+        "chow", "hypersurfaces", "surfaces", "threefolds", "schur")}
 
 
 def test_full_run_has_single_known_failure():
@@ -183,6 +204,14 @@ def test_hypersurface_labels_have_one_spelling(capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_profile_labels_match_exactly(capsys):
+    for label in ("dp3-degree2\n", "dp-surface-3\n", "hypersurface-n3-d3\n"):
+        with pytest.raises(KeyError):
+            get_profile(label)
+        assert main(["eval", "--profile", label, "--expr", "z"]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_profile_routes_share_one_object():
     assert get_profile("dp3-degree2") is threefolds.default_threefold_profile(2)
     assert get_profile("hypersurface-n4-d3") is (
@@ -204,6 +233,7 @@ def test_cold_run_makes_each_profile_once(monkeypatch):
                     threefolds.threefold_profile,
                     hypersurfaces.hypersurface_profile):
         builder.cache_clear()
+    threefolds.vmrt_table.cache_clear()
     made = Counter()
     make = BaseProfile.make
 

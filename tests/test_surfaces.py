@@ -10,7 +10,6 @@ import pytest
 
 from tautclass.chow import PTClass
 from tautclass.surfaces import (CurveClass, _a0_range,
-                                budget_against_fibre_line,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, conic_classes,
                                 conic_vmrt_class, cubic_conics_match_lines,
@@ -125,7 +124,6 @@ def test_cubic_certificate_values():
     assert cert.a == -1
     assert cert.b == -4
     assert cert.budget == Fraction(-23, 4)
-    assert budget_against_fibre_line() == Fraction(-23, 4)
     # boundary: a - (1/4) b = 0, so a - lam.b < 0 exactly for lam < 1/4
     assert cert.a - Fraction(1, 4) * cert.b == 0
 

@@ -6,25 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from tautclass import threefolds
 from tautclass.chow import PTClass, eval_top
+from tautclass.claims import run_claims
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import HypersurfaceSpec, hypersurface_profile
-from tautclass.threefolds import (ThreefoldSpec, certificate_degree1,
-                                  certificate_degree2,
+from tautclass.threefolds import (certificate_degree1, certificate_degree2,
                                   certificate_degree2_modnef,
                                   default_threefold_profile, k3_quartic_data,
                                   k3_quartic_profile, not_big_certificate,
                                   profile_triple, threefold_profile,
                                   vmrt_class_threefold, vmrt_table)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ThreefoldSpec(6, 0, 1, r=1)
-    with pytest.raises(ValueError):
-        ThreefoldSpec(2, 19, 12, r=56)
-    with pytest.raises(ValueError):
-        ThreefoldSpec(2, 20, 12)
 
 
 def test_profile_triples():
@@ -83,6 +75,24 @@ def test_vmrt_table_json_has_notes():
         assert doc["degree"] == d and doc["note"]
     assert vmrt_table()[5].to_json()["class"] == "3z - H"
     assert "m >= 180" in vmrt_table()[1].to_json()["class"]
+
+
+def test_vmrt_table_built_once(monkeypatch):
+    assert vmrt_table() is vmrt_table()
+    with pytest.raises(TypeError):
+        vmrt_table()[6] = vmrt_table()[5]
+    # one cold verify run builds the four exact rows once, not per claim
+    vmrt_table.cache_clear()
+    calls = []
+    build = threefolds.vmrt_class_threefold
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(threefolds, "vmrt_class_threefold", counting_build)
+    run_claims()
+    assert len(calls) == 4
 
 
 def test_not_big_certificate():
