@@ -27,7 +27,7 @@ from .surfaces import (CurveClass, PicardLattice, chi_sym_tangent_surface,
                        degree4_pairing, degree5_sum, minus_one_curves,
                        noether_check, surface_lattice)
 from .threefolds import (certificate_degree1, certificate_degree2,
-                         k3_quartic_data, not_big_certificate,
-                         threefold_profile, vmrt_class_threefold, vmrt_table)
+                         k3_quartic_data, threefold_profile,
+                         vmrt_class_threefold, vmrt_table)
 
 __version__ = "0.1.0"

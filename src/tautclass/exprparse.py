@@ -6,6 +6,9 @@ K_X = -c_1(T_X), operators ``+ - * ^`` and parentheses.
 A numeric literal directly followed by a symbol or ``(`` multiplies it, so
 printed forms like ``3z - H`` parse back to the same class.
 
+Parentheses nest at most MAX_NESTING levels deep, so a hostile input is a
+syntax error rather than a recursion overflow.
+
 Offsets in error messages are 1-based character positions.
 """
 
@@ -15,9 +18,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import BaseProfile, PTClass, fraction_str
+from .chow import BaseProfile, PTClass, _require_profile, fraction_str
 
 _TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|[-+*^()]")
+MAX_NESTING = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -64,6 +68,7 @@ class _Parser:
         self.profile = profile
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -132,11 +137,17 @@ class _Parser:
         if token.kind == "sym":
             return self.resolve(token)
         if token.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels",
+                    token.position)
+            self.depth += 1
             value = self.sum()
             closing = self.peek()
             if closing.text != ")":
                 raise ExprSyntaxError("expected ')'", closing.position)
             self.advance()
+            self.depth -= 1
             return value
         raise ExprSyntaxError(f"unexpected {token.text or 'end of input'!r}",
                               token.position)
@@ -165,8 +176,7 @@ def format_class(profile: BaseProfile, cls: PTClass) -> str:
     Terms are ordered by descending zeta power, then descending base
     exponents, e.g. ``3z - H`` or ``z^5 + 6z^4*H``.
     """
-    if cls.profile != profile:
-        raise ValueError("class belongs to a different profile")
+    _require_profile(profile, cls)
     if cls.is_zero:
         return "0"
     pieces: list[str] = []

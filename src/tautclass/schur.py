@@ -16,6 +16,10 @@ from functools import lru_cache
 
 Partition = tuple[int, ...]
 
+# The Weyl product runs over n^2 pairs of growing integers, so a large n is
+# slow; 200 is the largest rank of a tangent bundle handled here.
+MAX_SCHUR_DIM = 200
+
 
 def normalize_partition(parts) -> Partition:
     """Validate a weakly decreasing sequence and strip trailing zeros."""
@@ -43,11 +47,11 @@ def schur_dim(mu, n: int) -> int:
 
     Weyl product over the shape padded with zeros to n rows:
     prod_{i<j} (mu_i - mu_j + j - i) / (j - i).  Shapes with more than n
-    rows give the zero functor.
+    rows give the zero functor.  n is capped at MAX_SCHUR_DIM.
     """
     mu = normalize_partition(mu)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n <= MAX_SCHUR_DIM:
+        raise ValueError(f"need 1 <= n <= {MAX_SCHUR_DIM}, got {n}")
     if len(mu) > n:
         return 0
     padded = mu + (0,) * (n - len(mu))

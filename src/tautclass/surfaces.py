@@ -14,20 +14,19 @@ sum ai^2 = a0^2 - s.  Cauchy-Schwarz, (sum ai)^2 <= r sum ai^2, gives
     ((9 - r) a0 - 3k)^2 <= 9k^2 - (9 - r)(k^2 + r s),
 
 and as r <= 8 the leading coefficient 9 - r is positive, so a0 runs over
-an integer interval.  With a0 fixed, the ai are placed in non-increasing
-order.  While m slots remain with sum S and sum of squares Q still to
-place, the next value v is the largest of them, so m v >= S, and
-Cauchy-Schwarz on the other m - 1 values, (S - v)^2 <= (m - 1)(Q - v^2),
-reads (m v - S)^2 <= (m - 1)(m Q - S^2); in particular |v| <= isqrt(Q).
-Every class with the target invariants passes all of these tests, so the
-search finds all of them, and the line and conic counts are outputs.
+an integer interval.  With a0 fixed, the ai are placed one slot at a
+time.  While m slots remain with sum S and sum of squares Q still to
+place, Cauchy-Schwarz on the other m - 1 values, (S - v)^2 <=
+(m - 1)(Q - v^2), reads (m v - S)^2 <= (m - 1)(m Q - S^2) for the next
+value v.  Every class with the target invariants passes all of these
+tests, so the search finds each of them exactly once, and the line and
+conic counts are outputs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,22 +93,19 @@ def surface_lattice(degree: int) -> PicardLattice:
 
 @lru_cache(maxsize=None)
 def surface_lattice_profile(degree: int) -> BaseProfile:
-    """Intersection profile over the full blow-up basis (H, E1, ..., Er)."""
+    """Profile over the blow-up basis (H, E1, ..., Er): the top form is the
+    lattice pairing, c_1 = -K and c_2 the Euler number."""
     lattice = surface_lattice(degree)
-    r = lattice.r
-    nsyms = r + 1
-    top = {}
-    for i in range(nsyms):
-        exps = tuple(2 if j == i else 0 for j in range(nsyms))
-        top[exps] = 1 if i == 0 else -1
-    c1 = {tuple(1 if j == i else 0 for j in range(nsyms)): 3 if i == 0 else -1
-          for i in range(nsyms)}
-    h_sq = tuple(2 if j == 0 else 0 for j in range(nsyms))
-    c2 = {h_sq: 12 - degree}
+    n = lattice.rank
+    units = [CurveClass(tuple(int(j == i) for j in range(n))) for i in range(n)]
+    top = {(u + v).coeffs: lattice.pair(u, v)
+           for i, u in enumerate(units) for v in units[i:]}
+    c1 = {u.coeffs: c for u, c in zip(units, (-lattice.k).coeffs)}
+    c2 = {(2 * units[0]).coeffs: _surface_chern_numbers(degree)[1]}
     return BaseProfile.make(
         label=f"dp-surface-{degree}",
         dim=2,
-        basis=("H",) + tuple(f"E{i}" for i in range(1, r + 1)),
+        basis=("H",) + tuple(f"E{i}" for i in range(1, n)),
         top_form=top,
         chern=[c1, c2],
     )
@@ -141,50 +137,19 @@ def curve_poly(profile: BaseProfile, curve: CurveClass) -> PTClass:
          for i, c in enumerate(curve.coeffs) if c})
 
 
-def _distinct_arrangements(values: tuple[int, ...]):
-    counter = Counter(values)
-    items = sorted(counter)
-    n = len(values)
-    slot = [0] * n
-
-    def rec(pos: int):
-        if pos == n:
-            yield tuple(slot)
-            return
-        for v in items:
-            if counter[v]:
-                counter[v] -= 1
-                slot[pos] = v
-                yield from rec(pos + 1)
-                counter[v] += 1
-
-    yield from rec(0)
-
-
-def _box_solutions(r: int, sum_target: int, sq_target: int):
-    """Non-increasing integer r-tuples with given sum and sum of squares.
-
-    Needs sum_target^2 <= r * sq_target, which every a0 in ``_a0_range``
-    satisfies.
-    """
-    out = []
-
-    def rec(slots: int, s: int, q: int, cap: int, acc: list[int]):
-        if slots == 0:
-            if q == 0:
-                out.append(tuple(acc))
-            return
-        # Cauchy-Schwarz on the other slots - 1 values, (s - v)^2 <=
-        # (slots - 1)(q - v^2), solved for v; v >= s / slots as v is the
-        # largest remaining value
-        root = math.isqrt((slots - 1) * (slots * q - s * s))
-        for v in range(min(cap, (s + root) // slots), -((-s) // slots) - 1, -1):
-            acc.append(v)
-            rec(slots - 1, s - v, q - v * v, v, acc)
-            acc.pop()
-
-    rec(r, sum_target, sq_target, math.isqrt(sq_target), [])
-    return out
+def _box_solutions(slots: int, s: int, q: int):
+    """Integer tuples of length slots >= 1 with sum s and sum of squares q,
+    each once.  Needs s^2 <= slots * q, true for every a0 of ``_a0_range``."""
+    if slots == 1:
+        if q == s * s:
+            yield (s,)
+        return
+    # Cauchy-Schwarz on the other slots - 1 values, (s - v)^2 <=
+    # (slots - 1)(q - v^2), solved for v
+    root = math.isqrt((slots - 1) * (slots * q - s * s))
+    for v in range(-((root - s) // slots), (s + root) // slots + 1):
+        for rest in _box_solutions(slots - 1, s - v, q - v * v):
+            yield (v,) + rest
 
 
 def _a0_range(r: int, selfint: int, anticanonical_degree: int) -> range:
@@ -202,9 +167,8 @@ def _enumerate_classes(lattice: PicardLattice, selfint: int,
     for a0 in _a0_range(r, selfint, anticanonical_degree):
         sum_target = 3 * a0 - anticanonical_degree
         sq_target = a0 * a0 - selfint
-        for shape in _box_solutions(r, sum_target, sq_target):
-            for arrangement in _distinct_arrangements(shape):
-                found.append(CurveClass((a0,) + tuple(-a for a in arrangement)))
+        for values in _box_solutions(r, sum_target, sq_target):
+            found.append(CurveClass((a0,) + tuple(-a for a in values)))
     return sorted(found, key=lambda c: c.coeffs)
 
 
@@ -222,14 +186,18 @@ def conic_classes(lattice: PicardLattice) -> tuple[CurveClass, ...]:
     return tuple(_enumerate_classes(lattice, selfint=0, anticanonical_degree=2))
 
 
+def _require_conic(lattice: PicardLattice, fiber: CurveClass) -> None:
+    if lattice.selfint(fiber) != 0 or lattice.pair(lattice.k, fiber) != -2:
+        raise ValueError(f"{fiber.coeffs} is not a conic class")
+
+
 def degenerate_members(lattice: PicardLattice,
                        fiber: CurveClass) -> tuple[tuple[CurveClass, CurveClass], ...]:
     """Unordered pairs of (-1)-classes summing to a conic class.
 
     There are exactly 8 - degree such pairs for every conic pencil.
     """
-    if lattice.selfint(fiber) != 0 or lattice.pair(lattice.k, fiber) != -2:
-        raise ValueError(f"{fiber.coeffs} is not a conic class")
+    _require_conic(lattice, fiber)
     lines = set(minus_one_curves(lattice))
     pairs = []
     for l1 in sorted(lines, key=lambda c: c.coeffs):
@@ -245,8 +213,7 @@ def conic_vmrt_class(lattice: PicardLattice, fiber: CurveClass) -> PTClass:
     The conic bundle defined by |F| has relative canonical class K + 2F
     over P^1, and its dual VMRT is a divisor of evaluation degree one.
     """
-    if lattice.selfint(fiber) != 0 or lattice.pair(lattice.k, fiber) != -2:
-        raise ValueError(f"{fiber.coeffs} is not a conic class")
+    _require_conic(lattice, fiber)
     profile = surface_lattice_profile(lattice.degree)
     relative_k = curve_poly(profile, lattice.k + 2 * fiber)
     return dual_vmrt_generic(profile, 1, -relative_k)

@@ -151,19 +151,12 @@ def vmrt_table() -> Mapping[int, VmrtRow]:
     return MappingProxyType(rows)
 
 
-def not_big_certificate(cls: PTClass) -> bool:
-    """Whether a dual-VMRT class k zeta + m pi^*H certifies that T_X is not big.
-
-    The certificate applies exactly when m >= 0; classes not of this shape
-    (over a one-symbol basis, k > 0) are rejected.
-    """
-    if cls.profile.nsyms != 1:
-        raise ValueError("expected a class over a single-symbol basis")
-    k = cls.zeta_coefficient(1)
-    extra = [key for key, _ in cls.terms if key not in ((1, (0,)), (0, (1,)))]
-    if extra or k <= 0:
-        raise ValueError("expected a class of the form k*zeta + m*pi^*H with k > 0")
-    return dict(cls.terms).get((0, (1,)), Fraction(0)) >= 0
+def _zeta_h_product(d: int, shifts: tuple[int | Fraction, ...]) -> Fraction:
+    """prod over a in shifts of (zeta + a pi^*H) on the degree-d profile."""
+    profile = default_threefold_profile(d)
+    zeta = PTClass.zeta(profile)
+    h = profile.symbol("H")
+    return eval_product(profile, [zeta + a * h for a in shifts])
 
 
 def certificate_degree1() -> Fraction:
@@ -173,20 +166,13 @@ def certificate_degree1() -> Fraction:
     are an irreducible member of |zeta + H|, the square of the nef class
     zeta + 3H and the nef class zeta + 4H.
     """
-    profile = default_threefold_profile(1)
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    return eval_product(
-        profile, [zeta, zeta + h, zeta + 3 * h, zeta + 3 * h, zeta + 4 * h])
+    return _zeta_h_product(1, (0, 1, 3, 3, 4))
 
 
 def certificate_degree2_modnef() -> Fraction:
     """zeta^2.(zeta+2H)^3 on the (2, 20) profile; negative, so zeta is not
     modified nef."""
-    profile = default_threefold_profile(2)
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    return eval_product(profile, [zeta, zeta] + [zeta + 2 * h] * 3)
+    return _zeta_h_product(2, (0, 0, 2, 2, 2))
 
 
 def certificate_degree2_divisor() -> Fraction:
@@ -197,13 +183,8 @@ def certificate_degree2_divisor() -> Fraction:
     exact arithmetic does not reproduce (the qualitative conclusion, strict
     negativity, is unaffected).
     """
-    profile = default_threefold_profile(2)
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    return eval_product(
-        profile,
-        [zeta, zeta + h, zeta + Fraction(4, 3) * h,
-         zeta + Fraction(3, 2) * h, zeta + Fraction(3, 2) * h])
+    return _zeta_h_product(
+        2, (0, 1, Fraction(4, 3), Fraction(3, 2), Fraction(3, 2)))
 
 
 def certificate_degree2() -> tuple[Fraction, Fraction]:

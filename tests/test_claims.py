@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -52,6 +53,51 @@ def test_coverage_doc_names_public_operations():
         "chow", "hypersurfaces", "surfaces", "threefolds", "schur")}
 
 
+# Public functions that no claim calls: second routes that tests compare
+# the claimed ones against.
+REFERENCE_ROUTES = {
+    "hypersurfaces.segre_closed_form_factored",  # test_hypersurfaces
+    "surfaces.simple_roots",  # test_surfaces Weyl-orbit tests
+    "surfaces.reflect",  # test_surfaces Weyl-orbit tests
+    "threefolds.certificate_degree2",  # criterion 9, test_certificates
+}
+
+
+def test_claims_call_every_public_function(monkeypatch):
+    # wrap every binding of each public function of the library layers, as
+    # perfbench's tracer does, so calls made inside the library count too
+    targets = {}
+    for layer in ("chow", "hypersurfaces", "surfaces", "threefolds", "schur"):
+        module = importlib.import_module(f"tautclass.{layer}")
+        for attr, value in vars(module).items():
+            if (not attr.startswith("_") and callable(value)
+                    and not isinstance(value, type)
+                    and getattr(value, "__module__", None) == module.__name__):
+                targets[id(value)] = (f"{layer}.{attr}", value)
+    called = set()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {key: wrap(name, fn) for key, (name, fn) in targets.items()}
+    # a cold run, so the body of every memoized function (vmrt_table,
+    # euler_char_forms, the profile builders) runs and its callees count
+    for _, fn in targets.values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name == "tautclass" or name.startswith("tautclass."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in targets:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    run_claims()
+    uncalled = {name for name, _ in targets.values()} - called
+    assert uncalled == REFERENCE_ROUTES
+
+
 def test_full_run_has_single_known_failure():
     report = run_claims()
     failures = [r for r in report.results if r.status == "fail"]
@@ -87,6 +133,23 @@ def test_unknown_op_fails_with_diagnostic_and_run_continues():
     assert "no-such" in report.results[1].computed
     assert report.results[2].computed.startswith("error:")
     assert "dim" in report.results[2].computed
+
+
+def test_deeply_nested_class_spec_fails_its_claim(tmp_path, capsys):
+    # a hostile expected spec fails its own claim; the run goes on
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"claims": [{
+        "id": "t.deep", "description": "d", "anchor": "",
+        "op": "threefolds.vmrt_class", "args": {"d": 5},
+        "expected": {"class": {"profile": "dp3-degree5",
+                               "expr": "(" * 300 + "z" + ")" * 300}},
+        "provenance": "derived"}]}))
+    assert main(["verify", "--registry", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    claim = json.loads(out)["claims"][0]
+    assert claim["status"] == "fail"
+    assert claim["computed"].startswith("error: bad expected spec")
 
 
 def test_emit_json_schema_and_determinism():

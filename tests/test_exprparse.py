@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tautclass.chow import DegreeMismatchError, PTClass, eval_top
+from tautclass.chow import (DegreeMismatchError, ProfileMismatchError,
+                            PTClass, eval_top)
+from tautclass.cli import main
 from tautclass.exprparse import ExprSyntaxError, format_class, parse_expr
 from tautclass.profiles import get_profile
 
@@ -31,6 +33,27 @@ def test_unbalanced_parenthesis_offset():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(profile, "z*(z+H")
     assert err.value.position == 7
+
+
+def test_parenthesis_nesting_cap(capsys):
+    # recursion depth grows with nesting; past the cap a syntax error names
+    # the first '(' too deep, where a RecursionError used to escape
+    profile = get_profile("cubic-surface")
+    nested = "(" * 100 + "z" + ")" * 100
+    assert parse_expr(profile, nested) == PTClass.zeta(profile)
+    too_deep = "(" * 101 + "z" + ")" * 101
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(profile, too_deep)
+    assert err.value.position == 101
+    assert main(["eval", "--profile", "cubic-surface", "--expr", too_deep]) == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and "offset 101" in err_text
+
+
+def test_format_class_rejects_other_profile():
+    cls = PTClass.zeta(get_profile("dp3-degree2"))
+    with pytest.raises(ProfileMismatchError):
+        format_class(get_profile("dp3-degree3"), cls)
 
 
 def test_unknown_symbol():

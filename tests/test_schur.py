@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+from tautclass.claims import Claim, run_claims
+from tautclass.cli import main
 from tautclass.schur import (bott_vanishing, bridge_identity_check,
                              chi_line_bundle, euler_char_forms,
                              form_cohomology_dims, normalize_partition,
@@ -38,6 +40,20 @@ def test_schur_dim_special_shapes():
             assert schur_dim((1,) * p, n) == math.comb(n, p)
     assert schur_dim((2, 2), 3) == 6
     assert schur_dim((2, 2, 1), 2) == 0  # too many rows
+
+
+def test_schur_dim_cap(capsys):
+    # the Weyl product is quadratic in n with growing integers: a large
+    # --dim is a usage error, not a long wait
+    assert main(["schur", "dim", "--partition", "1", "--dim", "200"]) == 0
+    assert capsys.readouterr().out == "200\n"
+    assert main(["schur", "dim", "--partition", "1", "--dim", "201"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n <= 200" in err
+    claim = Claim("t.big", "d", "", "schur.dim", {"partition": [1], "n": 201},
+                  {"int": 201}, "trivial")
+    result = run_claims(registry=(claim,)).results[0]
+    assert result.status == "fail" and "n <= 200" in result.computed
 
 
 def test_schur_dim_matches_ssyt_oracle():

@@ -14,9 +14,9 @@ from tautclass.hypersurfaces import HypersurfaceSpec, hypersurface_profile
 from tautclass.threefolds import (certificate_degree1, certificate_degree2,
                                   certificate_degree2_modnef,
                                   default_threefold_profile, k3_quartic_data,
-                                  k3_quartic_profile, not_big_certificate,
-                                  profile_triple, threefold_profile,
-                                  vmrt_class_threefold, vmrt_table)
+                                  k3_quartic_profile, profile_triple,
+                                  threefold_profile, vmrt_class_threefold,
+                                  vmrt_table)
 
 
 def test_profile_triples():
@@ -96,16 +96,6 @@ def test_vmrt_table_built_once(monkeypatch):
 
 
 def test_not_big_certificate():
-    profile = default_threefold_profile(4)
-    assert not_big_certificate(parse_expr(profile, "4z"))
-    profile2 = default_threefold_profile(2)
-    assert not_big_certificate(parse_expr(profile2, "12z + 16H"))
-    profile5 = default_threefold_profile(5)
-    assert not not_big_certificate(parse_expr(profile5, "3z - H"))
-    with pytest.raises(ValueError):
-        not_big_certificate(parse_expr(profile5, "3z^2"))
-    with pytest.raises(ValueError):
-        not_big_certificate(parse_expr(profile5, "-z + H"))
     rows = vmrt_table()
     assert [rows[d].not_big_certificate_applies() for d in range(1, 6)] == [
         True, True, True, True, False]
