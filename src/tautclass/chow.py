@@ -360,11 +360,6 @@ class PTClass:
                 f"class mixes total degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def zeta_coefficient(self, zeta_power: int) -> Fraction:
-        """Coefficient of zeta^k with trivial base monomial."""
-        key = (zeta_power, (0,) * self.profile.nsyms)
-        return dict(self.terms).get(key, Fraction(0))
-
 
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
     if cls.profile != profile:
@@ -447,7 +442,7 @@ def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:
     if degree not in (None, 1):
         raise DegreeMismatchError(
             f"fibre-line pairing needs a degree-1 class, got degree {degree}")
-    return cls.zeta_coefficient(1)
+    return dict(cls.terms).get((1, (0,) * profile.nsyms), Fraction(0))
 
 
 def restrict_to_section(splitting: Iterable[int], quotient_index: int,

@@ -101,8 +101,7 @@ def _op_degenerate_count(degree: int) -> int:
 
 def _op_lattice_check(degree: int) -> bool:
     lattice = surfaces.surface_lattice(degree)
-    return (lattice.pair(lattice.k, lattice.k) == lattice.degree
-            and lattice.rank == 10 - lattice.degree)
+    return lattice.pair(lattice.k, lattice.k) == lattice.degree
 
 
 def _hyp_profile(n: int, d: int):
@@ -136,7 +135,7 @@ OPS: dict[str, Callable[..., Any]] = {
     "chow.segre_top": _op_segre_top,
     "chow.dual_vmrt": _op_dual_vmrt,
     "chow.restrict_section": lambda splitting, quotient_index, eps:
-        restrict_to_section(splitting, quotient_index, as_fraction(eps)),
+        restrict_to_section(splitting, quotient_index, eps),
     "surfaces.lattice_check": _op_lattice_check,
     "surfaces.minus_one_count": lambda degree:
         len(surfaces.minus_one_curves(surfaces.surface_lattice(degree))),
@@ -204,6 +203,9 @@ OPS: dict[str, Callable[..., Any]] = {
 # ---------------------------------------------------------------------------
 
 EXPECTED_KINDS = ("rational", "int", "bool", "class", "interval")
+# Required keys of a registry entry and their JSON types.
+ENTRY_KEYS = {"id": str, "description": str, "op": str, "expected": dict,
+              "provenance": str}
 
 
 def _is_int(value: Any) -> bool:
@@ -222,9 +224,17 @@ def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
     else:
         text = Path(path).read_text()
     raw = json.loads(text)
+    entries = raw.get("claims") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('registry must be an object with a "claims" list')
     claims = []
     seen: set[str] = set()
-    for entry in raw["claims"]:
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"claim #{index}: entry must be an object")
+        for key, kind in ENTRY_KEYS.items():
+            if not isinstance(entry.get(key), kind):
+                raise ValueError(f"claim #{index}: missing or bad {key!r}")
         claim = Claim(
             id=entry["id"],
             description=entry["description"],

@@ -25,8 +25,8 @@ from . import claims as claims_mod
 from . import schur as schur_mod
 from . import surfaces as surfaces_mod
 from . import threefolds as threefolds_mod
-from .chow import DegreeMismatchError, eval_top, fraction_str
-from .exprparse import ExprSyntaxError, format_class, parse_expr
+from .chow import eval_top, fraction_str
+from .exprparse import format_class, parse_expr
 from .profiles import get_profile
 
 USAGE_ERROR = 2
@@ -45,17 +45,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        cls = parse_expr(profile, args.expr)
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cls = parse_expr(profile, args.expr)
     print(f"class: {format_class(profile, cls)}")
-    try:
-        degree = cls.homogeneous_degree()
-    except DegreeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    degree = cls.homogeneous_degree()
     top = 2 * profile.dim - 1
     if degree == top or degree is None:
         print(f"value: {fraction_str(eval_top(profile, cls))}")
@@ -81,12 +73,8 @@ def _cmd_vmrt_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_schur_dim(args: argparse.Namespace) -> int:
-    try:
-        partition = [int(p) for p in args.partition.split(",") if p != ""]
-        print(schur_mod.schur_dim(partition, args.dim))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    partition = [int(p) for p in args.partition.split(",") if p != ""]
+    print(schur_mod.schur_dim(partition, args.dim))
     return 0
 
 

@@ -19,6 +19,11 @@ from functools import lru_cache
 
 from .chow import BaseProfile, PTClass, eval_product
 
+# Evaluation cost grows at least quadratically in n (the Segre inversion
+# alone takes O(n^2) products), so a larger n is a usage error rather than a
+# long wait.  d has at most 9 digits, so Chern numbers stay printable.
+MAX_HYPERSURFACE_DIM = 200
+
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient with C(a, b) = 0 for b < 0.
@@ -41,6 +46,10 @@ class HypersurfaceSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
+        if self.n > MAX_HYPERSURFACE_DIM:
+            raise ValueError(f"need n <= {MAX_HYPERSURFACE_DIM}, got {self.n}")
+        if self.d >= 10**9:
+            raise ValueError("d has at most 9 digits")
 
 
 @lru_cache(maxsize=128)
@@ -83,11 +92,24 @@ def segre_closed_form_factored(spec: HypersurfaceSpec, l: int) -> Fraction:
     return Fraction((-1) ** l) * binom(n + l, l - 1) * factor
 
 
+def _central(n: int) -> Fraction:
+    """2^n C(2n, n) / ((2n-1)(n+1)), the factor shared by the closed forms."""
+    return Fraction(2**n * math.comb(2 * n, n), (2 * n - 1) * (n + 1))
+
+
+def _agree(value: Fraction, closed: Fraction, what: str) -> Fraction:
+    """Return value, raising if it differs from its closed form."""
+    if value != closed:
+        raise ArithmeticError(
+            f"{what} {value} disagrees with closed form {closed}")
+    return value
+
+
 def cubic_mnef_closed_form(n: int) -> Fraction:
     """-9 . 2^n / (8(2n-1)(n+1)) . C(2n, n), for n >= 3."""
     if n < 3:
         raise ValueError("the identity is asserted only for n >= 3")
-    return Fraction(-9 * 2**n, 8 * (2 * n - 1) * (n + 1)) * math.comb(2 * n, n)
+    return Fraction(-9, 8) * _central(n)
 
 
 def cubic_mnef_number(n: int) -> Fraction:
@@ -103,11 +125,7 @@ def cubic_mnef_number(n: int) -> Fraction:
     zeta = PTClass.zeta(profile)
     h = profile.symbol("H")
     value = eval_product(profile, [zeta, zeta] + [zeta + h] * (2 * n - 3))
-    closed = cubic_mnef_closed_form(n)
-    if value != closed:
-        raise ArithmeticError(
-            f"engine value {value} disagrees with closed form {closed}")
-    return value
+    return _agree(value, cubic_mnef_closed_form(n), "engine value")
 
 
 def sum_positive_part(n: int) -> Fraction:
@@ -119,12 +137,8 @@ def sum_positive_part(n: int) -> Fraction:
         raise ValueError("need n >= 3")
     value = Fraction(sum(binom(2 * n - 3, i) * binom(2 * n - i + 1, n - i)
                          for i in range(n + 1)))
-    closed = (Fraction(3 * (27 * n * n + 9 * n - 14) * 2**n,
-                       64 * (2 * n - 1) * (n + 1)) * math.comb(2 * n, n))
-    if value != closed:
-        raise ArithmeticError(
-            f"direct sum {value} disagrees with closed form {closed}")
-    return value
+    closed = Fraction(3 * (27 * n * n + 9 * n - 14), 64) * _central(n)
+    return _agree(value, closed, "direct sum")
 
 
 def sum_negative_part(n: int) -> Fraction:
@@ -136,12 +150,8 @@ def sum_negative_part(n: int) -> Fraction:
         raise ValueError("need n >= 3")
     value = Fraction(sum(binom(2 * n - 3, i) * binom(2 * n - i, n - i - 1)
                          for i in range(n)))
-    closed = (Fraction(3 * (3 * n + 2) * (3 * n - 1) * 2**n,
-                       64 * (2 * n - 1) * (n + 1)) * math.comb(2 * n, n))
-    if value != closed:
-        raise ArithmeticError(
-            f"direct sum {value} disagrees with closed form {closed}")
-    return value
+    closed = Fraction(3 * (3 * n + 2) * (3 * n - 1), 64) * _central(n)
+    return _agree(value, closed, "direct sum")
 
 
 def comb_A_brute(k: int, n: int) -> Fraction:
@@ -178,9 +188,8 @@ def comb_identity_A(k: int, n: int) -> tuple[Fraction, Fraction | None]:
     """
     brute = comb_A_brute(k, n)
     closed = comb_A_closed(k, n)
-    if closed is not None and brute != closed:
-        raise ArithmeticError(
-            f"A({k},{n}): direct sum {brute} disagrees with closed form {closed}")
+    if closed is not None:
+        _agree(brute, closed, f"A({k},{n}): direct sum")
     return brute, closed
 
 

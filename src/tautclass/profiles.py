@@ -5,11 +5,8 @@ One table maps each fixed label (the cubic and K3 surfaces,
 :data:`FIXED_LABELS` is read from it; the pattern ``hypersurface-n<n>-d<d>``
 constructs hypersurface profiles on demand.  A label must match exactly,
 and the builders are memoized, so a label resolves to one profile object.
-Hypersurface labels write n and d without leading zeros and are capped at
-n <= MAX_HYPERSURFACE_DIM: evaluation cost grows at least quadratically in
-n (the Segre inversion alone takes O(n^2) products), so a larger label is
-a usage error rather than a long wait.  d has at most 9 digits, so Chern
-numbers stay printable.
+Hypersurface labels write n and d without leading zeros, and a label
+above the caps of :class:`HypersurfaceSpec` is unknown.
 """
 
 from __future__ import annotations
@@ -17,11 +14,10 @@ from __future__ import annotations
 import re
 
 from .chow import BaseProfile
-from .hypersurfaces import HypersurfaceSpec, hypersurface_profile
+from .hypersurfaces import (MAX_HYPERSURFACE_DIM, HypersurfaceSpec,
+                            hypersurface_profile)
 from .surfaces import cubic_surface_profile, surface_lattice_profile
 from .threefolds import default_threefold_profile, k3_quartic_profile
-
-MAX_HYPERSURFACE_DIM = 200
 
 # At most 9 digits of n and d are read, so int() never sees a huge digit
 # string; a longer n is above the cap anyway.
@@ -47,9 +43,13 @@ def get_profile(label: str) -> BaseProfile:
     if build is not None:
         return build()
     match = _HYPERSURFACE_RE.fullmatch(label)
-    if match and int(match.group(1)) <= MAX_HYPERSURFACE_DIM:
-        return hypersurface_profile(HypersurfaceSpec(int(match.group(1)),
-                                                     int(match.group(2))))
+    if match:
+        try:
+            spec = HypersurfaceSpec(int(match.group(1)), int(match.group(2)))
+        except ValueError:
+            pass  # above the caps, which the KeyError below states
+        else:
+            return hypersurface_profile(spec)
     raise KeyError(
         f"unknown profile {label!r}; fixed labels: {', '.join(FIXED_LABELS)}, "
         f"plus hypersurface-n<n>-d<d> with n <= {MAX_HYPERSURFACE_DIM} and d "

@@ -33,10 +33,6 @@ def normalize_partition(parts) -> Partition:
     return mu
 
 
-def weight(parts) -> int:
-    return sum(normalize_partition(parts))
-
-
 def rectangle(k: int, rows: int) -> Partition:
     """The partition (k, ..., k) with the given number of rows."""
     return (k,) * rows
@@ -174,7 +170,7 @@ def schur_c1_multiplier(mu, n: int) -> Fraction:
     """c_1(S_mu E) = (|mu| dim(S_mu E) / n) c_1(E) for E of rank n;
     returns the scalar multiplier of c_1(E)."""
     mu = normalize_partition(mu)
-    return Fraction(weight(mu) * schur_dim(mu, n), n)
+    return Fraction(sum(mu) * schur_dim(mu, n), n)
 
 
 def bridge_identity_check(n: int, d: int, k: int) -> bool:

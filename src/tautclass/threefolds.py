@@ -22,6 +22,7 @@ from typing import Mapping
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
+from .exprparse import format_class
 from .surfaces import minus_one_curves, surface_lattice
 
 # b_3 for d = 1, 2 and the evaluation degrees k are reported values; b_3 =
@@ -61,12 +62,14 @@ def default_threefold_profile(d: int) -> BaseProfile:
 
 
 def profile_triple(profile: BaseProfile) -> tuple[Fraction, Fraction, Fraction]:
-    """(zeta^5, zeta^4.pi^*H, zeta^3.pi^*H^2) on a rank-one threefold profile."""
+    """(zeta^(2n-1), zeta^(2n-2).pi^*H, zeta^(2n-3).pi^*H^2) on a profile
+    with basis {H}; (zeta^5, zeta^4.pi^*H, zeta^3.pi^*H^2) on a threefold."""
     zeta = PTClass.zeta(profile)
     h = profile.symbol("H")
-    return (eval_top(profile, zeta ** 5),
-            eval_top(profile, zeta ** 4 * h),
-            eval_top(profile, zeta ** 3 * h * h))
+    top = 2 * profile.dim - 1
+    return (eval_top(profile, zeta ** top),
+            eval_top(profile, zeta ** (top - 1) * h),
+            eval_top(profile, zeta ** (top - 2) * h * h))
 
 
 def vmrt_class_threefold(d: int, k: int, r: int) -> PTClass:
@@ -108,7 +111,6 @@ class VmrtRow:
         return self.h_coefficient_min >= 0
 
     def to_json(self) -> dict:
-        from .exprparse import format_class
         doc: dict = {"degree": self.degree, "k": self.k, "note": self.note}
         if self.r is not None:
             doc["r"] = self.r
@@ -224,13 +226,6 @@ def k3_quartic_data() -> K3QuarticData:
     zeta^2.pi^*H = 0, zeta.pi^*H^2 = H^2 = 4.
     """
     profile = k3_quartic_profile()
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    bitangent = 6 * zeta + 8 * h
-    return K3QuarticData(
-        bitangent_class=bitangent,
-        normalized_class=Fraction(1, 6) * bitangent,
-        zeta3=eval_top(profile, zeta ** 3),
-        zeta2_h=eval_top(profile, zeta ** 2 * h),
-        zeta_h2=eval_top(profile, zeta * h * h),
-    )
+    bitangent = 6 * PTClass.zeta(profile) + 8 * profile.symbol("H")
+    return K3QuarticData(bitangent, Fraction(1, 6) * bitangent,
+                         *profile_triple(profile))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
 import json
 import re
@@ -34,40 +35,20 @@ def test_every_dispatch_op_is_claimed():
     assert used == set(OPS)
 
 
-def test_coverage_doc_names_public_operations():
-    # each operation in a module's table of docs/claims-coverage.md is a
-    # public attribute of that module, so a deleted name cannot linger there
-    doc = Path(__file__).parents[1] / "docs" / "claims-coverage.md"
-    module, seen = None, set()
-    for line in doc.read_text(encoding="utf-8").splitlines():
-        if line.startswith("## "):
-            heading = line[3:].strip()
-            module = (importlib.import_module(f"tautclass.{heading}")
-                      if heading.isidentifier() else None)
-        elif module is not None and line.startswith("| `"):
-            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
-                assert not name.startswith("_"), name
-                assert hasattr(module, name), f"{module.__name__}.{name}"
-                seen.add(module.__name__)
-    assert seen == {f"tautclass.{m}" for m in (
-        "chow", "hypersurfaces", "surfaces", "threefolds", "schur")}
+LAYERS = ("chow", "hypersurfaces", "surfaces", "threefolds", "schur")
 
 
-# Public functions that no claim calls: second routes that tests compare
-# the claimed ones against.
-REFERENCE_ROUTES = {
-    "hypersurfaces.segre_closed_form_factored",  # test_hypersurfaces
-    "surfaces.simple_roots",  # test_surfaces Weyl-orbit tests
-    "surfaces.reflect",  # test_surfaces Weyl-orbit tests
-    "threefolds.certificate_degree2",  # criterion 9, test_certificates
-}
+def claim_calls(monkeypatch):
+    """(public function names, claim id -> names of the ones it calls).
 
-
-def test_claims_call_every_public_function(monkeypatch):
-    # wrap every binding of each public function of the library layers, as
-    # perfbench's tracer does, so calls made inside the library count too
+    Wraps every binding of each public function of the library layers, as
+    perfbench's tracer does, so calls made inside the library count too,
+    and runs each claim cold: the body of every memoized function
+    (vmrt_table, euler_char_forms, the profile builders) runs and its
+    callees count.
+    """
     targets = {}
-    for layer in ("chow", "hypersurfaces", "surfaces", "threefolds", "schur"):
+    for layer in LAYERS:
         module = importlib.import_module(f"tautclass.{layer}")
         for attr, value in vars(module).items():
             if (not attr.startswith("_") and callable(value)
@@ -83,19 +64,65 @@ def test_claims_call_every_public_function(monkeypatch):
         return wrapper
 
     wrappers = {key: wrap(name, fn) for key, (name, fn) in targets.items()}
-    # a cold run, so the body of every memoized function (vmrt_table,
-    # euler_char_forms, the profile builders) runs and its callees count
-    for _, fn in targets.values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
     for name, module in list(sys.modules.items()):
         if name == "tautclass" or name.startswith("tautclass."):
             for attr, value in list(vars(module).items()):
                 if id(value) in targets:
                     monkeypatch.setattr(module, attr, wrappers[id(value)])
-    run_claims()
-    uncalled = {name for name, _ in targets.values()} - called
-    assert uncalled == REFERENCE_ROUTES
+    calls = {}
+    for claim in load_registry():
+        for _, fn in targets.values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        called.clear()
+        run_claims(registry=(claim,))
+        calls[claim.id] = set(called)
+    return {name for name, _ in targets.values()}, calls
+
+
+def test_coverage_doc_names_public_operations(monkeypatch):
+    # each operation in a module's table of docs/claims-coverage.md is a
+    # public attribute of that module, so a deleted name cannot linger
+    # there, and each claim id or glob in its row matches a claim that
+    # calls it
+    _, calls = claim_calls(monkeypatch)
+    doc = Path(__file__).parents[1] / "docs" / "claims-coverage.md"
+    module, seen = None, set()
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = line[3:].strip()
+            module = (importlib.import_module(f"tautclass.{heading}")
+                      if heading.isidentifier() else None)
+        elif module is not None and line.startswith("| `"):
+            operations, claims = line.split("|")[1:3]
+            for name in re.findall(r"`([^`]+)`", operations):
+                assert not name.startswith("_"), name
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+                seen.add(module.__name__)
+                if claims.strip().startswith("none"):
+                    continue
+                function = f"{module.__name__.split('.')[1]}.{name}"
+                for pattern in re.findall(r"`([^`]+)`", claims):
+                    assert any(fnmatch.fnmatchcase(claim_id, pattern)
+                               and function in called
+                               for claim_id, called in calls.items()), (
+                        function, pattern)
+    assert seen == {f"tautclass.{m}" for m in LAYERS}
+
+
+# Public functions that no claim calls: second routes that tests compare
+# the claimed ones against.
+REFERENCE_ROUTES = {
+    "hypersurfaces.segre_closed_form_factored",  # test_hypersurfaces
+    "surfaces.simple_roots",  # test_surfaces Weyl-orbit tests
+    "surfaces.reflect",  # test_surfaces Weyl-orbit tests
+    "threefolds.certificate_degree2",  # criterion 9, test_certificates
+}
+
+
+def test_claims_call_every_public_function(monkeypatch):
+    names, calls = claim_calls(monkeypatch)
+    assert names - set().union(*calls.values()) == REFERENCE_ROUTES
 
 
 def test_full_run_has_single_known_failure():
@@ -211,6 +238,21 @@ def test_cli_verify_rejects_non_integer_arg(tmp_path, capsys):
     assert "t.float" in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_malformed_registry(tmp_path, capsys):
+    # a registry of the wrong shape is a usage error, not a traceback
+    no_id = {"claims": [{"description": "d", "op": "schur.dim",
+                         "args": {"partition": [1], "n": 3},
+                         "expected": {"int": 3}, "provenance": "trivial"}]}
+    path = tmp_path / "registry.json"
+    for doc, message in ((no_id, "claim #0: missing or bad 'id'"),
+                         ([1, 2], 'an object with a "claims" list'),
+                         ({"claims": [1]}, "claim #0: entry must be an object")):
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--registry", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and message in err
+
+
 def test_cli_verify_missing_registry(capsys):
     assert main(["verify", "--registry", "/no/such/registry.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -228,12 +270,13 @@ def test_cli_eval(capsys):
 
 def test_cli_eval_errors(capsys):
     assert main(["eval", "--profile", "no-such", "--expr", "z"]) == 2
+    capsys.readouterr()
     assert main(["eval", "--profile", "cubic-surface", "--expr", "z*(z+H"]) == 2
-    err = capsys.readouterr().err
-    assert "offset 7" in err
+    assert capsys.readouterr() == ("", "error: expected ')' (offset 7)\n")
     assert main(["eval", "--profile", "cubic-surface",
                  "--expr", "z^3 + z"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        "class: z^3 + z\n", "error: class mixes total degrees [1, 3]\n")
     assert main(["eval", "--profile", "cubic-surface",
                  "--expr", "1/0*z^3"]) == 2
     assert "offset 1" in capsys.readouterr().err
@@ -256,6 +299,23 @@ def test_cli_eval_rejects_oversized_hypersurface_degree(capsys):
     assert "9 digits" in err
     assert get_profile("hypersurface-n3-d999999999").label == (
         "hypersurface-n3-d999999999")
+
+
+def test_hypersurface_caps_hold_on_the_claim_route():
+    # registry args build HypersurfaceSpec directly, without a label
+    registry = tuple(
+        Claim(f"t.{i}", "d", "", op, args, {"int": expected}, "trivial")
+        for i, (op, args, expected) in enumerate((
+            ("hyp.c1_coeff", {"n": 201, "d": 3}, 200),
+            ("hyp.segre_closed", {"n": 201, "d": 3, "l": 1}, 0),
+            ("hyp.c1_coeff", {"n": 3, "d": 10**9}, 5 - 10**9),
+            ("hyp.c1_coeff", {"n": 200, "d": 3}, 199))))
+    results = run_claims(registry=registry).results
+    assert [r.status for r in results] == ["fail", "fail", "fail", "pass"]
+    assert results[0].computed == results[1].computed == (
+        f"error: need n <= {MAX_HYPERSURFACE_DIM}, got 201")
+    assert results[2].computed == "error: d has at most 9 digits"
+    assert hypersurfaces.HypersurfaceSpec(200, 3).n == 200
 
 
 def test_hypersurface_labels_have_one_spelling(capsys):
@@ -332,3 +392,7 @@ def test_cli_schur_dim(capsys):
     assert main(["schur", "dim", "--partition", "2,2", "--dim", "3"]) == 0
     assert capsys.readouterr().out.strip() == "6"
     assert main(["schur", "dim", "--partition", "1,2", "--dim", "3"]) == 2
+    capsys.readouterr()
+    assert main(["schur", "dim", "--partition", "a", "--dim", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: invalid literal for int() with base 10: 'a'\n")
