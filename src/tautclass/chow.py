@@ -155,19 +155,23 @@ class BaseProfile:
     def _segre(self) -> tuple[PTClass, ...]:
         """s_0..s_n of Omega_X, see :func:`segre_omega`."""
         n = self.dim
+        width = n.bit_length()
         omega = [_numerators(self.chern_omega(i)) for i in range(1, n + 1)]
         den = math.lcm(*(d for d, _ in omega))
-        scaled = [{k: -c * (den // d) * den ** (i - 1) for k, c in nums.items()}
+        scaled = [_pack({k: -c * (den // d) * den ** (i - 1)
+                         for k, c in nums.items()}, width)
                   for i, (d, nums) in enumerate(omega, start=1)]
-        entries = [{(0, (0,) * self.nsyms): 1}]
+        entries: list[dict[int, int]] = [{0: 1}]
         for j in range(1, n + 1):
-            acc: dict[PTKey, int] = {}
+            acc: dict[int, int] = {}
             for i in range(1, j + 1):
-                for k, c in _mul_numerators(scaled[i - 1], entries[j - i]).items():
+                for k, c in _mul_packed(scaled[i - 1], entries[j - i],
+                                        width, n).items():
                     acc[k] = acc.get(k, 0) + c
             entries.append({k: c for k, c in acc.items() if c})
-        return tuple(_from_numerators(self, den ** j, nums)
-                     for j, nums in enumerate(entries))
+        return tuple(
+            _from_numerators(self, den ** j, _unpack(nums, width, self.nsyms))
+            for j, nums in enumerate(entries))
 
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
@@ -229,7 +233,10 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     truncated product s(Omega) . c(Omega) equals 1.  With every c_i(Omega)
     written over one denominator D, s_j is an integer term map over D^j,
     and c_i(Omega) s_{j-i} is scaled by D^(i-1) onto that denominator.  The
-    inversion runs once per profile object, which keeps the result.
+    recurrence runs on packed keys of field width n.bit_length(): every
+    term of s_j and c_i(Omega) has zeta-power 0 and base degree at most n,
+    so no field reaches 2^width and no pair is truncated.  The inversion
+    runs once per profile object, which keeps the result.
     """
     return profile._segre
 
@@ -240,22 +247,62 @@ def _numerators(cls: "PTClass") -> tuple[int, dict[PTKey, int]]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in cls.terms}
 
 
-def _mul_numerators(a: Mapping[PTKey, int], b: Mapping[PTKey, int],
-                    max_base_degree: int | None = None) -> dict[PTKey, int]:
-    """Exact product of two integer term maps, without zero terms.
-
-    With ``max_base_degree`` set, terms whose base monomial has a larger
-    degree are dropped.
-    """
-    b_terms = [(zp, exps, sum(exps), c) for (zp, exps), c in b.items()]
+# A single product keeps tuple keys: packing and unpacking around one
+# multiply costs more than the packed kernel saves on it.
+def _mul_numerators(a: Mapping[PTKey, int],
+                    b: Mapping[PTKey, int]) -> dict[PTKey, int]:
+    """Exact product of two integer term maps, without zero terms."""
     acc: dict[PTKey, int] = {}
     for (z1, e1), c1 in a.items():
-        d1 = sum(e1)
-        for z2, e2, d2, c2 in b_terms:
-            if max_base_degree is not None and d1 + d2 > max_base_degree:
-                continue
+        for (z2, e2), c2 in b.items():
             key = (z1 + z2, _add_exponents(e1, e2))
             acc[key] = acc.get(key, 0) + c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+def _pack(nums: Mapping[PTKey, int], width: int) -> dict[int, int]:
+    """An integer term map with each key packed into one int.
+
+    From high to low bits a packed key holds the zeta-power, the base
+    exponents e_1..e_k and their sum |e|, each in a ``width``-bit field.
+    While every field below the zeta-power stays under 2^width, adding two
+    keys multiplies their monomials.
+    """
+    packed: dict[int, int] = {}
+    for (zp, exps), c in nums.items():
+        key = zp
+        for e in exps:
+            key = key << width | e
+        packed[key << width | sum(exps)] = c
+    return packed
+
+
+def _unpack(packed: Mapping[int, int], width: int,
+            nsyms: int) -> dict[PTKey, int]:
+    """Inverse of :func:`_pack` for keys over ``nsyms`` basis symbols."""
+    mask = (1 << width) - 1
+    return {(key >> width * (nsyms + 1),
+             tuple(key >> width * i & mask for i in range(nsyms, 0, -1))): c
+            for key, c in packed.items()}
+
+
+def _mul_packed(a: Mapping[int, int], b: Mapping[int, int], width: int,
+                max_base_degree: int) -> dict[int, int]:
+    """Exact product of two packed term maps, without zero terms.
+
+    Pairs whose base degrees add up to more than ``max_base_degree`` are
+    skipped.  The caller keeps every field of every product below
+    2^width.
+    """
+    mask = (1 << width) - 1
+    b_terms = [(k, k & mask, c) for k, c in b.items()]
+    acc: dict[int, int] = {}
+    for k1, c1 in a.items():
+        room = max_base_degree - (k1 & mask)
+        for k2, d2, c2 in b_terms:
+            if d2 <= room:
+                key = k1 + k2
+                acc[key] = acc.get(key, 0) + c1 * c2
     return {k: c for k, c in acc.items() if c}
 
 
@@ -415,6 +462,13 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     n-1.  Each factor's profile and degree are checked first, so a zero
     factor gives 0, and a product that is not homogeneous of top degree
     raises :class:`DegreeMismatchError` as on the formal product.
+
+    The running product uses packed keys of field width
+    (2n-1).bit_length().  The factors are homogeneous with non-negative
+    exponents and their degrees add up to 2n-1, so every base exponent and
+    base degree of every factor and partial product is at most
+    2n-1 < 2^width; the zeta-power is the top field and cannot carry into
+    another.
     """
     factors = list(factors)
     for factor in factors:
@@ -423,12 +477,15 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
         return Fraction(0)
     _require_top_degree(
         profile, sum(factor.homogeneous_degree() for factor in factors))
-    den, nums = 1, {(0, (0,) * profile.nsyms): 1}
+    n = profile.dim
+    width = (2 * n - 1).bit_length()
+    den, nums = 1, {0: 1}
     for factor in factors:
         factor_den, factor_nums = _numerators(factor)
         den *= factor_den
-        nums = _mul_numerators(nums, factor_nums, profile.dim)
-    return eval_top(profile, _from_numerators(profile, den, nums))
+        nums = _mul_packed(nums, _pack(factor_nums, width), width, n)
+    return eval_top(profile, _from_numerators(
+        profile, den, _unpack(nums, width, profile.nsyms)))
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

@@ -135,6 +135,7 @@ def sum_positive_part(n: int) -> Fraction:
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    HypersurfaceSpec(n, 3)  # caps n at MAX_HYPERSURFACE_DIM
     value = Fraction(sum(binom(2 * n - 3, i) * binom(2 * n - i + 1, n - i)
                          for i in range(n + 1)))
     closed = Fraction(3 * (27 * n * n + 9 * n - 14), 64) * _central(n)
@@ -148,6 +149,7 @@ def sum_negative_part(n: int) -> Fraction:
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    HypersurfaceSpec(n, 3)  # caps n at MAX_HYPERSURFACE_DIM
     value = Fraction(sum(binom(2 * n - 3, i) * binom(2 * n - i, n - i - 1)
                          for i in range(n)))
     closed = Fraction(3 * (3 * n + 2) * (3 * n - 1), 64) * _central(n)

@@ -244,7 +244,7 @@ def test_eval_product_matches_formal_product(data):
     # value on it would be 0.
     profile = get_profile(data.draw(st.sampled_from(
         ["cubic-surface", "dp-surface-1", "dp3-degree1",
-         "hypersurface-n4-d3"])))
+         "hypersurface-n4-d3", "hypersurface-n8-d3"])))
     factors = data.draw(top_degree_factors(profile))
     formal = PTClass.one(profile)
     for factor in factors:
@@ -300,6 +300,15 @@ def test_cubic_surface_ledger():
     assert eval_top(profile, zeta ** 2 * h) == 3
     assert eval_top(profile, zeta ** 2 * f) == 2
     assert eval_top(profile, zeta * h * f) == 2
+    # Second route: dp-surface-3 with H = -K and F = H - E1.
+    lattice = get_profile("dp-surface-3")
+    routes = ((profile, (zeta, h, f)),
+              (lattice, (PTClass.zeta(lattice), -lattice.canonical,
+                         lattice.symbol("H") - lattice.symbol("E1"))))
+    for a, b, c in compositions(3, 3):
+        values = {eval_top(p, z ** a * x ** b * y ** c)
+                  for p, (z, x, y) in routes}
+        assert len(values) == 1
 
 
 def test_threefold_degree1_ledger():

@@ -309,11 +309,15 @@ def test_hypersurface_caps_hold_on_the_claim_route():
             ("hyp.c1_coeff", {"n": 201, "d": 3}, 200),
             ("hyp.segre_closed", {"n": 201, "d": 3, "l": 1}, 0),
             ("hyp.c1_coeff", {"n": 3, "d": 10**9}, 5 - 10**9),
-            ("hyp.c1_coeff", {"n": 200, "d": 3}, 199))))
+            ("hyp.c1_coeff", {"n": 200, "d": 3}, 199),
+            ("hyp.sum_positive", {"n": 201}, 0),
+            ("hyp.sum_negative", {"n": 201}, 0))))
     results = run_claims(registry=registry).results
-    assert [r.status for r in results] == ["fail", "fail", "fail", "pass"]
-    assert results[0].computed == results[1].computed == (
-        f"error: need n <= {MAX_HYPERSURFACE_DIM}, got 201")
+    assert [r.status for r in results] == ["fail", "fail", "fail", "pass",
+                                           "fail", "fail"]
+    for i in (0, 1, 4, 5):
+        assert results[i].computed == (
+            f"error: need n <= {MAX_HYPERSURFACE_DIM}, got 201")
     assert results[2].computed == "error: d has at most 9 digits"
     assert hypersurfaces.HypersurfaceSpec(200, 3).n == 200
 

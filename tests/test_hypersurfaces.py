@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from tautclass.chow import PTClass, segre_omega
-from tautclass.hypersurfaces import (HypersurfaceSpec, binom, comb_A_brute,
-                                     comb_identity_A, cubic_mnef_closed_form,
+from tautclass.hypersurfaces import (MAX_HYPERSURFACE_DIM, HypersurfaceSpec,
+                                     binom, comb_A_brute, comb_identity_A,
+                                     cubic_mnef_closed_form,
                                      cubic_mnef_number, hypersurface_profile,
                                      recursion_check_A, segre_closed_form,
                                      segre_closed_form_factored,
@@ -62,18 +63,19 @@ def test_segre_closed_form_examples():
 
 
 def test_segre_closed_form_matches_series_inversion():
-    for n in range(2, 9):
-        for d in range(1, 7):
-            spec = HypersurfaceSpec(n, d)
-            profile = hypersurface_profile(spec)
-            segre = segre_omega(profile)
-            for l in range(1, n + 1):
-                # s_l(T) = (-1)^l s_l(Omega)
-                omega_coeff = Fraction((-1) ** l) * segre_closed_form(spec, l)
-                assert segre[l] == PTClass.make(
-                    profile, {(0, (l,)): omega_coeff})
-                assert (segre_closed_form_factored(spec, l)
-                        == segre_closed_form(spec, l))
+    # n = 127, 128 and the cap 200: packed key fields of 7 and 8 bits.
+    cases = [(n, d) for n in range(2, 9) for d in range(1, 7)]
+    for n, d in cases + [(127, 3), (128, 3), (MAX_HYPERSURFACE_DIM, 3)]:
+        spec = HypersurfaceSpec(n, d)
+        profile = hypersurface_profile(spec)
+        segre = segre_omega(profile)
+        for l in range(1, n + 1):
+            # s_l(T) = (-1)^l s_l(Omega)
+            omega_coeff = Fraction((-1) ** l) * segre_closed_form(spec, l)
+            assert segre[l] == PTClass.make(
+                profile, {(0, (l,)): omega_coeff})
+            assert (segre_closed_form_factored(spec, l)
+                    == segre_closed_form(spec, l))
 
 
 def test_cubic_mnef_values():
@@ -90,7 +92,8 @@ def test_cubic_mnef_strictly_negative():
 
 
 def test_cubic_mnef_large_n():
-    for n in (40, 72):
+    # 2n-1 = 127 fills 7 bits of a packed key field; 129 needs 8.
+    for n in (40, 64, 65, 72):
         assert cubic_mnef_number(n) == cubic_mnef_closed_form(n) < 0
 
 
@@ -98,11 +101,14 @@ def test_binomial_sums():
     assert sum_positive_part(3) == 96
     assert sum_positive_part(4) == 681
     assert sum_negative_part(3) == 33
+    for part in (sum_positive_part, sum_negative_part):
+        with pytest.raises(ValueError, match=f"n <= {MAX_HYPERSURFACE_DIM}"):
+            part(MAX_HYPERSURFACE_DIM + 1)
 
 
 def test_sum_combination_reproduces_mnef():
     # d (positive - 3 negative) with d = 3 is the modified-nef number
-    for n in range(3, 13):
+    for n in (*range(3, 13), MAX_HYPERSURFACE_DIM):
         combined = 3 * (sum_positive_part(n) - 3 * sum_negative_part(n))
         assert combined == cubic_mnef_number(n)
 
