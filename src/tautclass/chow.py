@@ -31,12 +31,13 @@ freely across threads or processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 PTKey = tuple[int, Exponents]
@@ -156,7 +157,10 @@ class BaseProfile:
         """s_0..s_n of Omega_X, see :func:`segre_omega`."""
         n = self.dim
         width = n.bit_length()
-        omega = [_numerators(self.chern_omega(i)) for i in range(1, n + 1)]
+        # c_i(Omega) = (-1)^i c_i(T_X), read from chern_terms so that the
+        # inversion does not build the chern classes.
+        omega = [_numerators([((0, e), -c if i % 2 else c) for e, c in terms])
+                 for i, terms in enumerate(self.chern_terms, start=1)]
         den = math.lcm(*(d for d, _ in omega))
         scaled = [_pack({k: -c * (den // d) * den ** (i - 1)
                          for k, c in nums.items()}, width)
@@ -241,10 +245,11 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     return profile._segre
 
 
-def _numerators(cls: "PTClass") -> tuple[int, dict[PTKey, int]]:
-    """The terms of a class as integer numerators over one denominator."""
-    den = math.lcm(*(c.denominator for _, c in cls.terms))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in cls.terms}
+def _numerators(terms: Sequence[tuple[PTKey, Fraction]]
+                ) -> tuple[int, dict[PTKey, int]]:
+    """Class terms as integer numerators over one common denominator."""
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms}
 
 
 # A single product keeps tuple keys: packing and unpacking around one
@@ -304,6 +309,54 @@ def _mul_packed(a: Mapping[int, int], b: Mapping[int, int], width: int,
                 key = k1 + k2
                 acc[key] = acc.get(key, 0) + c1 * c2
     return {k: c for k, c in acc.items() if c}
+
+
+def _pow_packed(f: Mapping[int, int], m: int, width: int,
+                max_base_degree: int) -> dict[int, int]:
+    """f^m for a homogeneous packed term map f, truncated like the kernel.
+
+    Graded by base degree, f = P_0 + P_1 + ... with P_0 = c_0 zeta^d, and
+    Q = f^m has parts Q_0 = c_0^m zeta^(dm) and, from f Q' = m f' Q,
+
+        k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
+
+    Q_k reads only lower parts, so stopping at base degree
+    ``max_base_degree`` is exact.  Dividing by zeta^d subtracts P_0's key
+    (the zeta-power is the top field); dividing by k c_0 is exact because
+    f^m has integer coefficients.  Without a pure zeta term, f is
+    multiplied m times.
+    """
+    mask = (1 << width) - 1
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for key, c in f.items():
+        levels.setdefault(key & mask, []).append((key, c))
+    if m == 1 or 0 not in levels:
+        power = f
+        for _ in range(m - 1):
+            power = _mul_packed(power, f, width, max_base_degree)
+        return power
+    (k0, c0), = levels[0]
+    top = max(levels)
+    parts = [{k0 * m: c0 ** m}]
+    for k in range(1, min(max_base_degree, m * top) + 1):
+        acc: dict[int, int] = {}
+        for i in range(1, min(k, top) + 1):
+            weight = (m + 1) * i - k
+            for k1, c1 in levels.get(i, ()):
+                c1 *= weight
+                for k2, c2 in parts[k - i].items():
+                    key = k1 + k2
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        part: dict[int, int] = {}
+        for key, c in acc.items():
+            if c:
+                q, r = divmod(c, k * c0)
+                if r:
+                    raise ArithmeticError(
+                        f"power recurrence left remainder {r} at level {k}")
+                part[key - k0] = q
+        parts.append(part)
+    return {key: c for part in parts for key, c in part.items()}
 
 
 def _from_numerators(profile: BaseProfile, den: int,
@@ -378,8 +431,8 @@ class PTClass:
             terms = tuple((k, c * other) for k, c in self.terms) if other else ()
             return PTClass(self.profile, terms)
         _require_profile(self.profile, other)
-        den_a, nums_a = _numerators(self)
-        den_b, nums_b = _numerators(other)
+        den_a, nums_a = _numerators(self.terms)
+        den_b, nums_b = _numerators(other.terms)
         return _from_numerators(self.profile, den_a * den_b,
                                 _mul_numerators(nums_a, nums_b))
 
@@ -459,9 +512,17 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     Gives the value of ``eval_top`` on the formal product, but the running
     product drops base monomials of degree > dim X: they vanish on X, no
     later factor lowers their degree, and their zeta-power is then below
-    n-1.  Each factor's profile and degree are checked first, so a zero
-    factor gives 0, and a product that is not homogeneous of top degree
-    raises :class:`DegreeMismatchError` as on the formal product.
+    n-1.  Consecutive equal factors form one run f^m, and each run's
+    profile and degree are checked first, so a zero factor gives 0, and a
+    product that is not homogeneous of top degree raises
+    :class:`DegreeMismatchError` as on the formal product.
+
+    A run whose f has a pure zeta term is raised with J.C.P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, 4.7; see :func:`_pow_packed`): part
+    k of f^m by base degree comes from the lower parts, divided by k times
+    the zeta coefficient of f's integer numerators, which is exact since
+    f^m has integer coefficients.  Any other run is multiplied out.  The
+    runs are then multiplied together.
 
     The running product uses packed keys of field width
     (2n-1).bit_length().  The factors are homogeneous with non-negative
@@ -470,20 +531,23 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     2n-1 < 2^width; the zeta-power is the top field and cannot carry into
     another.
     """
-    factors = list(factors)
-    for factor in factors:
+    runs = [(factor, len(list(group)))
+            for factor, group in itertools.groupby(factors)]
+    for factor, _ in runs:
         _require_profile(profile, factor)
-    if any(factor.is_zero for factor in factors):
+    if any(factor.is_zero for factor, _ in runs):
         return Fraction(0)
     _require_top_degree(
-        profile, sum(factor.homogeneous_degree() for factor in factors))
+        profile, sum(factor.homogeneous_degree() * m for factor, m in runs))
     n = profile.dim
     width = (2 * n - 1).bit_length()
     den, nums = 1, {0: 1}
-    for factor in factors:
-        factor_den, factor_nums = _numerators(factor)
-        den *= factor_den
-        nums = _mul_packed(nums, _pack(factor_nums, width), width, n)
+    for factor, m in runs:
+        factor_den, factor_nums = _numerators(factor.terms)
+        den *= factor_den ** m
+        nums = _mul_packed(
+            nums, _pow_packed(_pack(factor_nums, width), m, width, n),
+            width, n)
     return eval_top(profile, _from_numerators(
         profile, den, _unpack(nums, width, profile.nsyms)))
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,9 @@ from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
                             eval_product, eval_top, fiber_line_degree,
                             fraction_str, restrict_to_section, segre_omega)
+from tautclass.chow import _pack, _pow_packed, _unpack
 from tautclass.exprparse import parse_expr
-from tautclass.hypersurfaces import hypersurface_profile
+from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM, hypersurface_profile
 from tautclass.profiles import FIXED_LABELS, get_profile
 
 
@@ -216,24 +219,29 @@ def test_ptclass_mul_matches_naive_fraction_product(data):
 
 @st.composite
 def top_degree_factors(draw, profile):
-    # Homogeneous factors whose degrees add up to 2n-1; every factor of
+    # Homogeneous factors whose degrees add up to 2n-1.  A factor may
+    # repeat, so that eval_product raises it as one run, and may or may not
+    # carry a pure zeta term, which picks the run's route.  Every factor of
     # degree above dim X carries a pure base term, which vanishes on X.
     n = profile.dim
     remaining = 2 * n - 1
     factors = []
     while remaining:
         degree = draw(st.integers(1, min(remaining, n + 2)))
-        remaining -= degree
-        keys = [(zp, mono) for zp in range(degree + 1)
+        keys = [(zp, mono) for zp in range(degree)
                 for mono in compositions(degree - zp, profile.nsyms)]
         chosen = draw(st.lists(st.sampled_from(keys), min_size=1,
                                max_size=3))
+        if draw(st.booleans()):
+            chosen.append((degree, (0,) * profile.nsyms))
         if degree > n:
             chosen.append((0, draw(st.sampled_from(
                 list(compositions(degree, profile.nsyms))))))
         coeffs = draw(st.lists(fractions_st, min_size=len(chosen),
                                max_size=len(chosen)))
-        factors.append(PTClass.make(profile, dict(zip(chosen, coeffs))))
+        repeat = draw(st.integers(1, remaining // degree))
+        remaining -= degree * repeat
+        factors += [PTClass.make(profile, dict(zip(chosen, coeffs)))] * repeat
     return factors
 
 
@@ -271,11 +279,36 @@ def test_eval_product_guards():
     quartic = get_profile("k3-quartic")
     with pytest.raises(ProfileMismatchError):
         eval_product(profile, [zeta, zeta, PTClass.zeta(quartic)])
+    # The same guards on runs of equal factors.
+    zero = PTClass.zero(profile)
+    assert eval_product(profile, [zeta, zero, zero]) == 0
+    with pytest.raises(DegreeMismatchError,
+                       match=re.escape("class mixes total degrees [1, 3]")):
+        eval_product(profile, [zeta + h ** 3] * 2 + [zeta])
+    with pytest.raises(DegreeMismatchError, match="got 4"):
+        eval_product(profile, [zeta] * 4)
+    with pytest.raises(ProfileMismatchError):
+        eval_product(profile, [zeta] + [PTClass.zeta(quartic)] * 2)
     factors = [Fraction(1, 2) * zeta + Fraction(1, 3) * h,
                2 * zeta - Fraction(3, 4) * f, zeta]
     formal = factors[0] * factors[1] * factors[2]
     assert eval_product(profile, factors) == eval_top(profile, formal)
     assert eval_product(profile, factors) == Fraction(-21, 4)
+
+
+@pytest.mark.parametrize("n", [72, MAX_HYPERSURFACE_DIM])
+def test_power_recurrence_matches_binomials(n):
+    # (zeta + aH)^m with m = 2n-3, up to base degree n, against
+    # C(m, k) a^k from math.comb, for a = 3 and a = -3/2 (numerators
+    # 2 zeta - 3H, so every coefficient is over 2^m).
+    m = 2 * n - 3
+    width = (2 * n - 1).bit_length()
+    for c0, c1 in ((1, 3), (2, -3)):
+        f = _pack({(1, (0,)): c0, (0, (1,)): c1}, width)
+        power = _unpack(_pow_packed(f, m, width, n), width, 1)
+        assert power == {
+            (m - k, (k,)): math.comb(m, k) * c0 ** (m - k) * c1 ** k
+            for k in range(n + 1)}
 
 
 def test_segre_cache_is_bounded():

@@ -93,7 +93,7 @@ def test_cubic_mnef_strictly_negative():
 
 def test_cubic_mnef_large_n():
     # 2n-1 = 127 fills 7 bits of a packed key field; 129 needs 8.
-    for n in (40, 64, 65, 72):
+    for n in (40, 64, 65, 72, 120, MAX_HYPERSURFACE_DIM):
         assert cubic_mnef_number(n) == cubic_mnef_closed_form(n) < 0
 
 
