@@ -36,12 +36,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 Exponents = tuple[int, ...]
 PTKey = tuple[int, Exponents]
 Scalar = Union[int, Fraction]
+Key = TypeVar("Key")
 
 
 class DegreeMismatchError(ValueError):
@@ -153,29 +154,26 @@ class BaseProfile:
         return dict(self.top_form)
 
     @cached_property
-    def _segre(self) -> tuple[PTClass, ...]:
-        """s_0..s_n of Omega_X, see :func:`segre_omega`."""
-        n = self.dim
-        width = n.bit_length()
-        # c_i(Omega) = (-1)^i c_i(T_X), read from chern_terms so that the
-        # inversion does not build the chern classes.
-        omega = [_numerators([((0, e), -c if i % 2 else c) for e, c in terms])
-                 for i, terms in enumerate(self.chern_terms, start=1)]
-        den = math.lcm(*(d for d, _ in omega))
-        scaled = [_pack({k: -c * (den // d) * den ** (i - 1)
-                         for k, c in nums.items()}, width)
-                  for i, (d, nums) in enumerate(omega, start=1)]
-        entries: list[dict[int, int]] = [{0: 1}]
-        for j in range(1, n + 1):
-            acc: dict[int, int] = {}
-            for i in range(1, j + 1):
-                for k, c in _mul_packed(scaled[i - 1], entries[j - i],
-                                        width, n).items():
-                    acc[k] = acc.get(k, 0) + c
-            entries.append({k: c for k, c in acc.items() if c})
-        return tuple(
-            _from_numerators(self, den ** j, _unpack(nums, width, self.nsyms))
-            for j, nums in enumerate(entries))
+    def _pushforward(self) -> tuple[int, dict[PTKey, int]]:
+        """The pushforward functional on degree-(2n-1) monomials.
+
+        A pair (D, table): the table maps each monomial zeta^(n-1+j) . m
+        whose value s_j(Omega_X) . m on the top form is nonzero to D times
+        that value, an integer.  Each Segre term meets each top-form
+        monomial that it divides once, so no monomials are enumerated.
+        """
+        seg_den, segre = _numerators(
+            [((self.dim - 1 + j, e), s)
+             for j, s_j in enumerate(segre_omega(self))
+             for (_, e), s in s_j.terms])
+        form_den, form = _numerators(self.top_form)
+        table: dict[PTKey, int] = {}
+        for (zp, e), s in segre.items():
+            for exps, f in form.items():
+                m = tuple(map(sub, exps, e))
+                if min(m) >= 0:
+                    table[zp, m] = table.get((zp, m), 0) + s * f
+        return seg_den * form_den, {k: c for k, c in table.items() if c}
 
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
@@ -240,14 +238,36 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     recurrence runs on packed keys of field width n.bit_length(): every
     term of s_j and c_i(Omega) has zeta-power 0 and base degree at most n,
     so no field reaches 2^width and no pair is truncated.  The inversion
-    runs once per profile object, which keeps the result.
+    runs on every call and its result is not kept; :func:`eval_top` and
+    :func:`eval_product` read the profile's pushforward table, built once
+    from it.
     """
-    return profile._segre
+    n = profile.dim
+    width = n.bit_length()
+    # c_i(Omega) = (-1)^i c_i(T_X), read from chern_terms so that the
+    # inversion does not build the chern classes.
+    omega = [_numerators([((0, e), -c if i % 2 else c) for e, c in terms])
+             for i, terms in enumerate(profile.chern_terms, start=1)]
+    den = math.lcm(*(d for d, _ in omega))
+    scaled = [_pack({k: -c * (den // d) * den ** (i - 1)
+                     for k, c in nums.items()}, width)
+              for i, (d, nums) in enumerate(omega, start=1)]
+    entries: list[dict[int, int]] = [{0: 1}]
+    for j in range(1, n + 1):
+        acc: dict[int, int] = {}
+        for i in range(1, j + 1):
+            for k, c in _mul_packed(scaled[i - 1], entries[j - i],
+                                    width, n).items():
+                acc[k] = acc.get(k, 0) + c
+        entries.append({k: c for k, c in acc.items() if c})
+    return tuple(_from_numerators(profile, den ** j,
+                                  _unpack(nums, width, profile.nsyms))
+                 for j, nums in enumerate(entries))
 
 
-def _numerators(terms: Sequence[tuple[PTKey, Fraction]]
-                ) -> tuple[int, dict[PTKey, int]]:
-    """Class terms as integer numerators over one common denominator."""
+def _numerators(terms: Sequence[tuple[Key, Fraction]]
+                ) -> tuple[int, dict[Key, int]]:
+    """Terms as integer numerators over one common denominator."""
     den = math.lcm(*(c.denominator for _, c in terms))
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms}
 
@@ -485,31 +505,32 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
 
     Each monomial zeta^(n-1+j) . pi^* m pushes forward to s_j(Omega_X) . m,
     which is then evaluated against the top form; monomials with zeta-power
-    below n-1 contribute zero.  The map is linear in the class.
+    below n-1 contribute zero.  The map is linear in the class, so the
+    class's integer numerators are dotted with the profile's pushforward
+    table (integers over one denominator, built once per profile from
+    :func:`segre_omega` and the top form) and one Fraction is reduced.
     """
     _require_profile(profile, cls)
-    n = profile.dim
     degree = cls.homogeneous_degree()
     if degree is None:
         return Fraction(0)
     _require_top_degree(profile, degree)
-    segre = segre_omega(profile)
-    form = profile._form
-    total = Fraction(0)
-    for (zp, exps), coeff in cls.terms:
-        j = zp - (n - 1)
-        if j < 0:
-            continue
-        total += coeff * sum(
-            (s * form.get(_add_exponents(e, exps), 0)
-             for (_, e), s in segre[j].terms), Fraction(0))
-    return total
+    return _push_forward(profile, *_numerators(cls.terms))
+
+
+def _push_forward(profile: BaseProfile, den: int,
+                  nums: Mapping[PTKey, int]) -> Fraction:
+    """The pushforward functional on a top-degree integer term map over den."""
+    table_den, table = profile._pushforward
+    return Fraction(sum(c * table.get(k, 0) for k, c in nums.items()),
+                    den * table_den)
 
 
 def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
-    """Evaluate a product of classes with :func:`eval_top`.
+    """The value of :func:`eval_top` on the product of the factors.
 
-    Gives the value of ``eval_top`` on the formal product, but the running
+    The integer product is dotted with the pushforward table directly, as
+    in :func:`eval_top`, and one Fraction is reduced.  The running
     product drops base monomials of degree > dim X: they vanish on X, no
     later factor lowers their degree, and their zeta-power is then below
     n-1.  Consecutive equal factors form one run f^m, and each run's
@@ -548,8 +569,7 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
         nums = _mul_packed(
             nums, _pow_packed(_pack(factor_nums, width), m, width, n),
             width, n)
-    return eval_top(profile, _from_numerators(
-        profile, den, _unpack(nums, width, profile.nsyms)))
+    return _push_forward(profile, den, _unpack(nums, width, profile.nsyms))
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

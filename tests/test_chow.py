@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from tautclass.chow import _pack, _pow_packed, _unpack
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM, hypersurface_profile
 from tautclass.profiles import FIXED_LABELS, get_profile
+from tautclass.threefolds import threefold_profile
 
 
 def compositions(total: int, parts: int):
@@ -312,16 +314,64 @@ def test_power_recurrence_matches_binomials(n):
 
 
 def test_segre_cache_is_bounded():
-    # Segre tuples are kept on their profiles, and the hypersurface
-    # builder's cache bounds how many profiles it keeps alive: 200 distinct
-    # hypersurface profiles, more than the cache holds.
+    # The Segre classes are not kept; the pushforward table built from them
+    # is kept on its profile, and the hypersurface builder's cache bounds
+    # how many profiles it keeps alive: 200 distinct hypersurface profiles,
+    # more than the cache holds.
     for n in range(3, 13):
         for d in range(1, 21):
             profile = get_profile(f"hypersurface-n{n}-d{d}")
-            assert segre_omega(profile) is segre_omega(profile)
+            table = profile._pushforward
+            eval_top(profile, PTClass.zeta(profile, 2 * n - 1))
+            assert profile._pushforward is table
     info = hypersurface_profile.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+
+
+# An empty top form, fractional Chern classes (c_2 = 12/5) and a
+# fractional top form, beside the named profiles.
+EMPTY_FORM = BaseProfile.make("empty-form", 2, ["H"], {},
+                              [{(1,): 3}, {(2,): 3}])
+TABLE_PROFILES = (
+    *FIXED_LABELS, *(f"hypersurface-n{n}-d3" for n in (3, 64, 65, 200)),
+    EMPTY_FORM, threefold_profile(5, 6),
+    BaseProfile.make("fractional-form", 2, ["H", "F"],
+                     {(2, 0): Fraction(1, 2), (1, 1): Fraction(2, 3)},
+                     [{(1, 0): 1, (0, 1): Fraction(1, 3)},
+                      {(2, 0): Fraction(5, 4), (1, 1): -2}]))
+
+
+@pytest.mark.parametrize(
+    "profile", TABLE_PROFILES,
+    ids=lambda p: p if isinstance(p, str) else p.label)
+def test_pushforward_table_matches_segre_route(profile):
+    # Against the per-monomial Segre x top-form loop that eval_top ran
+    # before the table, on every degree-(2n-1) monomial, not only the
+    # table's keys, so a missing nonzero entry fails as well as a wrong one.
+    if isinstance(profile, str):
+        profile = get_profile(profile)
+    top = 2 * profile.dim - 1
+    den, table = profile._pushforward
+    segre = segre_omega(profile)
+    monomials = [(zp, m) for zp in range(top + 1)
+                 for m in compositions(top - zp, profile.nsyms)]
+    assert set(table) <= set(monomials)
+    assert all(table.values())
+    form = dict(profile.top_form)
+    for zp, m in monomials:
+        j = zp - (profile.dim - 1)
+        expected = Fraction(0) if j < 0 else sum(
+            (s * form.get(tuple(map(operator.add, e, m)), 0)
+             for (_, e), s in segre[j].terms), Fraction(0))
+        assert Fraction(table.get((zp, m), 0), den) == expected
+
+
+def test_empty_top_form_pushes_to_zero():
+    assert EMPTY_FORM._pushforward[1] == {}
+    zeta = PTClass.zeta(EMPTY_FORM)
+    assert eval_top(EMPTY_FORM, zeta ** 3) == 0
+    assert eval_product(EMPTY_FORM, [zeta + EMPTY_FORM.symbol("H")] * 3) == 0
 
 
 def test_cubic_surface_ledger():
