@@ -175,11 +175,20 @@ class BaseProfile:
                     table[zp, m] = table.get((zp, m), 0) + s * f
         return seg_den * form_den, {k: c for k, c in table.items() if c}
 
+    @cached_property
+    def _symbols(self) -> dict[str, PTClass]:
+        return {name: PTClass(self, (((0, tuple(int(i == index)
+                                                 for i in range(self.nsyms))),
+                                      Fraction(1)),))
+                for index, name in enumerate(self.basis)}
+
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
-        index = self.basis.index(name)
-        exps = tuple(1 if i == index else 0 for i in range(self.nsyms))
-        return PTClass.make(self, {(0, exps): 1})
+        try:
+            return self._symbols[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not a basis symbol of "
+                             f"{self.label!r}") from None
 
     def evaluate(self, cls: PTClass) -> Fraction:
         """Evaluate a zeta-free degree-n class against the top form."""
@@ -272,8 +281,8 @@ def _numerators(terms: Sequence[tuple[Key, Fraction]]
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms}
 
 
-# A single product keeps tuple keys: packing and unpacking around one
-# multiply costs more than the packed kernel saves on it.
+# The class product (_product) keeps tuple keys: its chains are short, and
+# packing and unpacking around them costs more than the packed kernel saves.
 def _mul_numerators(a: Mapping[PTKey, int],
                     b: Mapping[PTKey, int]) -> dict[PTKey, int]:
     """Exact product of two integer term maps, without zero terms."""
@@ -422,7 +431,10 @@ class PTClass:
 
     @staticmethod
     def zeta(profile: BaseProfile, power: int = 1) -> "PTClass":
-        return PTClass.make(profile, {(power, (0,) * profile.nsyms): 1})
+        key = (power, (0,) * profile.nsyms)
+        if power < 0:
+            raise ValueError(f"bad term key {key}")
+        return PTClass(profile, ((key, Fraction(1)),))
 
     @property
     def profile_label(self) -> str:
@@ -450,11 +462,7 @@ class PTClass:
         if isinstance(other, (int, Fraction)):
             terms = tuple((k, c * other) for k, c in self.terms) if other else ()
             return PTClass(self.profile, terms)
-        _require_profile(self.profile, other)
-        den_a, nums_a = _numerators(self.terms)
-        den_b, nums_b = _numerators(other.terms)
-        return _from_numerators(self.profile, den_a * den_b,
-                                _mul_numerators(nums_a, nums_b))
+        return _product(self.profile, (self, other))
 
     def __rmul__(self, other: Scalar) -> "PTClass":
         return self * other
@@ -462,10 +470,7 @@ class PTClass:
     def __pow__(self, power: int) -> "PTClass":
         if power < 0:
             raise ValueError("negative power")
-        result = PTClass.one(self.profile)
-        for _ in range(power):
-            result = result * self
-        return result
+        return _product(self.profile, (self,) * power)
 
     def total_degrees(self) -> set[int]:
         return {zp + sum(e) for (zp, e), _ in self.terms}
@@ -481,8 +486,34 @@ class PTClass:
         return degrees.pop()
 
 
+def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
+    """The formal product of the factors, multiplied in one integer chain.
+
+    Each factor becomes integer numerators over its own denominator once,
+    the chain runs through :func:`_mul_numerators`, and the result is
+    reduced to Fractions once.  Nothing is truncated: the product is the
+    formal polynomial, not just what :func:`eval_top` can see.  Every
+    factor's profile is checked first; a zero factor then gives the zero
+    class, a single factor is returned as it is, and no factors give 1.
+    """
+    for factor in factors:
+        _require_profile(profile, factor)
+    if not factors:
+        return PTClass.one(profile)
+    if len(factors) == 1:
+        return factors[0]
+    if any(factor.is_zero for factor in factors):
+        return PTClass.zero(profile)
+    den, nums = _numerators(factors[0].terms)
+    for factor in factors[1:]:
+        factor_den, factor_nums = _numerators(factor.terms)
+        den *= factor_den
+        nums = _mul_numerators(nums, factor_nums)
+    return _from_numerators(profile, den, nums)
+
+
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
-    if cls.profile != profile:
+    if cls.profile is not profile and cls.profile != profile:
         raise ProfileMismatchError(f"class over {cls.profile.label!r} used "
                                    f"with a different profile {profile.label!r}")
 

@@ -6,6 +6,12 @@ K_X = -c_1(T_X), operators ``+ - * ^`` and parentheses.
 A numeric literal directly followed by a symbol or ``(`` multiplies it, so
 printed forms like ``3z - H`` parse back to the same class.
 
+The factors of one product, ``X^k`` counted as k factors, are collected
+and multiplied in one integer chain (``chow._product``); a sum adds its
+terms one by one.  Exponents are at most MAX_EXPONENT, the top degree
+2n-1 of the largest hypersurface profile, and their digits are counted
+before they are converted, so a huge exponent is a syntax error at once.
+
 Parentheses nest at most MAX_NESTING levels deep, so a hostile input is a
 syntax error rather than a recursion overflow.
 
@@ -15,13 +21,18 @@ Offsets in error messages are 1-based character positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import BaseProfile, PTClass, _require_profile, fraction_str
+from .chow import BaseProfile, PTClass, _product, _require_profile
+from .hypersurfaces import MAX_HYPERSURFACE_DIM
 
-_TOKEN_RE = re.compile(r"\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9_]*|[-+*^()]")
+# One token per match, after any whitespace: the group that matched is its
+# kind, and a non-space character that starts no token matches group 4.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()])|(\S))")
+_KINDS = (None, "num", "sym", "op")
 MAX_NESTING = 100
+MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
 
 
 class ExprSyntaxError(ValueError):
@@ -32,34 +43,20 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "sym" | "op" | "end"
-    text: str
-    position: int
+# A token is (kind, text, 1-based position); kind is "num", "sym", "op" or
+# "end".
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", pos + 1)
-        lexeme = match.group()
-        if lexeme[0].isdigit():
-            kind = "num"
-        elif lexeme[0].isalpha():
-            kind = "sym"
-        else:
-            kind = "op"
-        tokens.append(_Token(kind, lexeme, pos + 1))
-        pos = match.end()
-    tokens.append(_Token("end", "", len(text) + 1))
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group == 4:
+            raise ExprSyntaxError(f"unexpected character {match[4]!r}",
+                                  match.start(4) + 1)
+        tokens.append((_KINDS[group], match[group], match.start(group) + 1))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
@@ -69,6 +66,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        self.unit = (0, (0,) * profile.nsyms)  # the key of the class 1
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -80,89 +78,101 @@ class _Parser:
 
     def parse(self) -> PTClass:
         value = self.sum()
-        token = self.peek()
-        if token.kind != "end":
-            raise ExprSyntaxError(f"unexpected {token.text!r}", token.position)
+        kind, text, position = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected {text!r}", position)
         return value
 
     def sum(self) -> PTClass:
         value = self.signed()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.advance()[1]
             rhs = self.signed()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def signed(self) -> PTClass:
         sign = 1
-        while self.peek().text in ("+", "-"):
-            if self.advance().text == "-":
+        while self.peek()[1] in ("+", "-"):
+            if self.advance()[1] == "-":
                 sign = -sign
         value = self.product()
         return value if sign > 0 else -value
 
     def product(self) -> PTClass:
-        value = self.power()
+        factors: list[PTClass] = []
+        self.power(factors)
         while True:
-            token = self.peek()
-            if token.text == "*":
+            kind, text, _ = self.peek()
+            if text == "*":
                 self.advance()
-                value = value * self.power()
-            elif token.kind in ("num", "sym") or token.text == "(":
-                value = value * self.power()  # implicit multiplication
+                self.power(factors)
+            elif kind in ("num", "sym") or text == "(":
+                self.power(factors)  # implicit multiplication
             else:
-                return value
+                return _product(self.profile, factors)
 
-    def power(self) -> PTClass:
+    def power(self, factors: list[PTClass]) -> None:
+        """Append one factor, or k of them for ``X^k`` (``1`` for k = 0)."""
         base = self.atom()
-        if self.peek().text == "^":
-            self.advance()
-            token = self.peek()
-            if token.kind != "num" or "/" in token.text:
-                raise ExprSyntaxError("exponent must be a non-negative integer",
-                                      token.position)
-            self.advance()
-            base = base ** int(token.text)
-        return base
+        if self.peek()[1] != "^":
+            factors.append(base)
+            return
+        self.advance()
+        kind, text, position = self.peek()
+        if kind != "num" or "/" in text:
+            raise ExprSyntaxError("exponent must be a non-negative integer",
+                                  position)
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", position)
+        self.advance()
+        exponent = int(digits)
+        if exponent:
+            factors.extend([base] * exponent)
+        else:
+            factors.append(PTClass.one(self.profile))
 
     def atom(self) -> PTClass:
-        token = self.advance()
-        if token.kind == "num":
+        kind, text, position = self.advance()
+        if kind == "num":
+            numerator, _, denominator = text.partition("/")
             try:
-                value = Fraction(token.text)
+                value = Fraction(int(numerator), int(denominator or "1"))
             except ZeroDivisionError:
-                raise ExprSyntaxError(f"zero denominator in {token.text!r}",
-                                      token.position) from None
-            return PTClass.one(self.profile) * value
-        if token.kind == "sym":
-            return self.resolve(token)
-        if token.text == "(":
+                raise ExprSyntaxError(f"zero denominator in {text!r}",
+                                      position) from None
+            if not value:
+                return PTClass.zero(self.profile)
+            return PTClass(self.profile, ((self.unit, value),))
+        if kind == "sym":
+            return self.resolve(text, position)
+        if text == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(
                     f"parentheses nest deeper than {MAX_NESTING} levels",
-                    token.position)
+                    position)
             self.depth += 1
             value = self.sum()
-            closing = self.peek()
-            if closing.text != ")":
-                raise ExprSyntaxError("expected ')'", closing.position)
+            _, closing, closing_position = self.peek()
+            if closing != ")":
+                raise ExprSyntaxError("expected ')'", closing_position)
             self.advance()
             self.depth -= 1
             return value
-        raise ExprSyntaxError(f"unexpected {token.text or 'end of input'!r}",
-                              token.position)
+        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}",
+                              position)
 
-    def resolve(self, token: _Token) -> PTClass:
+    def resolve(self, text: str, position: int) -> PTClass:
         profile = self.profile
-        if token.text == "z":
+        if text == "z":
             return PTClass.zeta(profile)
-        if token.text in profile.basis:
-            return profile.symbol(token.text)
-        if token.text == "K":
+        if text in profile.basis:
+            return profile.symbol(text)
+        if text == "K":
             return profile.canonical
         raise ExprSyntaxError(
-            f"unknown symbol {token.text!r} for profile {profile.label!r}",
-            token.position)
+            f"unknown symbol {text!r} for profile {profile.label!r}", position)
 
 
 def parse_expr(profile: BaseProfile, text: str) -> PTClass:
@@ -174,27 +184,35 @@ def format_class(profile: BaseProfile, cls: PTClass) -> str:
     """Canonical text form of a class; parses back to an equal class.
 
     Terms are ordered by descending zeta power, then descending base
-    exponents, e.g. ``3z - H`` or ``z^5 + 6z^4*H``.
+    exponents, e.g. ``3z - H`` or ``z^5 + 6z^4*H``: the reverse of the
+    sorted order in which every class stores its terms.
     """
     _require_profile(profile, cls)
     if cls.is_zero:
         return "0"
     pieces: list[str] = []
-    for (zp, exps), coeff in sorted(cls.terms, reverse=True):
+    for (zp, exps), coeff in reversed(cls.terms):
         factors: list[str] = []
         if zp:
             factors.append("z" if zp == 1 else f"z^{zp}")
         for name, e in zip(profile.basis, exps):
             if e:
                 factors.append(name if e == 1 else f"{name}^{e}")
-        magnitude = abs(coeff)
+        numerator, denominator = coeff.numerator, coeff.denominator
+        negative = numerator < 0
+        if negative:
+            numerator = -numerator
+        if denominator == 1:
+            magnitude = str(numerator)
+        else:
+            magnitude = f"{numerator}/{denominator}"
         if factors:
-            prefix = "" if magnitude == 1 else fraction_str(magnitude)
+            prefix = "" if magnitude == "1" else magnitude
             body = prefix + "*".join(factors)
         else:
-            body = fraction_str(magnitude)
+            body = magnitude
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(f"-{body}" if negative else body)
         else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+            pieces.append(f"{'-' if negative else '+'} {body}")
     return " ".join(pieces)

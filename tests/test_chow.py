@@ -219,6 +219,42 @@ def test_ptclass_mul_matches_naive_fraction_product(data):
     assert all(isinstance(c, Fraction) and c for _, c in product.terms)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_ptclass_pow_matches_naive_fraction_product(data):
+    profile = get_profile(data.draw(st.sampled_from(
+        ["cubic-surface", "dp-surface-6"])))
+    x = data.draw(any_classes(profile))
+    power = data.draw(st.integers(0, 3))
+    expected = PTClass.one(profile)
+    for _ in range(power):
+        expected = _naive_mul(expected, x)
+    assert x ** power == expected
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
+
+
+@pytest.mark.parametrize("label", FIXED_LABELS + ("hypersurface-n4-d3",))
+def test_atoms_equal_make_built_classes(label):
+    # symbol, zeta and one build their one-term classes without make;
+    # they must be the classes make would build
+    profile = get_profile(label)
+    zeros = (0,) * profile.nsyms
+    for index, name in enumerate(profile.basis):
+        exps = tuple(int(i == index) for i in range(profile.nsyms))
+        assert profile.symbol(name) == PTClass.make(profile, {(0, exps): 1})
+    for power in range(2 * profile.dim):
+        assert (PTClass.zeta(profile, power)
+                == PTClass.make(profile, {(power, zeros): 1}))
+    assert PTClass.zeta(profile) == PTClass.make(profile, {(1, zeros): 1})
+    assert PTClass.one(profile) == PTClass.make(profile, {(0, zeros): 1})
+    with pytest.raises(ValueError, match="bad term key"):
+        PTClass.zeta(profile, -1)
+    for unknown in ("z", "K", "Q", ""):
+        with pytest.raises(ValueError):
+            profile.symbol(unknown)
+
+
 @st.composite
 def top_degree_factors(draw, profile):
     # Homogeneous factors whose degrees add up to 2n-1.  A factor may

@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tautclass import chow
 from tautclass.chow import (DegreeMismatchError, ProfileMismatchError,
                             PTClass, eval_top)
 from tautclass.cli import main
-from tautclass.exprparse import ExprSyntaxError, format_class, parse_expr
+from tautclass.exprparse import (MAX_EXPONENT, ExprSyntaxError, format_class,
+                                 parse_expr)
+from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM
 from tautclass.profiles import get_profile
 
 
@@ -106,27 +109,69 @@ def test_inhomogeneous_evaluation_flagged():
         eval_top(profile, cls)
 
 
-def _random_expression(rng: random.Random, symbols: list[str], depth: int) -> str:
+def _reference_atoms(profile) -> dict[str, PTClass]:
+    # Built with make, independently of the parser's direct atoms.
+    zeros = (0,) * profile.nsyms
+    atoms = {"z": PTClass.make(profile, {(1, zeros): 1}),
+             "K": profile.canonical}
+    for index, name in enumerate(profile.basis):
+        exps = tuple(int(i == index) for i in range(profile.nsyms))
+        atoms[name] = PTClass.make(profile, {(0, exps): 1})
+    return atoms
+
+
+def _constant(profile, value) -> PTClass:
+    return PTClass.make(profile, {(0, (0,) * profile.nsyms): value})
+
+
+def _degree(cls: PTClass) -> int:
+    return max(cls.total_degrees(), default=0)
+
+
+MAX_TEST_DEGREE = 6
+
+
+def _random_expression(rng: random.Random, profile,
+                       depth: int) -> tuple[str, PTClass]:
+    """Random expression text and the class it denotes.
+
+    The class is built with PTClass ``+ - * **`` on the same tree, so a
+    product the parser multiplies as one chain is checked against nested
+    binary products.  The text uses ``^0``, the literal ``0``,
+    juxtaposition (``3z``, ``2(...)``) and unary minus; degrees stay at
+    most MAX_TEST_DEGREE so that every example is small.
+    """
+    atoms = _reference_atoms(profile)
     if depth == 0:
         choice = rng.random()
         if choice < 0.35:
-            return rng.choice(symbols)
+            name = rng.choice(list(atoms))
+            return name, atoms[name]
         if choice < 0.55:
             num = rng.randint(0, 9)
             den = rng.randint(1, 6)
-            return f"{num}/{den}" if den > 1 else str(num)
+            text = f"{num}/{den}" if den > 1 else str(num)
+            return text, _constant(profile, Fraction(num, den))
         num = rng.randint(1, 5)
-        return f"{num}{rng.choice(symbols)}"
+        name = rng.choice(list(atoms))
+        return f"{num}{name}", _constant(profile, num) * atoms[name]
+    left, left_cls = _random_expression(rng, profile, depth - 1)
     op = rng.random()
-    left = _random_expression(rng, symbols, depth - 1)
-    right = _random_expression(rng, symbols, depth - 1)
+    if op < 0.1:
+        return f"(-{left})", -left_cls
+    if op < 0.2:
+        num = rng.randint(1, 5)
+        return f"{num}({left})", _constant(profile, num) * left_cls
     if op < 0.35:
-        return f"({left} + {right})"
-    if op < 0.6:
-        return f"({left} - {right})"
-    if op < 0.85:
-        return f"{left}*{right}"
-    return f"({left})^{rng.randint(0, 3)}"
+        top = min(3, MAX_TEST_DEGREE // max(_degree(left_cls), 1))
+        exponent = rng.randint(0, top)
+        return f"({left})^{exponent}", left_cls ** exponent
+    right, right_cls = _random_expression(rng, profile, depth - 1)
+    if op < 0.55:
+        return f"({left} + {right})", left_cls + right_cls
+    if op < 0.75 or _degree(left_cls) + _degree(right_cls) > MAX_TEST_DEGREE:
+        return f"({left} - {right})", left_cls - right_cls
+    return f"{left}*{right}", left_cls * right_cls
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,7 +179,64 @@ def _random_expression(rng: random.Random, symbols: list[str], depth: int) -> st
 def test_parse_print_parse_round_trip(seed):
     rng = random.Random(seed)
     profile = get_profile("cubic-surface")
-    text = _random_expression(rng, ["z", "H", "F", "K"], rng.randint(1, 3))
+    text, _ = _random_expression(rng, profile, rng.randint(1, 3))
     cls = parse_expr(profile, text)
     printed = format_class(profile, cls)
     assert parse_expr(profile, printed) == cls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["cubic-surface", "dp-surface-1", "dp3-degree2"]),
+       st.integers(min_value=0, max_value=10**9))
+def test_chained_parse_equals_binary_route(label, seed):
+    # format_class reads terms in stored order, so every parsed class must
+    # keep them sorted, without zero coefficients
+    rng = random.Random(seed)
+    profile = get_profile(label)
+    text, expected = _random_expression(rng, profile, rng.randint(1, 3))
+    cls = parse_expr(profile, text)
+    assert cls == expected
+    assert cls.terms == tuple(sorted(cls.terms))
+    assert all(isinstance(c, Fraction) and c for _, c in cls.terms)
+
+
+@pytest.mark.parametrize("text, products", [
+    ("z", 0), ("H", 0), ("3/4", 0), ("K", 0), ("(z + H)", 0), ("z^0", 0),
+    ("z^1", 0), ("z*H", 1), ("-z*H", 1), ("2z*H", 2), ("z^5", 4),
+    ("(z + H + F)^3", 2), ("z*(z + H)^2*3F", 4), ("z*H - 2F*z", 3),
+    ("z*K*2*3/4*H*F^2*(z - K)", 7),
+])
+def test_one_product_chain_per_product(monkeypatch, text, products):
+    # a product of k nonzero factors multiplies k-1 times, X^k counting as
+    # k factors; a lone atom multiplies no times
+    profile = get_profile("cubic-surface")
+    calls = []
+    kernel = chow._mul_numerators
+
+    def counting(a, b):
+        calls.append(1)
+        return kernel(a, b)
+
+    monkeypatch.setattr(chow, "_mul_numerators", counting)
+    parse_expr(profile, text)
+    assert len(calls) == products
+
+
+def test_exponent_cap_regression(capsys):
+    # an exponent above MAX_EXPONENT (2n-1 of the largest hypersurface
+    # profile) is a syntax error at the exponent, found before the
+    # exponent's digits are converted or any factor is multiplied
+    profile = get_profile("cubic-surface")
+    assert MAX_EXPONENT == 2 * MAX_HYPERSURFACE_DIM - 1 == 399
+    assert parse_expr(profile, "z^399") == PTClass.zeta(profile, 399)
+    assert parse_expr(profile, "z^0399") == PTClass.zeta(profile, 399)
+    assert parse_expr(profile, "(z+H+F)^4").homogeneous_degree() == 4
+    for exponent in ("400", "0400", "100000", "9" * 4000, "9" * 5000):
+        with pytest.raises(ExprSyntaxError,
+                           match=r"exponent exceeds 399 \(offset 9\)"):
+            parse_expr(profile, f"(z+H+F)^{exponent}")
+    assert main(["eval", "--profile", "cubic-surface",
+                 "--expr", "(z+H+F)^100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: exponent exceeds 399 (offset 9)\n"
