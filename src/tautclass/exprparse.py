@@ -198,14 +198,10 @@ def format_class(profile: BaseProfile, cls: PTClass) -> str:
         for name, e in zip(profile.basis, exps):
             if e:
                 factors.append(name if e == 1 else f"{name}^{e}")
-        numerator, denominator = coeff.numerator, coeff.denominator
-        negative = numerator < 0
-        if negative:
-            numerator = -numerator
-        if denominator == 1:
-            magnitude = str(numerator)
-        else:
-            magnitude = f"{numerator}/{denominator}"
+        negative = coeff.numerator < 0
+        numerator, denominator = abs(coeff.numerator), coeff.denominator
+        magnitude = (str(numerator) if denominator == 1
+                     else f"{numerator}/{denominator}")
         if factors:
             prefix = "" if magnitude == "1" else magnitude
             body = prefix + "*".join(factors)
