@@ -175,20 +175,11 @@ class BaseProfile:
                     table[zp, m] = table.get((zp, m), 0) + s * f
         return seg_den * form_den, {k: c for k, c in table.items() if c}
 
-    @cached_property
-    def _symbols(self) -> dict[str, PTClass]:
-        return {name: PTClass(self, (((0, tuple(int(i == index)
-                                                 for i in range(self.nsyms))),
-                                      Fraction(1)),))
-                for index, name in enumerate(self.basis)}
-
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
-        try:
-            return self._symbols[name]
-        except KeyError:
-            raise ValueError(f"{name!r} is not a basis symbol of "
-                             f"{self.label!r}") from None
+        index = self.basis.index(name)
+        exps = tuple(int(i == index) for i in range(self.nsyms))
+        return PTClass(self, (((0, exps), Fraction(1)),))
 
     def evaluate(self, cls: PTClass) -> Fraction:
         """Evaluate a zeta-free degree-n class against the top form."""

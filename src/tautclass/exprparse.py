@@ -23,7 +23,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .chow import BaseProfile, PTClass, _product, _require_profile
+from .chow import (BaseProfile, PTClass, _product, _require_profile,
+                   fraction_str)
 from .hypersurfaces import MAX_HYPERSURFACE_DIM
 
 # One token per match, after any whitespace: the group that matched is its
@@ -113,7 +114,7 @@ class _Parser:
                 return _product(self.profile, factors)
 
     def power(self, factors: list[PTClass]) -> None:
-        """Append one factor, or k of them for ``X^k`` (``1`` for k = 0)."""
+        """Append one factor, or k of them for ``X^k`` (none for k = 0)."""
         base = self.atom()
         if self.peek()[1] != "^":
             factors.append(base)
@@ -123,15 +124,11 @@ class _Parser:
         if kind != "num" or "/" in text:
             raise ExprSyntaxError("exponent must be a non-negative integer",
                                   position)
-        digits = text.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        # 4000 digits convert at once, within Python's int-string limit
+        if len(text) > 4000 or int(text) > MAX_EXPONENT:
             raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", position)
         self.advance()
-        exponent = int(digits)
-        if exponent:
-            factors.extend([base] * exponent)
-        else:
-            factors.append(PTClass.one(self.profile))
+        factors.extend([base] * int(text))
 
     def atom(self) -> PTClass:
         kind, text, position = self.advance()
@@ -199,9 +196,7 @@ def format_class(profile: BaseProfile, cls: PTClass) -> str:
             if e:
                 factors.append(name if e == 1 else f"{name}^{e}")
         negative = coeff.numerator < 0
-        numerator, denominator = abs(coeff.numerator), coeff.denominator
-        magnitude = (str(numerator) if denominator == 1
-                     else f"{numerator}/{denominator}")
+        magnitude = fraction_str(coeff).lstrip("-")
         if factors:
             prefix = "" if magnitude == "1" else magnitude
             body = prefix + "*".join(factors)

@@ -131,15 +131,16 @@ def _degree(cls: PTClass) -> int:
 MAX_TEST_DEGREE = 6
 
 
-def _random_expression(rng: random.Random, profile,
-                       depth: int) -> tuple[str, PTClass]:
+def _random_expression(rng: random.Random, profile, depth: int,
+                       max_degree: int | None = None) -> tuple[str, PTClass]:
     """Random expression text and the class it denotes.
 
     The class is built with PTClass ``+ - * **`` on the same tree, so a
     product the parser multiplies as one chain is checked against nested
     binary products.  The text uses ``^0``, the literal ``0``,
-    juxtaposition (``3z``, ``2(...)``) and unary minus; degrees stay at
-    most MAX_TEST_DEGREE so that every example is small.
+    juxtaposition (``3z``, ``2(...)``) and unary minus.  With max_degree
+    set, a power or product that would pass it is made smaller (a lower
+    exponent, a difference); None leaves degrees uncapped (up to 27).
     """
     atoms = _reference_atoms(profile)
     if depth == 0:
@@ -155,7 +156,7 @@ def _random_expression(rng: random.Random, profile,
         num = rng.randint(1, 5)
         name = rng.choice(list(atoms))
         return f"{num}{name}", _constant(profile, num) * atoms[name]
-    left, left_cls = _random_expression(rng, profile, depth - 1)
+    left, left_cls = _random_expression(rng, profile, depth - 1, max_degree)
     op = rng.random()
     if op < 0.1:
         return f"(-{left})", -left_cls
@@ -163,13 +164,16 @@ def _random_expression(rng: random.Random, profile,
         num = rng.randint(1, 5)
         return f"{num}({left})", _constant(profile, num) * left_cls
     if op < 0.35:
-        top = min(3, MAX_TEST_DEGREE // max(_degree(left_cls), 1))
+        top = 3
+        if max_degree is not None:
+            top = min(top, max_degree // max(_degree(left_cls), 1))
         exponent = rng.randint(0, top)
         return f"({left})^{exponent}", left_cls ** exponent
-    right, right_cls = _random_expression(rng, profile, depth - 1)
+    right, right_cls = _random_expression(rng, profile, depth - 1, max_degree)
     if op < 0.55:
         return f"({left} + {right})", left_cls + right_cls
-    if op < 0.75 or _degree(left_cls) + _degree(right_cls) > MAX_TEST_DEGREE:
+    if op < 0.75 or (max_degree is not None and
+                     _degree(left_cls) + _degree(right_cls) > max_degree):
         return f"({left} - {right})", left_cls - right_cls
     return f"{left}*{right}", left_cls * right_cls
 
@@ -193,7 +197,8 @@ def test_chained_parse_equals_binary_route(label, seed):
     # keep them sorted, without zero coefficients
     rng = random.Random(seed)
     profile = get_profile(label)
-    text, expected = _random_expression(rng, profile, rng.randint(1, 3))
+    text, expected = _random_expression(rng, profile, rng.randint(1, 3),
+                                        MAX_TEST_DEGREE)
     cls = parse_expr(profile, text)
     assert cls == expected
     assert cls.terms == tuple(sorted(cls.terms))
@@ -231,6 +236,7 @@ def test_exponent_cap_regression(capsys):
     assert parse_expr(profile, "z^399") == PTClass.zeta(profile, 399)
     assert parse_expr(profile, "z^0399") == PTClass.zeta(profile, 399)
     assert parse_expr(profile, "(z+H+F)^4").homogeneous_degree() == 4
+    assert parse_expr(profile, "z^\u0660\u0660\u0661") == PTClass.zeta(profile)
     for exponent in ("400", "0400", "100000", "9" * 4000, "9" * 5000):
         with pytest.raises(ExprSyntaxError,
                            match=r"exponent exceeds 399 \(offset 9\)"):
