@@ -278,15 +278,22 @@ def _is_number(value: Any) -> bool:
     return _is_int(value) or isinstance(value, Fraction)
 
 
+def _spec_fraction(spec: Any) -> Fraction:
+    if isinstance(spec, bool):
+        raise ValueError(f"{spec!r} is a boolean, not a rational")
+    return as_fraction(spec)
+
+
 def _decode_expected(expected: Mapping[str, Any]) -> tuple[str, Callable[[Any], bool]]:
     """Rendered text and match test of an expected-value spec.
 
     Raises on a spec that cannot be decoded: an unknown kind, a value of the
-    wrong type, an unknown profile or an unparsable class.
+    wrong type, an interval that is not an object with keys from {min, max},
+    an unknown profile or an unparsable class.
     """
     kind, spec = next(iter(expected.items()))
     if kind == "rational":
-        value = as_fraction(spec)
+        value = _spec_fraction(spec)
         return str(spec), lambda c: _is_number(c) and c == value
     if kind == "int":
         if not _is_int(spec):
@@ -300,7 +307,10 @@ def _decode_expected(expected: Mapping[str, Any]) -> tuple[str, Callable[[Any], 
         cls = parse_expr(get_profile(spec["profile"]), spec["expr"])
         return _render(cls), lambda c: isinstance(c, PTClass) and c == cls
     if kind == "interval":
-        low, high = (as_fraction(spec[key]) if key in spec else None
+        if not (isinstance(spec, dict) and spec and set(spec) <= {"min", "max"}):
+            raise ValueError(f"interval spec {spec!r} is not a nonempty object "
+                             "with keys from min, max")
+        low, high = (_spec_fraction(spec[key]) if key in spec else None
                      for key in ("min", "max"))
         text = " and ".join(f"{sign} {spec[key]}" for key, sign
                             in (("min", ">="), ("max", "<=")) if key in spec)

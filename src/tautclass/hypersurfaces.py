@@ -1,7 +1,8 @@
 """Chern and Segre data of smooth hypersurfaces X in P^(n+1).
 
-Chern classes of T_X come from truncating (1+H)^(n+2) / (1+dH), and the
-Segre classes of the cotangent bundle admit the closed form
+Chern classes of T_X come from truncating (1+H)^(n+2) / (1+dH), a case of
+the weighted complete intersections below, and the Segre classes of the
+cotangent bundle admit the closed form
 
     s_l(Omega_X) = ( C(n+l+1, l) - d C(n+l, l-1) ) H^l,
 
@@ -26,14 +27,8 @@ MAX_HYPERSURFACE_DIM = 200
 
 
 def binom(a: int, b: int) -> int:
-    """Binomial coefficient with C(a, b) = 0 for b < 0.
-
-    The b = -1 case appears at the i = n boundary of the binomial sums,
-    where the bracket degenerates to 1.
-    """
-    if b < 0:
-        return 0
-    return math.comb(a, b)
+    """C(a, b), and 0 for b < 0 (b = -1 at the i = n end of the sums)."""
+    return math.comb(a, b) if b >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -52,26 +47,40 @@ class HypersurfaceSpec:
             raise ValueError("d has at most 9 digits")
 
 
+def weighted_ci_chern(weights: tuple[int, ...], degrees: tuple[int, ...]
+                      ) -> tuple[Fraction, list[int]]:
+    """(H^n, [c_0..c_n]) with c_j(T_X) = c_j H^j for X of the given degrees
+    in P(weights), smooth and away from its singular points: c(T_X) =
+    prod(1+aH) / prod(1+dH), H^n = prod(degrees) / prod(weights) (Iano-
+    Fletcher, Working with weighted complete intersections, 2000)."""
+    n = len(weights) - len(degrees) - 1
+    # The commonest weight's (1+aH)^m by binomials; one pass per other factor.
+    a = max(set(weights), key=weights.count)
+    m = weights.count(a)
+    coeffs = [math.comb(m, j) * a**j for j in range(n + 1)]
+    for b in (w for w in weights if w != a):
+        for j in range(n, 0, -1):
+            coeffs[j] += b * coeffs[j - 1]
+    for d in degrees:
+        for j in range(1, n + 1):
+            coeffs[j] -= d * coeffs[j - 1]
+    return Fraction(math.prod(degrees), math.prod(weights)), coeffs
+
+
+def weighted_ci_profile(label: str, weights: tuple[int, ...],
+                        degrees: tuple[int, ...]) -> BaseProfile:
+    """Profile with basis {H} and the data of :func:`weighted_ci_chern`."""
+    top, coeffs = weighted_ci_chern(weights, degrees)
+    n = len(coeffs) - 1
+    return BaseProfile.make(label, n, ("H",), {(n,): top},
+                            [{(j,): coeffs[j]} for j in range(1, n + 1)])
+
+
 @lru_cache(maxsize=128)
 def hypersurface_profile(spec: HypersurfaceSpec) -> BaseProfile:
-    """Intersection profile of a degree-d hypersurface of dimension n.
-
-    Basis {H} with H^n = d; c_j(T_X) is the degree-j coefficient of the
-    series (1+H)^(n+2) / (1+dH), so in particular c_1 = (n+2-d) H.  From
-    c(T_X) . (1+dH) = (1+H)^(n+2) the coefficients satisfy
-    c_j = C(n+2, j) - d c_(j-1) with c_0 = 1.
-    """
-    n, d = spec.n, spec.d
-    coeffs = [1]
-    for j in range(1, n + 1):
-        coeffs.append(math.comb(n + 2, j) - d * coeffs[-1])
-    return BaseProfile.make(
-        label=f"hypersurface-n{n}-d{d}",
-        dim=n,
-        basis=("H",),
-        top_form={(n,): d},
-        chern=[{(j,): coeffs[j]} for j in range(1, n + 1)],
-    )
+    """Degree-d hypersurface in P^(n+1): H^n = d, c_1 = (n+2-d) H."""
+    return weighted_ci_profile(f"hypersurface-n{spec.n}-d{spec.d}",
+                               (1,) * (spec.n + 2), (spec.d,))
 
 
 def segre_closed_form(spec: HypersurfaceSpec, l: int) -> Fraction:
@@ -128,18 +137,24 @@ def cubic_mnef_number(n: int) -> Fraction:
     return _agree(value, cubic_mnef_closed_form(n), "engine value")
 
 
+def _direct_sum(n: int, shift: int, closed: int) -> Fraction:
+    """Sum over i of C(2n-3,i) C(2n-i+shift,n-i+shift-1), checked against
+    its closed form closed/64 . 2^n C(2n, n) / ((2n-1)(n+1))."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    HypersurfaceSpec(n, 3)  # caps n at MAX_HYPERSURFACE_DIM
+    value = Fraction(sum(binom(2 * n - 3, i)
+                         * binom(2 * n - i + shift, n - i + shift - 1)
+                         for i in range(n + 1)))
+    return _agree(value, Fraction(closed, 64) * _central(n), "direct sum")
+
+
 def sum_positive_part(n: int) -> Fraction:
     """Direct sum over i of C(2n-3,i) C(2n-i+1,n-i), checked in closed form.
 
     Closed form: 3(27n^2+9n-14) 2^n / (64(2n-1)(n+1)) . C(2n, n).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    HypersurfaceSpec(n, 3)  # caps n at MAX_HYPERSURFACE_DIM
-    value = Fraction(sum(binom(2 * n - 3, i) * binom(2 * n - i + 1, n - i)
-                         for i in range(n + 1)))
-    closed = Fraction(3 * (27 * n * n + 9 * n - 14), 64) * _central(n)
-    return _agree(value, closed, "direct sum")
+    return _direct_sum(n, 1, 3 * (27 * n * n + 9 * n - 14))
 
 
 def sum_negative_part(n: int) -> Fraction:
@@ -147,13 +162,7 @@ def sum_negative_part(n: int) -> Fraction:
 
     Closed form: 3(3n+2)(3n-1) 2^n / (64(2n-1)(n+1)) . C(2n, n).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    HypersurfaceSpec(n, 3)  # caps n at MAX_HYPERSURFACE_DIM
-    value = Fraction(sum(binom(2 * n - 3, i) * binom(2 * n - i, n - i - 1)
-                         for i in range(n)))
-    closed = Fraction(3 * (3 * n + 2) * (3 * n - 1), 64) * _central(n)
-    return _agree(value, closed, "direct sum")
+    return _direct_sum(n, 0, 3 * (3 * n + 2) * (3 * n - 1))
 
 
 def comb_A_brute(k: int, n: int) -> Fraction:
@@ -165,21 +174,15 @@ def comb_A_brute(k: int, n: int) -> Fraction:
 
 
 def comb_A_closed(k: int, n: int) -> Fraction | None:
-    """Closed form of A(k, n) for k <= 4; None beyond the tabulated range."""
+    """Closed form P_k(n) / 2^k . 2^n / n! of A(k, n) for k <= 4; None
+    beyond the tabulated range."""
     if n < 1:
         raise ValueError("need n >= 1")
-    base = Fraction(2**n, math.factorial(n))
-    if k == 0:
-        return base
-    if k == 1:
-        return Fraction(n, 2) * base
-    if k == 2:
-        return Fraction(n * (n + 1), 4) * base
-    if k == 3:
-        return Fraction(n * n * (n + 3), 8) * base
-    if k == 4:
-        return Fraction(n * (n + 1) * (n * n + 5 * n - 2), 16) * base
-    return None
+    if not 0 <= k <= 4:
+        return None
+    poly = (1, n, n * (n + 1), n * n * (n + 3),
+            n * (n + 1) * (n * n + 5 * n - 2))[k]
+    return Fraction(poly * 2**n, 2**k * math.factorial(n))
 
 
 def comb_identity_A(k: int, n: int) -> tuple[Fraction, Fraction | None]:

@@ -1,7 +1,7 @@
 """Del Pezzo threefolds of Picard rank one: profiles, dual-VMRT classes and
 the negativity certificates.
 
-A degree-d del Pezzo threefold (-K = 2H, d = H^3) is presented by the
+A degree-d del Pezzo threefold V_d (-K = 2H, d = H^3) is presented by the
 profile with c_1 = 2H, H.c_2 = 12 and c_3 = (4 - b_3)[pt], which yields
 
     zeta^5 = 8d - 44 - b_3,   zeta^4.pi^*H = 4d - 12,   zeta^3.pi^*H^2 = 2d.
@@ -23,42 +23,44 @@ from typing import Mapping
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
 from .exprparse import format_class
+from .hypersurfaces import weighted_ci_chern, weighted_ci_profile
 from .surfaces import minus_one_curves, surface_lattice
 
-# b_3 for d = 1, 2 and the evaluation degrees k are reported values; b_3 =
-# 10 for the cubic (d = 3) is derived from its hypersurface Chern data via
-# c_3 = 4 - b_3.  The d = 4, 5 Betti numbers are literature defaults kept
-# out of every verified claim: only the (k, r) line data enter those rows.
-B3_DEFAULTS = {1: 42, 2: 20, 3: 10, 4: 4, 5: 0}
+# (weights, degrees) of V_1..V_4: a sextic in P(1,1,1,2,3), a quartic in
+# P(1,1,1,1,2), a cubic in P^4 and a (2,2) intersection in P^5 (Iskovskikh
+# and Prokhorov, Fano varieties), so their b_3 is derived.  V_5 is a linear
+# section of Gr(2,5); its b_3 = 0 is a literature default kept out of every
+# verified claim.  The evaluation degrees k are reported values.
+WEIGHTED_CI = {1: ((1, 1, 1, 2, 3), (6,)), 2: ((1, 1, 1, 1, 2), (4,)),
+               3: ((1,) * 5, (3,)), 4: ((1,) * 6, (2, 2))}
+B3_DEFAULTS = {5: 0}
 EVALUATION_DEGREES = {1: 60, 2: 12, 3: 6, 4: 4, 5: 3}
+
+
+def default_b3(d: int) -> int:
+    """b_3 = 4 - c_3[V_d], from the weighted Chern data for d <= 4."""
+    if d not in WEIGHTED_CI:
+        return B3_DEFAULTS[d]
+    top, coeffs = weighted_ci_chern(*WEIGHTED_CI[d])
+    return int(4 - top * coeffs[3])
 
 
 @lru_cache(maxsize=128)
 def threefold_profile(d: int, b3: int) -> BaseProfile:
-    """Profile with basis {H}, H^3 = d, c_1 = 2H, H.c_2 = 12, c_3 = (4-b_3)[pt]."""
+    """Profile with basis {H}, H^3 = d, c_1 = 2H, H.c_2 = 12, c_3 = (4-b_3)[pt],
+    labelled dp3-degree<d> when b_3 is V_d's own."""
     if d < 1:
         raise ValueError("need d >= 1")
     if b3 < 0:
         raise ValueError("need b3 >= 0")
-    if 1 <= d <= 5 and b3 == B3_DEFAULTS[d]:
-        label = f"dp3-degree{d}"
-    else:
-        label = f"dp3-d{d}-b3-{b3}"
     return BaseProfile.make(
-        label=label,
-        dim=3,
-        basis=("H",),
-        top_form={(3,): d},
-        chern=[
-            {(1,): 2},
-            {(2,): Fraction(12, d)},
-            {(3,): Fraction(4 - b3, d)},
-        ],
-    )
+        f"dp3-degree{d}" if d <= 5 and b3 == default_b3(d)
+        else f"dp3-d{d}-b3-{b3}", 3, ("H",), {(3,): d},
+        [{(1,): 2}, {(2,): Fraction(12, d)}, {(3,): Fraction(4 - b3, d)}])
 
 
 def default_threefold_profile(d: int) -> BaseProfile:
-    return threefold_profile(d, B3_DEFAULTS[d])
+    return threefold_profile(d, default_b3(d))
 
 
 def profile_triple(profile: BaseProfile) -> tuple[Fraction, Fraction, Fraction]:
@@ -196,14 +198,8 @@ def certificate_degree2() -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=None)
 def k3_quartic_profile() -> BaseProfile:
-    """Profile of a smooth quartic K3 surface: c_1 = 0, c_2 = 24, H^2 = 4."""
-    return BaseProfile.make(
-        label="k3-quartic",
-        dim=2,
-        basis=("H",),
-        top_form={(2,): 4},
-        chern=[{}, {(2,): 6}],
-    )
+    """Profile of a smooth quartic K3 surface in P^3."""
+    return weighted_ci_profile("k3-quartic", (1, 1, 1, 1), (4,))
 
 
 @dataclass(frozen=True)

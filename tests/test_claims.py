@@ -179,6 +179,23 @@ def test_deeply_nested_class_spec_fails_its_claim(tmp_path, capsys):
     assert claim["computed"].startswith("error: bad expected spec")
 
 
+@pytest.mark.parametrize("spec", [
+    {"interval": {}}, {"interval": []}, {"interval": "abc"},
+    {"interval": {"min": "-100", "mx": "1"}}, {"interval": {"min": True}},
+    {"rational": True}], ids=repr)
+def test_malformed_number_spec_fails_its_claim(spec):
+    # hyp.mnef at n = 3 is -9, which each spec would otherwise pass or
+    # show with an empty or misread expected column
+    claim = Claim("t.spec", "d", "", "hyp.mnef", {"n": 3}, spec, "derived")
+    ok = Claim("t.ok", "d", "", "hyp.mnef", {"n": 3},
+               {"interval": {"min": "-100", "max": "1"}}, "derived")
+    bad, good = run_claims(registry=(claim, ok)).results
+    assert bad.status == "fail"
+    assert bad.computed.startswith("error: bad expected spec")
+    assert bad.expected == json.dumps(spec, sort_keys=True)
+    assert (good.status, good.expected) == ("pass", ">= -100 and <= 1")
+
+
 def test_emit_json_schema_and_determinism():
     report = run_claims("schur")
     first = emit(report, "json")

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from tautclass.chow import PTClass
+from tautclass.chow import PTClass, eval_top
+from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.surfaces import (CurveClass, _a0_range,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, conic_classes,
@@ -29,6 +30,27 @@ def test_lattice_invariants():
         assert lattice.pair(lattice.k, lattice.k) == degree
     with pytest.raises(ValueError):
         surface_lattice(8)
+
+
+# (weights, degrees) of the del Pezzo surfaces of degree 1..4: a sextic in
+# P(1,1,2,3), a quartic in P(1,1,1,2), a cubic in P^3 and (2,2) in P^4.
+WEIGHTED_DP_SURFACES = {1: ((1, 1, 2, 3), (6,)), 2: ((1, 1, 1, 2), (4,)),
+                        3: ((1,) * 4, (3,)), 4: ((1,) * 5, (2, 2))}
+
+
+@pytest.mark.parametrize("degree", sorted(WEIGHTED_DP_SURFACES))
+def test_weighted_route_matches_lattice(degree):
+    # The weighted route, where H = -K, against the blow-up lattice at H = -K.
+    weighted = weighted_ci_profile("wci", *WEIGHTED_DP_SURFACES[degree])
+    lattice = surface_lattice_profile(degree)
+    assert weighted.chern[0] == weighted.symbol("H")
+    for profile in (weighted, lattice):
+        assert profile.evaluate(profile.canonical ** 2) == degree
+        assert profile.evaluate(profile.chern[1]) == 12 - degree
+    for zp in range(4):
+        assert eval_top(weighted, PTClass.zeta(weighted, zp)
+                        * weighted.symbol("H") ** (3 - zp)) == eval_top(
+            lattice, PTClass.zeta(lattice, zp) * (-lattice.canonical) ** (3 - zp))
 
 
 def test_minus_one_counts():

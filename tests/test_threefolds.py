@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from tautclass import threefolds
-from tautclass.chow import PTClass, eval_top
 from tautclass.claims import run_claims
 from tautclass.exprparse import parse_expr
-from tautclass.hypersurfaces import HypersurfaceSpec, hypersurface_profile
+from tautclass.hypersurfaces import weighted_ci_profile
+from tautclass.profiles import get_profile
 from tautclass.threefolds import (certificate_degree1, certificate_degree2,
                                   certificate_degree2_modnef,
                                   default_threefold_profile, k3_quartic_data,
@@ -32,18 +33,23 @@ def test_triple_symbolic_grid():
             assert triple == (8 * d - 44 - b3, 4 * d - 12, 2 * d)
 
 
-def test_degree3_route_matches_hypersurface():
-    cubic_3fold = hypersurface_profile(HypersurfaceSpec(3, 3))
-    dp3 = threefold_profile(3, 10)
-    for zp in range(6):
-        mono_power = 5 - zp
-        for profile_pair in ((cubic_3fold, dp3),):
-            first, second = profile_pair
-            h1 = first.symbol("H")
-            h2 = second.symbol("H")
-            lhs = eval_top(first, PTClass.zeta(first) ** zp * h1 ** mono_power)
-            rhs = eval_top(second, PTClass.zeta(second) ** zp * h2 ** mono_power)
-            assert lhs == rhs
+@pytest.mark.parametrize(
+    "label", [*(f"dp3-degree{d}" for d in range(1, 5)), "k3-quartic"])
+def test_weighted_route_matches_hand_route(label):
+    # Whole profiles, not only eval numbers: V_1..V_4 from weighted_ci_profile
+    # against the hand-written family at b_3 = 4 - c_3 . H^3, label included,
+    # and the K3 quartic (c_1 = 0, c_2 = 24, H^2 = 4) against hypersurface-n2-d4.
+    if label == "k3-quartic":
+        k3 = get_profile(label)
+        assert k3.chern[0].is_zero and k3.evaluate(k3.chern[1]) == 24
+        assert k3.top_form == (((2,), 4),)
+        assert replace(k3, label="hypersurface-n2-d4") == get_profile(
+            "hypersurface-n2-d4")
+        return
+    d = int(label[-1])
+    weighted = weighted_ci_profile(label, *threefolds.WEIGHTED_CI[d])
+    b3 = 4 - weighted.evaluate(weighted.chern[2])
+    assert weighted == threefold_profile(d, b3) == get_profile(label)
 
 
 def test_vmrt_class_examples():
@@ -110,17 +116,6 @@ def test_certificates():
     # constant -49/6 for the same product is off by 1/3 (see README)
     assert divisor == Fraction(-51, 6)
     assert divisor < 0
-
-
-def test_k3_profile_matches_hypersurface_route():
-    quartic = hypersurface_profile(HypersurfaceSpec(2, 4))
-    k3 = k3_quartic_profile()
-    for zp in range(4):
-        h1 = quartic.symbol("H")
-        h2 = k3.symbol("H")
-        lhs = eval_top(quartic, PTClass.zeta(quartic) ** zp * h1 ** (3 - zp))
-        rhs = eval_top(k3, PTClass.zeta(k3) ** zp * h2 ** (3 - zp))
-        assert lhs == rhs
 
 
 def test_k3_quartic_data():
