@@ -25,19 +25,21 @@ values that the test suite treats as mandatory: zeta^3 = -6 on the
 cubic-surface profile and zeta^5 = -78 on the degree-1 del Pezzo threefold
 profile.
 
-All values in this module are immutable and hashable, so they can be shared
-freely across threads or processes.
+All values in this module are immutable and hashable records (subclasses of
+:class:`tautclass.record.Record`), so they can be shared freely across
+threads or processes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
+
+from .record import Record
 
 Exponents = tuple[int, ...]
 PTKey = tuple[int, Exponents]
@@ -77,8 +79,7 @@ def _add_exponents(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 
 
-@dataclass(frozen=True)
-class BaseProfile:
+class BaseProfile(Record):
     """Finite intersection-theoretic presentation of a variety.
 
     ``top_form`` assigns a rational number to degree-``dim`` exponent
@@ -92,6 +93,8 @@ class BaseProfile:
     its JSON equals the original.
     """
 
+    __slots__ = ("label", "dim", "basis", "top_form", "chern_terms",
+                 "__dict__")
     label: str
     dim: int
     basis: tuple[str, ...]
@@ -191,13 +194,6 @@ class BaseProfile:
         form = self._form
         return sum((c * form.get(e, 0) for (_, e), c in cls.terms),
                    Fraction(0))
-
-    def chern_omega(self, j: int) -> PTClass:
-        """c_j of the cotangent bundle: (-1)^j c_j(T_X)."""
-        if j == 0:
-            return PTClass.one(self)
-        cls = self.chern[j - 1]
-        return cls if j % 2 == 0 else -cls
 
     def to_json(self) -> dict:
         def entries(terms) -> list[dict]:
@@ -385,17 +381,37 @@ def _from_numerators(profile: BaseProfile, den: int,
                    tuple(sorted((k, Fraction(c, den)) for k, c in nums.items())))
 
 
-@dataclass(frozen=True)
-class PTClass:
+# PTClass.__init__ sets its slots with this, past Record.__setattr__.
+_set = object.__setattr__
+
+
+class PTClass(Record):
     """Sparse graded class on P(T_X) in zeta and pulled-back divisors.
 
     Terms map (zeta power, base exponent vector) to a Fraction; the class
     points to the profile it lives over, and arithmetic between classes
-    over different profiles is rejected.
+    over different profiles is rejected.  Every atom and product is a new
+    class, so construction, equality and hashing are spelled out rather
+    than left to :class:`Record`'s field loops.
     """
 
+    __slots__ = ("profile", "terms")
     profile: BaseProfile
     terms: tuple[tuple[tuple[int, Exponents], Fraction], ...]
+
+    def __init__(self, profile: BaseProfile,
+                 terms: tuple[tuple[tuple[int, Exponents], Fraction], ...]
+                 ) -> None:
+        _set(self, "profile", profile)
+        _set(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PTClass:
+            return NotImplemented
+        return (self.profile, self.terms) == (other.profile, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.profile, self.terms))
 
     @staticmethod
     def make(profile: BaseProfile,

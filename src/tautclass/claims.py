@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -27,14 +26,16 @@ from .chow import (PTClass, as_fraction, eval_top, fraction_str,
                    restrict_to_section, segre_omega, dual_vmrt_generic)
 from .exprparse import format_class, parse_expr
 from .profiles import get_profile
+from .record import Record
 
 PROVENANCE_TAGS = ("reported", "derived", "trivial")
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """A named expected value bound to the operation that recomputes it."""
 
+    __slots__ = ("id", "description", "anchor", "op", "args", "expected",
+                 "provenance")
     id: str
     description: str
     anchor: str
@@ -44,8 +45,9 @@ class Claim:
     provenance: str
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(Record):
+    __slots__ = ("id", "status", "computed", "expected", "provenance",
+                 "elapsed")
     id: str
     status: str  # "pass" | "fail"
     computed: str
@@ -54,9 +56,9 @@ class ClaimResult:
     elapsed: float
 
 
-@dataclass
 class Report:
-    results: list[ClaimResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.results: list[ClaimResult] = []
 
     @property
     def summary(self) -> dict[str, int]:

@@ -14,11 +14,11 @@ number and the auxiliary sums A(k, n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .chow import BaseProfile, PTClass, eval_product
+from .record import Record
 
 # Evaluation cost grows at least quadratically in n (the Segre inversion
 # alone takes O(n^2) products), so a larger n is a usage error rather than a
@@ -31,20 +31,21 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b) if b >= 0 else 0
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
+class HypersurfaceSpec(Record):
     """Dimension and degree of a smooth hypersurface in P^(n+1)."""
 
+    __slots__ = ("n", "d")
     n: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
+    def __init__(self, n: int, d: int) -> None:
+        if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        if self.n > MAX_HYPERSURFACE_DIM:
-            raise ValueError(f"need n <= {MAX_HYPERSURFACE_DIM}, got {self.n}")
-        if self.d >= 10**9:
+        if n > MAX_HYPERSURFACE_DIM:
+            raise ValueError(f"need n <= {MAX_HYPERSURFACE_DIM}, got {n}")
+        if d >= 10**9:
             raise ValueError("d has at most 9 digits")
+        super().__init__(n, d)
 
 
 def weighted_ci_chern(weights: tuple[int, ...], degrees: tuple[int, ...]

@@ -27,18 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic, eval_product,
                    fiber_line_degree)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """Integer divisor class in the basis (H, E1, ..., Er)."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
@@ -56,10 +56,10 @@ class CurveClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(Record):
     """Picard lattice of a del Pezzo surface of degree 1..7."""
 
+    __slots__ = ("degree",)
     degree: int
 
     @property
@@ -227,10 +227,10 @@ def cubic_conics_match_lines() -> bool:
     return conics == {(-lattice.k) - l for l in lines}
 
 
-@dataclass(frozen=True)
-class CubicCertificate:
+class CubicCertificate(Record):
     """The three numbers behind non-pseudoeffectivity of T_X on a cubic."""
 
+    __slots__ = ("a", "b", "budget")
     a: Fraction
     b: Fraction
     budget: Fraction

@@ -14,7 +14,6 @@ bound r >= 240 is available, so that row is carried as an interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -24,6 +23,7 @@ from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)
 from .exprparse import format_class
 from .hypersurfaces import weighted_ci_chern, weighted_ci_profile
+from .record import Record
 from .surfaces import minus_one_curves, surface_lattice
 
 # (weights, degrees) of V_1..V_4: a sextic in P(1,1,1,2,3), a quartic in
@@ -83,8 +83,7 @@ def vmrt_class_threefold(d: int, k: int, r: int) -> PTClass:
     return dual_vmrt_generic(profile, k, push)
 
 
-@dataclass(frozen=True)
-class VmrtRow:
+class VmrtRow(Record):
     """One row of the dual-VMRT class table.
 
     For d >= 2 the H-coefficient m = r/d - k is exact and ``cls`` holds the
@@ -92,6 +91,8 @@ class VmrtRow:
     class is kept as coefficient-plus-constraint and ``cls`` is None.
     """
 
+    __slots__ = ("degree", "k", "r", "r_min", "h_coefficient",
+                 "h_coefficient_min", "cls", "note")
     degree: int
     k: int
     r: int | None
@@ -202,11 +203,12 @@ def k3_quartic_profile() -> BaseProfile:
     return weighted_ci_profile("k3-quartic", (1, 1, 1, 1), (4,))
 
 
-@dataclass(frozen=True)
-class K3QuarticData:
+class K3QuarticData(Record):
     """Bitangent-incidence divisor class on P(T_S) for a quartic K3 surface,
     with the sanity intersection numbers of the profile."""
 
+    __slots__ = ("bitangent_class", "normalized_class", "zeta3", "zeta2_h",
+                 "zeta_h2")
     bitangent_class: PTClass
     normalized_class: PTClass
     zeta3: Fraction

@@ -318,7 +318,7 @@ def test_criterion_13_property_suites():
         for j in range(dim + 1):
             total_s = total_s + segre[j]
             if j >= 1:
-                total_c = total_c + profile.chern_omega(j)
+                total_c = total_c + (-1) ** j * profile.chern[j - 1]
         product = total_s * total_c
         truncated = PTClass.make(
             profile, {k: c for k, c in product.terms if sum(k[1]) <= dim})

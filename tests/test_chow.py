@@ -58,7 +58,7 @@ def test_segre_inversion_identity(profile):
     for j in range(profile.dim + 1):
         total_s = total_s + segre[j]
         if j >= 1:
-            total_c = total_c + profile.chern_omega(j)
+            total_c = total_c + (-1) ** j * profile.chern[j - 1]
     product = total_s * total_c
     truncated = PTClass.make(
         profile, {k: c for k, c in product.terms if sum(k[1]) <= profile.dim})

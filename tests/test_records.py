@@ -1,0 +1,137 @@
+"""Value-record semantics, and the import cost they were built to avoid.
+
+Profiles, classes, specs and claims are immutable values: equal fields mean
+equal, equally hashed objects (profiles are compared by value, and
+``lru_cache`` keys on specs and lattices), and nothing compares equal to a
+plain tuple.  The library builds them without ``dataclasses``, which with
+the ``inspect`` module it pulls in was a large share of a cold
+``tautclass verify``.
+"""
+
+from __future__ import annotations
+
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from tautclass.chow import BaseProfile, PTClass
+from tautclass.claims import Claim
+from tautclass.hypersurfaces import HypersurfaceSpec
+from tautclass.profiles import get_profile
+from tautclass.surfaces import CurveClass
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _claim(**changes) -> Claim:
+    fields = dict(id="c", description="d", anchor="a", op="eval_expr",
+                  args={"profile": "cubic-surface", "expr": "z^3"},
+                  expected={"rational": "-6"}, provenance="derived")
+    return Claim(**{**fields, **changes})
+
+
+def _records():
+    profile = get_profile("cubic-surface")
+    return {
+        "PTClass": profile.symbol("H"),
+        "BaseProfile": profile,
+        "CurveClass": CurveClass((1, -1, 0)),
+        "HypersurfaceSpec": HypersurfaceSpec(3, 3),
+        "Claim": _claim(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_fields_cannot_be_set_or_deleted(name):
+    record = _records()[name]
+    field = next(iter(type(record).__annotations__))
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is before
+
+
+def test_equal_fields_mean_equal_records_and_hashes():
+    profile = get_profile("cubic-surface")
+    rebuilt = BaseProfile.from_json(profile.to_json())
+    assert rebuilt is not profile
+    pairs = [
+        (rebuilt, profile),
+        (PTClass(rebuilt, profile.symbol("H").terms), profile.symbol("H")),
+        (CurveClass((1, -1, 0)), CurveClass(coeffs=(1, -1, 0))),
+        (HypersurfaceSpec(3, 4), HypersurfaceSpec(n=3, d=4)),
+    ]
+    for left, right in pairs:
+        assert left == right and not left != right
+        assert hash(left) == hash(right)
+    assert _claim() == _claim()  # args and expected are dicts: no hash
+    assert CurveClass((1, 0)) != CurveClass((0, 1))
+    assert HypersurfaceSpec(3, 4) != HypersurfaceSpec(4, 3)
+    assert _claim() != _claim(provenance="reported")
+    assert profile.symbol("H") != profile.symbol("F")
+    assert len({HypersurfaceSpec(3, 3), HypersurfaceSpec(3, 3)}) == 1
+
+
+def test_records_never_equal_a_tuple_of_their_fields():
+    profile = get_profile("cubic-surface")
+    h = profile.symbol("H")
+    assert h != (h.profile, h.terms)
+    assert profile != (profile.label, profile.dim, profile.basis,
+                       profile.top_form, profile.chern_terms)
+    assert CurveClass((1, 0)) != ((1, 0),)
+    assert HypersurfaceSpec(3, 3) != (3, 3)
+
+
+def test_cached_properties_still_cache():
+    profile = get_profile("dp3-degree2")
+    assert profile.chern is profile.chern
+    assert profile.canonical is profile.canonical
+
+
+def test_construction_and_repr():
+    assert repr(HypersurfaceSpec(3, 4)) == "HypersurfaceSpec(n=3, d=4)"
+    assert repr(CurveClass((1, 0))) == "CurveClass(coeffs=(1, 0))"
+    with pytest.raises(TypeError):
+        CurveClass()
+    with pytest.raises(TypeError):
+        CurveClass((1, 0), (0, 1))
+    with pytest.raises(TypeError):
+        CurveClass((1, 0), coeffs=(0, 1))
+    with pytest.raises(TypeError):
+        CurveClass(degree=1)
+
+
+def test_records_survive_pickling():
+    profile = get_profile("cubic-surface")
+    cls = profile.symbol("H") * Fraction(1, 2)
+    copy = pickle.loads(pickle.dumps(cls))
+    assert copy == cls and copy.profile == profile
+    assert pickle.loads(pickle.dumps(HypersurfaceSpec(3, 3))) == \
+        HypersurfaceSpec(3, 3)
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (201, 3), (3, 10**9)])
+def test_hypersurface_spec_bounds(n, d):
+    with pytest.raises(ValueError):
+        HypersurfaceSpec(n, d)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Deterministic stand-in for a start-up timing: these modules (and the
+    # per-class code generation of @dataclass) were about a fifth of a
+    # cold `tautclass verify`.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import tautclass.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

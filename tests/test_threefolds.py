@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from tautclass import threefolds
+from tautclass.chow import BaseProfile
 from tautclass.claims import run_claims
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import weighted_ci_profile
@@ -43,7 +43,8 @@ def test_weighted_route_matches_hand_route(label):
         k3 = get_profile(label)
         assert k3.chern[0].is_zero and k3.evaluate(k3.chern[1]) == 24
         assert k3.top_form == (((2,), 4),)
-        assert replace(k3, label="hypersurface-n2-d4") == get_profile(
+        assert BaseProfile("hypersurface-n2-d4", k3.dim, k3.basis,
+                           k3.top_form, k3.chern_terms) == get_profile(
             "hypersurface-n2-d4")
         return
     d = int(label[-1])
