@@ -9,6 +9,8 @@ verify``; ``tests/test_records.py`` checks that the CLI does not import it.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """Immutable value record, in place of a frozen dataclass.
@@ -22,10 +24,12 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _key: attrgetter  # called as self._key(self): a C getter does not bind
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__dict__.get("__slots__", ())
                             if name != "__dict__")
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -40,15 +44,17 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        # attrgetter of one field gives the value itself, not a 1-tuple
+        values = self._key(self)
+        return (values,) if len(self._fields) == 1 else values
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value

@@ -195,14 +195,16 @@ def degenerate_members(lattice: PicardLattice,
                        fiber: CurveClass) -> tuple[tuple[CurveClass, CurveClass], ...]:
     """Unordered pairs of (-1)-classes summing to a conic class.
 
-    There are exactly 8 - degree such pairs for every conic pencil.
+    There are exactly 8 - degree such pairs for every conic pencil.  Each
+    pair (l1, l2) has l1.coeffs < l2.coeffs, in ascending order of l1.
     """
     _require_conic(lattice, fiber)
-    lines = set(minus_one_curves(lattice))
+    lines = minus_one_curves(lattice)
+    members = set(lines)
     pairs = []
-    for l1 in sorted(lines, key=lambda c: c.coeffs):
+    for l1 in lines:
         l2 = fiber - l1
-        if l2 in lines and l1.coeffs < l2.coeffs:
+        if l2 in members and l1.coeffs < l2.coeffs:
             pairs.append((l1, l2))
     return tuple(pairs)
 

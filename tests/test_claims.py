@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import fnmatch
 import importlib
 import json
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -36,78 +34,73 @@ def test_every_dispatch_op_is_claimed():
 
 
 LAYERS = ("chow", "hypersurfaces", "surfaces", "threefolds", "schur")
+DOC = Path(__file__).parents[1] / "docs" / "claims-coverage.md"
+MARKER = "<!-- Generated below: PYTHONPATH=src python tests/test_claims.py -->"
 
 
-def claim_calls(monkeypatch):
-    """(public function names, claim id -> names of the ones it calls).
+def public_functions(layer):
+    """Name -> public function of a library layer, in definition order."""
+    module = importlib.import_module(f"tautclass.{layer}")
+    return {name: value for name, value in vars(module).items()
+            if not name.startswith("_") and callable(value)
+            and not isinstance(value, type)
+            and getattr(value, "__module__", None) == module.__name__}
 
-    Wraps every binding of each public function of the library layers, as
-    perfbench's tracer does, so calls made inside the library count too,
-    and runs each claim cold: the body of every memoized function
-    (vmrt_table, euler_char_forms, the profile builders) runs and its
-    callees count.
-    """
-    targets = {}
-    for layer in LAYERS:
-        module = importlib.import_module(f"tautclass.{layer}")
-        for attr, value in vars(module).items():
-            if (not attr.startswith("_") and callable(value)
-                    and not isinstance(value, type)
-                    and getattr(value, "__module__", None) == module.__name__):
-                targets[id(value)] = (f"{layer}.{attr}", value)
+
+def claim_calls():
+    """Claim id -> "layer.name" of each public function the claim calls, as
+    a profile hook sees them: from anywhere, with every cache cleared first,
+    so memoized bodies run and their calls count."""
+    functions = [(f"{layer}.{name}", fn) for layer in LAYERS
+                 for name, fn in public_functions(layer).items()]
+    names = {getattr(fn, "__wrapped__", fn).__code__: name
+             for name, fn in functions}
     called = set()
 
-    def wrap(name, fn):
-        def wrapper(*args, **kwargs):
-            called.add(name)
-            return fn(*args, **kwargs)
-        return wrapper
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            called.add(names[frame.f_code])
 
-    wrappers = {key: wrap(name, fn) for key, (name, fn) in targets.items()}
-    for name, module in list(sys.modules.items()):
-        if name == "tautclass" or name.startswith("tautclass."):
-            for attr, value in list(vars(module).items()):
-                if id(value) in targets:
-                    monkeypatch.setattr(module, attr, wrappers[id(value)])
-    calls = {}
-    for claim in load_registry():
-        for _, fn in targets.values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-        called.clear()
-        run_claims(registry=(claim,))
-        calls[claim.id] = set(called)
-    return {name for name, _ in targets.values()}, calls
+    calls, previous = {}, sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for claim in load_registry():
+            for _, fn in functions:
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+            called.clear()
+            run_claims(registry=(claim,))
+            calls[claim.id] = frozenset(called)
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
-def test_coverage_doc_names_public_operations(monkeypatch):
-    # each operation in a module's table of docs/claims-coverage.md is a
-    # public attribute of that module, so a deleted name cannot linger
-    # there, and each claim id or glob in its row matches a claim that
-    # calls it
-    _, calls = claim_calls(monkeypatch)
-    doc = Path(__file__).parents[1] / "docs" / "claims-coverage.md"
-    module, seen = None, set()
-    for line in doc.read_text(encoding="utf-8").splitlines():
-        if line.startswith("## "):
-            heading = line[3:].strip()
-            module = (importlib.import_module(f"tautclass.{heading}")
-                      if heading.isidentifier() else None)
-        elif module is not None and line.startswith("| `"):
-            operations, claims = line.split("|")[1:3]
-            for name in re.findall(r"`([^`]+)`", operations):
-                assert not name.startswith("_"), name
-                assert hasattr(module, name), f"{module.__name__}.{name}"
-                seen.add(module.__name__)
-                if claims.strip().startswith("none"):
-                    continue
-                function = f"{module.__name__.split('.')[1]}.{name}"
-                for pattern in re.findall(r"`([^`]+)`", claims):
-                    assert any(fnmatch.fnmatchcase(claim_id, pattern)
-                               and function in called
-                               for claim_id, called in calls.items()), (
-                        function, pattern)
-    assert seen == {f"tautclass.{m}" for m in LAYERS}
+def coverage_tables():
+    """The doc below its marker: per function, `prefix.*` for each two-part
+    id prefix whose claims all call it, else the ids of the claims that do."""
+    calls, groups, lines = claim_calls(), {}, []
+    for claim_id in calls:
+        prefix = ".".join(claim_id.split(".")[:2])
+        groups.setdefault(prefix, []).append(claim_id)
+    for layer in LAYERS:
+        lines += ["", f"## {layer}", "", "| operation | claims |",
+                  "| --- | --- |"]
+        for name in public_functions(layer):
+            cells = []
+            for prefix, ids in groups.items():
+                callers = [i for i in ids if f"{layer}.{name}" in calls[i]]
+                cells += [f"{prefix}.*"] if callers == ids else callers
+            row = ", ".join(f"`{cell}`" for cell in cells) or "none"
+            lines.append(f"| `{name}` | {row} |")
+    return "\n" + "\n".join(lines) + "\n"
+
+
+def test_coverage_doc_is_generated():
+    text = DOC.read_text(encoding="utf-8")
+    assert text.partition(MARKER)[2] == coverage_tables(), (
+        "docs/claims-coverage.md is stale: regenerate it with "
+        "PYTHONPATH=src python tests/test_claims.py")
 
 
 # Public functions that no claim calls: second routes that tests compare
@@ -120,9 +113,10 @@ REFERENCE_ROUTES = {
 }
 
 
-def test_claims_call_every_public_function(monkeypatch):
-    names, calls = claim_calls(monkeypatch)
-    assert names - set().union(*calls.values()) == REFERENCE_ROUTES
+def test_claims_call_every_public_function():
+    names = {f"{layer}.{name}" for layer in LAYERS
+             for name in public_functions(layer)}
+    assert names - set().union(*claim_calls().values()) == REFERENCE_ROUTES
 
 
 def test_full_run_has_single_known_failure():
@@ -417,3 +411,8 @@ def test_cli_schur_dim(capsys):
     assert main(["schur", "dim", "--partition", "a", "--dim", "3"]) == 2
     assert capsys.readouterr() == (
         "", "error: invalid literal for int() with base 10: 'a'\n")
+
+
+if __name__ == "__main__":
+    head = DOC.read_text(encoding="utf-8").partition(MARKER)[0]
+    DOC.write_text(head + MARKER + coverage_tables(), encoding="utf-8")

@@ -114,8 +114,8 @@ def test_records_survive_pickling():
     cls = profile.symbol("H") * Fraction(1, 2)
     copy = pickle.loads(pickle.dumps(cls))
     assert copy == cls and copy.profile == profile
-    assert pickle.loads(pickle.dumps(HypersurfaceSpec(3, 3))) == \
-        HypersurfaceSpec(3, 3)
+    for record in (HypersurfaceSpec(3, 3), CurveClass((1, -1, 0))):
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize("n, d", [(0, 3), (201, 3), (3, 10**9)])

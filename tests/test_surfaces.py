@@ -89,8 +89,10 @@ def test_degenerate_member_counts():
         for fiber in conic_classes(lattice):
             pairs = degenerate_members(lattice, fiber)
             assert len(pairs) == 8 - degree
+            firsts = [l1.coeffs for l1, _ in pairs]
+            assert firsts == sorted(set(firsts))
             for l1, l2 in pairs:
-                assert l1 + l2 == fiber
+                assert l1 + l2 == fiber and l1.coeffs < l2.coeffs
                 assert lattice.selfint(l1) == lattice.selfint(l2) == -1
                 assert lattice.pair(l1, l2) == 1
     with pytest.raises(ValueError):
