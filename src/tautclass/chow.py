@@ -226,17 +226,16 @@ class BaseProfile(Record):
 def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     """Invert the total Chern class of Omega_X as a truncated power series.
 
-    Returns s_0..s_n with s_0 = 1 and, degree by degree,
-    s_j = -(c_1(Omega) s_{j-1} + ... + c_j(Omega) s_0), so that the
-    truncated product s(Omega) . c(Omega) equals 1.  With every c_i(Omega)
-    written over one denominator D, s_j is an integer term map over D^j,
-    and c_i(Omega) s_{j-i} is scaled by D^(i-1) onto that denominator.  The
-    recurrence runs on packed keys of field width n.bit_length(): every
-    term of s_j and c_i(Omega) has zeta-power 0 and base degree at most n,
-    so no field reaches 2^width and no pair is truncated.  The inversion
-    runs on every call and its result is not kept; :func:`eval_top` and
-    :func:`eval_product` read the profile's pushforward table, built once
-    from it.
+    Returns s_0..s_n with s(Omega) = s_0 + ... + s_n the inverse of
+    c(Omega) up to base degree n, so s_0 = 1.  With every c_i(Omega)
+    written over one denominator D, the series 1 + sum_i D^i c_i(Omega)
+    has integer coefficients, its inverse has part D^j s_j in base degree
+    j, and :func:`_pow_packed` computes that inverse as the power -1.  The
+    series is packed with field width n.bit_length(): every term has
+    zeta-power 0 and base degree at most n, so no field reaches 2^width
+    and no pair is truncated.  The inversion runs on every call and its
+    result is not kept; :func:`eval_top` and :func:`eval_product` read the
+    profile's pushforward table, built once from it.
     """
     n = profile.dim
     width = n.bit_length()
@@ -245,20 +244,16 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     omega = [_numerators([((0, e), -c if i % 2 else c) for e, c in terms])
              for i, terms in enumerate(profile.chern_terms, start=1)]
     den = math.lcm(*(d for d, _ in omega))
-    scaled = [_pack({k: -c * (den // d) * den ** (i - 1)
-                     for k, c in nums.items()}, width)
-              for i, (d, nums) in enumerate(omega, start=1)]
-    entries: list[dict[int, int]] = [{0: 1}]
-    for j in range(1, n + 1):
-        acc: dict[int, int] = {}
-        for i in range(1, j + 1):
-            for k, c in _mul_packed(scaled[i - 1], entries[j - i],
-                                    width, n).items():
-                acc[k] = acc.get(k, 0) + c
-        entries.append({k: c for k, c in acc.items() if c})
-    return tuple(_from_numerators(profile, den ** j,
-                                  _unpack(nums, width, profile.nsyms))
-                 for j, nums in enumerate(entries))
+    series = {0: 1}
+    for i, (d, nums) in enumerate(omega, start=1):
+        series.update(_pack({k: c * (den // d) * den ** (i - 1)
+                             for k, c in nums.items()}, width))
+    parts: list[dict[PTKey, int]] = [{} for _ in range(n + 1)]
+    for key, c in _unpack(_pow_packed(series, -1, width, n), width,
+                          profile.nsyms).items():
+        parts[sum(key[1])][key] = c
+    return tuple(_from_numerators(profile, den ** j, nums)
+                 for j, nums in enumerate(parts))
 
 
 def _numerators(terms: Sequence[tuple[Key, Fraction]]
@@ -329,23 +324,29 @@ def _mul_packed(a: Mapping[int, int], b: Mapping[int, int], width: int,
 
 def _pow_packed(f: Mapping[int, int], m: int, width: int,
                 max_base_degree: int) -> dict[int, int]:
-    """f^m for a homogeneous packed term map f, truncated like the kernel.
+    """f^m for a packed term map f, truncated like the kernel.
 
     Graded by base degree, f = P_0 + P_1 + ... with P_0 = c_0 zeta^d, and
-    Q = f^m has parts Q_0 = c_0^m zeta^(dm) and, from f Q' = m f' Q,
+    Q = f^m has parts Q_0 = c_0^m zeta^(dm) and, from f Q' = m f' Q
+    (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7),
 
         k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
 
     Q_k reads only lower parts, so stopping at base degree
     ``max_base_degree`` is exact.  Dividing by zeta^d subtracts P_0's key
     (the zeta-power is the top field); dividing by k c_0 is exact because
-    f^m has integer coefficients.  Without a pure zeta term, f is
-    multiplied m times.
+    f^m has integer coefficients.  For m >= 1, f is homogeneous; without a
+    pure zeta term it is multiplied m times.  For m = -1, P_0 must be the
+    constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other
+    negative m or constant part raises :class:`ValueError`.
     """
     mask = (1 << width) - 1
     levels: dict[int, list[tuple[int, int]]] = {}
     for key, c in f.items():
         levels.setdefault(key & mask, []).append((key, c))
+    if m < 0 and (m != -1 or levels.get(0) != [(0, 1)]):
+        raise ValueError(f"no power {m} of a series with constant part "
+                         f"{levels.get(0, [])}: only 1 has a power -1 here")
     if m == 1 or 0 not in levels:
         power = f
         for _ in range(m - 1):
@@ -353,8 +354,9 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
         return power
     (k0, c0), = levels[0]
     top = max(levels)
-    parts = [{k0 * m: c0 ** m}]
-    for k in range(1, min(max_base_degree, m * top) + 1):
+    last = max_base_degree if m < 0 else min(max_base_degree, m * top)
+    parts = [{k0 * m: c0 ** abs(m)}]  # c_0 = 1 when m = -1
+    for k in range(1, last + 1):
         acc: dict[int, int] = {}
         for i in range(1, min(k, top) + 1):
             weight = (m + 1) * i - k
@@ -391,8 +393,9 @@ class PTClass(Record):
     Terms map (zeta power, base exponent vector) to a Fraction; the class
     points to the profile it lives over, and arithmetic between classes
     over different profiles is rejected.  Every atom and product is a new
-    class, so construction, equality and hashing are spelled out rather
-    than left to :class:`Record`'s field loops.
+    class, so construction is spelled out rather than left to
+    :class:`Record`'s field loop; equality and hashing are :class:`Record`'s,
+    one ``attrgetter`` call on (profile, terms).
     """
 
     __slots__ = ("profile", "terms")
@@ -404,14 +407,6 @@ class PTClass(Record):
                  ) -> None:
         _set(self, "profile", profile)
         _set(self, "terms", terms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PTClass:
-            return NotImplemented
-        return (self.profile, self.terms) == (other.profile, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.profile, self.terms))
 
     @staticmethod
     def make(profile: BaseProfile,
@@ -577,11 +572,10 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     :class:`DegreeMismatchError` as on the formal product.
 
     A run whose f has a pure zeta term is raised with J.C.P. Miller's power
-    recurrence (Knuth, TAOCP vol. 2, 4.7; see :func:`_pow_packed`): part
-    k of f^m by base degree comes from the lower parts, divided by k times
-    the zeta coefficient of f's integer numerators, which is exact since
-    f^m has integer coefficients.  Any other run is multiplied out.  The
-    runs are then multiplied together.
+    recurrence in :func:`_pow_packed`, the recurrence that also inverts
+    c(Omega_X) in :func:`segre_omega` (as the power -1): part k of f^m by
+    base degree comes from the lower parts in one exact integer division.
+    Any other run is multiplied out.  The runs are then multiplied together.
 
     The running product uses packed keys of field width
     (2n-1).bit_length().  The factors are homogeneous with non-negative

@@ -31,8 +31,40 @@ from .record import Record
 PROVENANCE_TAGS = ("reported", "derived", "trivial")
 
 
+class _FrozenDict(dict):
+    """A read-only dict that hashes by its items."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs) -> None:
+        raise TypeError("claim data is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self) -> tuple:
+        return _FrozenDict, (dict(self),)
+
+
+def _freeze(value: Any) -> Any:
+    """JSON data made read-only: objects as _FrozenDicts, arrays as tuples."""
+    if isinstance(value, dict):
+        return _FrozenDict({k: _freeze(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(map(_freeze, value))
+    return value
+
+
 class Claim(Record):
-    """A named expected value bound to the operation that recomputes it."""
+    """A named expected value bound to the operation that recomputes it.
+
+    ``args`` and ``expected`` are frozen on construction (objects become
+    read-only dicts, arrays tuples), so a claim is hashable and a loaded
+    registry cannot be changed through it.
+    """
 
     __slots__ = ("id", "description", "anchor", "op", "args", "expected",
                  "provenance")
@@ -43,6 +75,11 @@ class Claim(Record):
     args: Mapping[str, Any]
     expected: Mapping[str, Any]
     provenance: str
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "args", _freeze(self.args))
+        object.__setattr__(self, "expected", _freeze(self.expected))
 
 
 class ClaimResult(Record):
@@ -237,30 +274,30 @@ def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
         for key, kind in ENTRY_KEYS.items():
             if not isinstance(entry.get(key), kind):
                 raise ValueError(f"claim #{index}: missing or bad {key!r}")
-        claim = Claim(
-            id=entry["id"],
+        claim_id, expected = entry["id"], entry["expected"]
+        args = entry.get("args", {})
+        if claim_id in seen:
+            raise ValueError(f"duplicate claim id {claim_id!r}")
+        seen.add(claim_id)
+        if entry["provenance"] not in PROVENANCE_TAGS:
+            raise ValueError(f"{claim_id}: bad provenance {entry['provenance']!r}")
+        if len(expected) != 1 or next(iter(expected)) not in EXPECTED_KINDS:
+            raise ValueError(f"{claim_id}: bad expected spec {expected!r}")
+        if not isinstance(args, dict):
+            raise ValueError(f"{claim_id}: args must be an object")
+        for name, value in args.items():
+            if not _is_arg(value):
+                raise ValueError(f"{claim_id}: arg {name!r} must be an int, a "
+                                 f"string or a list of ints, not {value!r}")
+        claims.append(Claim(
+            id=claim_id,
             description=entry["description"],
             anchor=entry.get("anchor", ""),
             op=entry["op"],
-            args=entry.get("args", {}),
-            expected=entry["expected"],
+            args=args,
+            expected=expected,
             provenance=entry["provenance"],
-        )
-        if claim.id in seen:
-            raise ValueError(f"duplicate claim id {claim.id!r}")
-        seen.add(claim.id)
-        if claim.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"{claim.id}: bad provenance {claim.provenance!r}")
-        if (len(claim.expected) != 1
-                or next(iter(claim.expected)) not in EXPECTED_KINDS):
-            raise ValueError(f"{claim.id}: bad expected spec {claim.expected!r}")
-        if not isinstance(claim.args, dict):
-            raise ValueError(f"{claim.id}: args must be an object")
-        for name, value in claim.args.items():
-            if not _is_arg(value):
-                raise ValueError(f"{claim.id}: arg {name!r} must be an int, a "
-                                 f"string or a list of ints, not {value!r}")
-        claims.append(claim)
+        ))
     return tuple(claims)
 
 

@@ -53,6 +53,8 @@ def threefold_profile(d: int, b3: int) -> BaseProfile:
         raise ValueError("need d >= 1")
     if b3 < 0:
         raise ValueError("need b3 >= 0")
+    if b3 % 2:
+        raise ValueError(f"b3 = 2 h^(1,2) is even, got {b3}")
     return BaseProfile.make(
         f"dp3-degree{d}" if d <= 5 and b3 == default_b3(d)
         else f"dp3-d{d}-b3-{b3}", 3, ("H",), {(3,): d},

@@ -15,7 +15,7 @@ from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
                             eval_product, eval_top, fiber_line_degree,
                             fraction_str, restrict_to_section, segre_omega)
-from tautclass.chow import _pack, _pow_packed, _unpack
+from tautclass.chow import _mul_packed, _pack, _pow_packed, _unpack
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM, hypersurface_profile
 from tautclass.profiles import FIXED_LABELS, get_profile
@@ -347,6 +347,39 @@ def test_power_recurrence_matches_binomials(n):
         assert power == {
             (m - k, (k,)): math.comb(m, k) * c0 ** (m - k) * c1 ** k
             for k in range(n + 1)}
+
+
+TWO_SYMBOL_DEGREE_3 = [e for k in (1, 2, 3) for e in compositions(k, 2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=len(TWO_SYMBOL_DEGREE_3),
+                max_size=len(TWO_SYMBOL_DEGREE_3)),
+       st.integers(min_value=1, max_value=7))
+def test_power_minus_one_inverts_a_series(coeffs, top):
+    # f = 1 + (terms of base degree 1..3 in two symbols); f^(-1) up to
+    # base degree `top` against f . f^(-1) = 1 and sum_k (1 - f)^k.
+    width = max(top, 3).bit_length()
+    f = _pack({(0, (0, 0)): 1, **{(0, e): c for e, c
+                                  in zip(TWO_SYMBOL_DEGREE_3, coeffs) if c}},
+              width)
+    inverse = _pow_packed(f, -1, width, top)
+    assert _mul_packed(f, inverse, width, top) == {0: 1}
+    one_minus_f = {k: -c for k, c in f.items() if k}
+    geometric, power = {}, {0: 1}
+    for _ in range(top + 1):
+        for k, c in power.items():
+            geometric[k] = geometric.get(k, 0) + c
+        power = _mul_packed(power, one_minus_f, width, top)
+    assert inverse == {k: c for k, c in geometric.items() if c}
+
+
+@pytest.mark.parametrize("m, constant", [(-2, 1), (-1, 2), (-1, -1), (-1, 0)])
+def test_other_negative_powers_raise(m, constant):
+    # constant 0: no base-degree-0 term at all
+    f = _pack({(0, (1,)): 3, **({(0, (0,)): constant} if constant else {})}, 2)
+    with pytest.raises(ValueError, match="power"):
+        _pow_packed(f, m, 2, 3)
 
 
 def test_segre_cache_is_bounded():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from tautclass.chow import BaseProfile, PTClass
-from tautclass.claims import Claim
+from tautclass.claims import Claim, load_registry
 from tautclass.hypersurfaces import HypersurfaceSpec
 from tautclass.profiles import get_profile
 from tautclass.surfaces import CurveClass
@@ -72,7 +72,7 @@ def test_equal_fields_mean_equal_records_and_hashes():
     for left, right in pairs:
         assert left == right and not left != right
         assert hash(left) == hash(right)
-    assert _claim() == _claim()  # args and expected are dicts: no hash
+    assert _claim() == _claim() and hash(_claim()) == hash(_claim())
     assert CurveClass((1, 0)) != CurveClass((0, 1))
     assert HypersurfaceSpec(3, 4) != HypersurfaceSpec(4, 3)
     assert _claim() != _claim(provenance="reported")
@@ -116,6 +116,31 @@ def test_records_survive_pickling():
     assert copy == cls and copy.profile == profile
     for record in (HypersurfaceSpec(3, 3), CurveClass((1, -1, 0))):
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_claims_are_hashable_and_read_only():
+    registry = load_registry()
+    assert len(set(registry)) == len(registry)
+    assert hash(load_registry()[0]) == hash(registry[0])
+    claim = next(c for c in registry if c.op == "schur.dim")
+    with pytest.raises(TypeError):
+        claim.args["x"] = 1
+    with pytest.raises(TypeError):
+        claim.expected.update(int=0)
+    with pytest.raises(TypeError):
+        del claim.args["partition"]
+    assert claim == load_registry()[registry.index(claim)]
+    # arrays and nested objects are frozen too
+    assert isinstance(claim.args["partition"], tuple)
+    nested = _claim(expected={"interval": {"min": "1"}})
+    with pytest.raises(TypeError):
+        nested.expected["interval"]["max"] = "2"
+    assert hash(nested) == hash(_claim(expected={"interval": {"min": "1"}}))
+    for record in (claim, nested):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        with pytest.raises(TypeError):
+            copy.args["x"] = 1
 
 
 @pytest.mark.parametrize("n, d", [(0, 3), (201, 3), (3, 10**9)])

@@ -26,6 +26,14 @@ def test_profile_triples():
     assert profile_triple(threefold_profile(3, 10)) == (-30, 0, 6)
 
 
+@pytest.mark.parametrize("d, b3", [(2, 21), (5, 1), (3, 11)])
+def test_odd_b3_is_rejected(d, b3):
+    # b_3 = 2 h^(1,2) by Hodge symmetry; these data would give a
+    # non-integral chi(T_X), e.g. -39/2 at (2, 21)
+    with pytest.raises(ValueError, match="even"):
+        threefold_profile(d, b3)
+
+
 def test_triple_symbolic_grid():
     for d in range(1, 7):
         for b3 in range(0, 61, 6):
