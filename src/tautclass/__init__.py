@@ -26,8 +26,8 @@ from .surfaces import (CurveClass, PicardLattice, chi_sym_tangent_surface,
                        cubic_surface_certificate, degenerate_members,
                        degree4_pairing, degree5_sum, minus_one_curves,
                        noether_check, surface_lattice)
-from .threefolds import (certificate_degree1, certificate_degree2,
-                         k3_quartic_data, threefold_profile,
-                         vmrt_class_threefold, vmrt_table)
+from .threefolds import (certificate_degree1, certificate_degree2_divisor,
+                         certificate_degree2_modnef, k3_bitangent_class,
+                         threefold_profile, vmrt_class_threefold, vmrt_table)
 
 __version__ = "0.1.0"

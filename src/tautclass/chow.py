@@ -335,11 +335,13 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     Q_k reads only lower parts, so stopping at base degree
     ``max_base_degree`` is exact.  Dividing by zeta^d subtracts P_0's key
     (the zeta-power is the top field); dividing by k c_0 is exact because
-    f^m has integer coefficients.  For m >= 1, f is homogeneous; without a
-    pure zeta term it is multiplied m times.  For m = -1, P_0 must be the
-    constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other
-    negative m or constant part raises :class:`ValueError`.
+    f^m has integer coefficients.  f^1 is f; for m >= 2, f is homogeneous,
+    and without a pure zeta term it is multiplied m times.  For m = -1, P_0
+    must be the constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0);
+    any other negative m or constant part raises :class:`ValueError`.
     """
+    if m == 1:
+        return f
     mask = (1 << width) - 1
     levels: dict[int, list[tuple[int, int]]] = {}
     for key, c in f.items():
@@ -347,7 +349,7 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     if m < 0 and (m != -1 or levels.get(0) != [(0, 1)]):
         raise ValueError(f"no power {m} of a series with constant part "
                          f"{levels.get(0, [])}: only 1 has a power -1 here")
-    if m == 1 or 0 not in levels:
+    if 0 not in levels:
         power = f
         for _ in range(m - 1):
             power = _mul_packed(power, f, width, max_base_degree)

@@ -162,13 +162,6 @@ def _op_comb_A_match(k: int, n: int) -> bool:
     return closed is not None and brute == closed
 
 
-def _vmrt_field(d: int, name: str) -> Any:
-    value = getattr(threefolds.vmrt_table()[d], name)
-    if value is None:
-        raise ValueError(f"degree {d} row has no {name}")
-    return value
-
-
 OPS: dict[str, Callable[..., Any]] = {
     "chow.eval_expr": _op_eval_expr,
     "chow.segre_top": _op_segre_top,
@@ -213,9 +206,10 @@ OPS: dict[str, Callable[..., Any]] = {
     "hyp.recursion_A": lambda k, n: hyp.recursion_check_A(k, n),
     "threefolds.triple": lambda d, b3, index:
         threefolds.profile_triple(threefolds.threefold_profile(d, b3))[index],
-    "threefolds.vmrt_class": lambda d: _vmrt_field(d, "cls"),
+    "threefolds.vmrt_class": lambda d: threefolds.vmrt_table()[d].cls,
     "threefolds.vmrt_k": lambda d: threefolds.vmrt_table()[d].k,
-    "threefolds.vmrt_m_min": lambda d: _vmrt_field(d, "h_coefficient_min"),
+    "threefolds.vmrt_m_min":
+        lambda d: threefolds.vmrt_table()[d].h_coefficient,
     "threefolds.not_big": lambda d:
         threefolds.vmrt_table()[d].not_big_certificate_applies(),
     "threefolds.certificate_degree1": lambda: threefolds.certificate_degree1(),
@@ -223,11 +217,11 @@ OPS: dict[str, Callable[..., Any]] = {
         lambda: threefolds.certificate_degree2_modnef(),
     "threefolds.certificate_degree2_divisor":
         lambda: threefolds.certificate_degree2_divisor(),
-    "threefolds.k3_class": lambda: threefolds.k3_quartic_data().bitangent_class,
+    "threefolds.k3_class": lambda: threefolds.k3_bitangent_class(),
     "threefolds.k3_normalized":
-        lambda: threefolds.k3_quartic_data().normalized_class,
-    "threefolds.k3_value": lambda index: getattr(
-        threefolds.k3_quartic_data(), ("zeta3", "zeta2_h", "zeta_h2")[index]),
+        lambda: Fraction(1, 6) * threefolds.k3_bitangent_class(),
+    "threefolds.k3_value": lambda index:
+        threefolds.profile_triple(threefolds.k3_quartic_profile())[index],
     "schur.dim": lambda partition, n: schur.schur_dim(partition, n),
     "schur.ssyt": lambda partition, n: schur.ssyt_count(partition, n),
     "schur.rectangle": lambda n, k: schur.plethysm_rectangle_check(n, k),

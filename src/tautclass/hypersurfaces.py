@@ -21,8 +21,9 @@ from .chow import BaseProfile, PTClass, eval_product
 from .record import Record
 
 # Evaluation cost grows at least quadratically in n (the Segre inversion
-# alone takes O(n^2) products), so a larger n is a usage error rather than a
-# long wait.  d has at most 9 digits, so Chern numbers stay printable.
+# alone is one power recurrence of O(n^2) part products), so a larger n is a
+# usage error rather than a long wait.  d has at most 9 digits, so Chern
+# numbers stay printable.
 MAX_HYPERSURFACE_DIM = 200
 
 

@@ -238,9 +238,7 @@ class CubicCertificate(Record):
     budget: Fraction
 
 
-def cubic_surface_certificate(profile: BaseProfile | None = None,
-                              h_class: PTClass | None = None,
-                              f_class: PTClass | None = None) -> CubicCertificate:
+def cubic_surface_certificate() -> CubicCertificate:
     """Compute (a, b, budget) for the cubic surface.
 
     With C = zeta + pi^*(K + 2F) the dual VMRT of one of the 27 conic
@@ -251,19 +249,15 @@ def cubic_surface_certificate(profile: BaseProfile | None = None,
         budget = (zeta - 27/4 . C) . (fibre line)   = 1 - 27/4
 
     From a = -1, b = -4 each Zariski coefficient must be >= 1/4, and the
-    budget being negative yields the contradiction.  By default this runs
-    on the reduced {H, F} profile; pass the rank-7 lattice profile with
-    explicit H and F classes to cross-check.
+    budget being negative yields the contradiction.  This runs on the
+    reduced {H, F} profile; the tests repeat it on the rank-7 lattice
+    profile.
     """
-    if profile is None:
-        profile = cubic_surface_profile()
-        h_class = profile.symbol("H")
-        f_class = profile.symbol("F")
-    assert h_class is not None and f_class is not None
-    zeta = PTClass.zeta(profile)
-    vmrt = dual_vmrt_generic(profile, 1, h_class - 2 * f_class)
-    a = eval_product(profile, [zeta, vmrt, zeta + h_class])
-    b = eval_product(profile, [vmrt, vmrt, zeta + h_class])
+    profile = cubic_surface_profile()
+    zeta, h = PTClass.zeta(profile), profile.symbol("H")
+    vmrt = dual_vmrt_generic(profile, 1, h - 2 * profile.symbol("F"))
+    a = eval_product(profile, [zeta, vmrt, zeta + h])
+    b = eval_product(profile, [vmrt, vmrt, zeta + h])
     budget = fiber_line_degree(profile, zeta - Fraction(27, 4) * vmrt)
     return CubicCertificate(a, b, budget)
 

@@ -9,7 +9,10 @@ profile with c_1 = 2H, H.c_2 = 12 and c_3 = (4 - b_3)[pt], which yields
 The family of lines has a generically finite evaluation map of degree k,
 and with r the number of lines inside a general fundamental divisor the
 total dual VMRT has class k zeta + (r/d - k) pi^*H.  For d = 1 only the
-bound r >= 240 is available, so that row is carried as an interval.
+bound r >= 240 is available, so that row has no class and its H-coefficient
+is a lower bound.  The negativity certificates of degrees 1 and 2 are
+products of classes zeta + a pi^*H; the quartic K3 surface contributes its
+bitangent class.
 """
 
 from __future__ import annotations
@@ -86,23 +89,22 @@ def vmrt_class_threefold(d: int, k: int, r: int) -> PTClass:
 
 
 class VmrtRow(Record):
-    """One row of the dual-VMRT class table.
+    """One row k zeta + (r/d - k) pi^*H of the dual-VMRT class table.
 
-    For d >= 2 the H-coefficient m = r/d - k is exact and ``cls`` holds the
-    class; for d = 1 only the lower bound m >= r_min/d - k is known, the
-    class is kept as coefficient-plus-constraint and ``cls`` is None.
+    ``cls`` is None exactly when only the bound r >= r_min is known (d = 1);
+    ``r`` then holds r_min.
     """
 
-    __slots__ = ("degree", "k", "r", "r_min", "h_coefficient",
-                 "h_coefficient_min", "cls", "note")
+    __slots__ = ("degree", "k", "r", "cls")
     degree: int
     k: int
-    r: int | None
-    r_min: int | None
-    h_coefficient: Fraction | None
-    h_coefficient_min: Fraction | None
+    r: int
     cls: PTClass | None
-    note: str
+
+    @property
+    def h_coefficient(self) -> Fraction:
+        """m = r/d - k: exact when ``cls`` is set, else a lower bound."""
+        return Fraction(self.r, self.degree) - self.k
 
     def not_big_certificate_applies(self) -> bool:
         """True when the H-coefficient is certainly >= 0.
@@ -110,24 +112,21 @@ class VmrtRow(Record):
         A dual VMRT of class k zeta + m pi^*H with m >= 0 prevents zeta
         from being in the interior of the pseudoeffective cone.
         """
-        if self.h_coefficient is not None:
-            return self.h_coefficient >= 0
-        assert self.h_coefficient_min is not None
-        return self.h_coefficient_min >= 0
+        return self.h_coefficient >= 0
 
     def to_json(self) -> dict:
-        doc: dict = {"degree": self.degree, "k": self.k, "note": self.note}
-        if self.r is not None:
-            doc["r"] = self.r
-            assert self.h_coefficient is not None and self.cls is not None
-            doc["h_coefficient"] = fraction_str(self.h_coefficient)
-            doc["class"] = format_class(self.cls.profile, self.cls)
-        else:
-            doc["r_min"] = self.r_min
-            doc["h_coefficient_min"] = fraction_str(self.h_coefficient_min)
-            doc["class"] = (f"{self.k}z + m*H with "
-                            f"m >= {fraction_str(self.h_coefficient_min)}")
-        return doc
+        d, k, r = self.degree, self.k, self.r
+        m = fraction_str(self.h_coefficient)
+        if self.cls is None:
+            note = (f"k = {k}; only the bound r >= {r} is available, so the "
+                    "H-coefficient is interval-valued")
+            return {"degree": d, "k": k, "note": note, "r_min": r,
+                    "h_coefficient_min": m,
+                    "class": f"{k}z + m*H with m >= {m}"}
+        note = (f"k = {k} from the line family; r = {r} matches the "
+                f"(-1)-curve count of the degree-{d} surface section")
+        return {"degree": d, "k": k, "note": note, "r": r, "h_coefficient": m,
+                "class": format_class(self.cls.profile, self.cls)}
 
 
 @lru_cache(maxsize=None)
@@ -140,21 +139,9 @@ def vmrt_table() -> Mapping[int, VmrtRow]:
     """
     rows: dict[int, VmrtRow] = {}
     for d, k in EVALUATION_DEGREES.items():
-        lines = len(minus_one_curves(surface_lattice(d)))
-        if d == 1:
-            rows[d] = VmrtRow(
-                degree=d, k=k, r=None, r_min=lines, h_coefficient=None,
-                h_coefficient_min=Fraction(lines, d) - k, cls=None,
-                note=(f"k = {k}; only the bound r >= {lines} is "
-                      "available, so the H-coefficient is interval-valued"))
-        else:
-            rows[d] = VmrtRow(
-                degree=d, k=k, r=lines, r_min=None,
-                h_coefficient=Fraction(lines, d) - k, h_coefficient_min=None,
-                cls=vmrt_class_threefold(d, k, lines),
-                note=(f"k = {k} from the line family; r = {lines} "
-                      "matches the (-1)-curve count of the degree-"
-                      f"{d} surface section"))
+        r = len(minus_one_curves(surface_lattice(d)))
+        rows[d] = VmrtRow(d, k, r,
+                          None if d == 1 else vmrt_class_threefold(d, k, r))
     return MappingProxyType(rows)
 
 
@@ -185,7 +172,7 @@ def certificate_degree2_modnef() -> Fraction:
 def certificate_degree2_divisor() -> Fraction:
     """zeta.(zeta+H)(zeta+4/3 H)(zeta+3/2 H)^2 on the (2, 20) profile.
 
-    The exact value of this expansion is -51/6 = -17/2; the claim registry
+    The exact value of this expansion is -17/2; the claim registry
     records the reported constant -49/6 for the same product, which the
     exact arithmetic does not reproduce (the qualitative conclusion, strict
     negativity, is unaffected).
@@ -194,38 +181,19 @@ def certificate_degree2_divisor() -> Fraction:
         2, (0, 1, Fraction(4, 3), Fraction(3, 2), Fraction(3, 2)))
 
 
-def certificate_degree2() -> tuple[Fraction, Fraction]:
-    """Both degree-2 intersection certificates (modified-nef, divisor case)."""
-    return certificate_degree2_modnef(), certificate_degree2_divisor()
-
-
 @lru_cache(maxsize=None)
 def k3_quartic_profile() -> BaseProfile:
     """Profile of a smooth quartic K3 surface in P^3."""
     return weighted_ci_profile("k3-quartic", (1, 1, 1, 1), (4,))
 
 
-class K3QuarticData(Record):
-    """Bitangent-incidence divisor class on P(T_S) for a quartic K3 surface,
-    with the sanity intersection numbers of the profile."""
+def k3_bitangent_class() -> PTClass:
+    """Bitangent-incidence divisor class 6 zeta + 8 pi^*H on P(T_S) for a
+    quartic K3 surface S.
 
-    __slots__ = ("bitangent_class", "normalized_class", "zeta3", "zeta2_h",
-                 "zeta_h2")
-    bitangent_class: PTClass
-    normalized_class: PTClass
-    zeta3: Fraction
-    zeta2_h: Fraction
-    zeta_h2: Fraction
-
-
-def k3_quartic_data() -> K3QuarticData:
-    """The stored class 6 zeta + 8 pi^*H and the profile's sanity values.
-
-    The normalisation zeta + 4/3 pi^*H is the boundary pseudoeffective
-    class on P(T_S).  Sanity values: zeta^3 = c_1^2 - c_2 = -24,
-    zeta^2.pi^*H = 0, zeta.pi^*H^2 = H^2 = 4.
+    Its sixth, zeta + 4/3 pi^*H, is the boundary pseudoeffective class.
+    ``profile_triple(k3_quartic_profile())`` gives the sanity values
+    zeta^3 = c_1^2 - c_2 = -24, zeta^2.pi^*H = 0, zeta.pi^*H^2 = H^2 = 4.
     """
     profile = k3_quartic_profile()
-    bitangent = 6 * PTClass.zeta(profile) + 8 * profile.symbol("H")
-    return K3QuarticData(bitangent, Fraction(1, 6) * bitangent,
-                         *profile_triple(profile))
+    return 6 * PTClass.zeta(profile) + 8 * profile.symbol("H")

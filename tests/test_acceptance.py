@@ -32,9 +32,10 @@ from tautclass.surfaces import (conic_classes, conic_vmrt_class,
                                 noether_check, reflect, simple_roots,
                                 surface_lattice, surface_lattice_profile,
                                 _enumerate_classes)
-from tautclass.threefolds import (certificate_degree1, certificate_degree2,
-                                  profile_triple, threefold_profile,
-                                  vmrt_table)
+from tautclass.threefolds import (certificate_degree1,
+                                  certificate_degree2_divisor,
+                                  certificate_degree2_modnef, profile_triple,
+                                  threefold_profile, vmrt_table)
 
 
 def _report(num: int, label: str, failures: list[str]) -> None:
@@ -202,7 +203,8 @@ def test_criterion_08_threefold_triples():
 def test_criterion_09_certificates():
     failures: list[str] = []
     cert1 = certificate_degree1()
-    modnef, divisor = certificate_degree2()
+    modnef = certificate_degree2_modnef()
+    divisor = certificate_degree2_divisor()
     _check(failures, cert1 == -11, f"degree-1 certificate = {cert1}")
     _check(failures, modnef == -8, f"degree-2 modified-nef = {modnef}")
     _check(failures, cert1 < 0 and modnef < 0 and divisor < 0,
@@ -227,7 +229,7 @@ def test_criterion_10_vmrt_table():
                f"degree {d} rendering")
     _check(failures, rows[1].cls is None and rows[1].k == 60,
            "degree-1 row shape")
-    _check(failures, rows[1].h_coefficient_min == 180, "degree-1 bound")
+    _check(failures, rows[1].h_coefficient == 180, "degree-1 bound")
     applies = [rows[d].not_big_certificate_applies() for d in range(1, 6)]
     _check(failures, applies == [True, True, True, True, False],
            f"not-big certificate pattern {applies}")

@@ -100,44 +100,35 @@ def test_eval_top_is_linear(data):
 def _sympy_eval_top(doc: dict, cls: PTClass) -> Fraction:
     """eval_top by a second route, from the profile's JSON form only.
 
-    s(Omega) is the series inverse 1/c(Omega) = sum_k (1 - c(Omega))^k in a
-    sympy polynomial ring (k <= n suffices, (1 - c)^k has degree >= k), and
-    each monomial zeta^(n-1+j) m pushes forward to s_j(Omega) m.
+    In Q[z, basis] with lex order, the remainder of the class modulo the
+    Grothendieck relation z^n + sum_i c_i(Omega) z^(n-i) (Fulton,
+    Intersection Theory, 3.2 and Remark 3.2.4) has z-degree below n; the
+    pushforward kills z^i for i < n - 1 and sends z^(n-1) m to m, so the
+    top form reads the base part of the z^(n-1) coefficient.
     """
     sympy = pytest.importorskip("sympy")
     from sympy.polys.rings import ring
 
     qq = sympy.QQ
     n = doc["dim"]
-    poly_ring, *_ = ring(",".join(doc["basis"]), qq)
+    poly_ring, z, *_ = ring(",".join(["z", *doc["basis"]]), qq, order="lex")
 
     def rational(text: str):
         return qq(*map(int, text.split("/")))
 
-    def poly(entries):
-        return poly_ring.from_dict({tuple(item["exponents"]):
-                                    rational(item["value"])
-                                    for item in entries})
-
-    c_omega = poly_ring.one
-    for j, entries in enumerate(doc["chern"], start=1):
-        c_omega += (-1) ** j * poly(entries)
-    series = power = poly_ring.one
-    for _ in range(n):
-        power *= poly_ring.one - c_omega
-        series += power
-    segre = [poly_ring.from_dict({m: c for m, c in series.terms()
-                                  if sum(m) == j})
-             for j in range(n + 1)]
-    pushed = poly_ring.zero
-    for (zp, exps), coeff in cls.terms:
-        j = zp - (n - 1)
-        if j >= 0:
-            pushed += segre[j] * poly_ring.from_dict(
-                {exps: qq(coeff.numerator, coeff.denominator)})
+    relation = z ** n
+    for i, entries in enumerate(doc["chern"], start=1):
+        c_omega = poly_ring.from_dict({(0, *item["exponents"]):
+                                       (-1) ** i * rational(item["value"])
+                                       for item in entries})
+        relation += c_omega * z ** (n - i)
+    element = poly_ring.from_dict({(zp, *exps): qq(c.numerator, c.denominator)
+                                   for (zp, exps), c in cls.terms})
     top = {tuple(item["exponents"]): rational(item["value"])
            for item in doc["top_form"]}
-    total = sum((c * top.get(m, qq(0)) for m, c in pushed.terms()), qq(0))
+    total = sum((c * top.get(m[1:], qq(0))
+                 for m, c in element.rem(relation).terms() if m[0] == n - 1),
+                qq(0))
     return Fraction(int(total.numerator), int(total.denominator))
 
 

@@ -109,7 +109,6 @@ REFERENCE_ROUTES = {
     "hypersurfaces.segre_closed_form_factored",  # test_hypersurfaces
     "surfaces.simple_roots",  # test_surfaces Weyl-orbit tests
     "surfaces.reflect",  # test_surfaces Weyl-orbit tests
-    "threefolds.certificate_degree2",  # criterion 9, test_certificates
 }
 
 
@@ -146,14 +145,23 @@ def test_unknown_op_fails_with_diagnostic_and_run_continues():
               {"partition": [2, 2], "dim": 3}, {"int": 6}, "derived"),
         Claim("x.good", "good", "", "schur.dim",
               {"partition": [2, 2], "n": 3}, {"int": 6}, "derived"),
+        # the degree-1 row has no class, only the bound m >= 180
+        Claim("x.no-class", "d = 1 has no class", "", "threefolds.vmrt_class",
+              {"d": 1}, {"class": {"profile": "dp3-degree1", "expr": "60z"}},
+              "derived"),
+        Claim("x.m-bound", "d = 1 bound", "", "threefolds.vmrt_m_min",
+              {"d": 1}, {"rational": "180"}, "derived"),
     )
     report = run_claims(registry=registry)
-    assert [r.status for r in report.results] == ["fail", "fail", "fail", "pass"]
+    assert [r.status for r in report.results] == [
+        "fail", "fail", "fail", "pass", "fail", "pass"]
     assert "unknown operation" in report.results[0].computed
     assert report.results[1].computed.startswith("error:")
     assert "no-such" in report.results[1].computed
     assert report.results[2].computed.startswith("error:")
     assert "dim" in report.results[2].computed
+    assert report.results[4].computed == "None"
+    assert report.results[5].computed == "180"
 
 
 def test_deeply_nested_class_spec_fails_its_claim(tmp_path, capsys):

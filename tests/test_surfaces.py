@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from tautclass.chow import PTClass, eval_top
+from tautclass.chow import (PTClass, dual_vmrt_generic, eval_product,
+                            eval_top, fiber_line_degree)
 from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.surfaces import (CurveClass, _a0_range,
                                 chi_sym_cubic_coefficient,
@@ -153,14 +154,18 @@ def test_cubic_certificate_values():
 
 
 def test_cubic_certificate_on_full_lattice():
-    # same product on the rank-7 profile, with H = -K and F = -K - E1
+    # the same products on the rank-7 profile, with H = -K and F = -K - E1
     profile = surface_lattice_profile(3)
     lattice = surface_lattice(3)
     h = curve_poly(profile, -lattice.k)
     line = CurveClass((0, 1, 0, 0, 0, 0, 0))
     f = curve_poly(profile, -lattice.k - line)
-    cert = cubic_surface_certificate(profile, h, f)
-    assert (cert.a, cert.b, cert.budget) == (-1, -4, Fraction(-23, 4))
+    zeta = PTClass.zeta(profile)
+    vmrt = dual_vmrt_generic(profile, 1, h - 2 * f)
+    assert eval_product(profile, [zeta, vmrt, zeta + h]) == -1
+    assert eval_product(profile, [vmrt, vmrt, zeta + h]) == -4
+    assert fiber_line_degree(
+        profile, zeta - Fraction(27, 4) * vmrt) == Fraction(-23, 4)
 
 
 def test_weyl_reflection_closure():

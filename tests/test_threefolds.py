@@ -12,12 +12,13 @@ from tautclass.claims import run_claims
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.profiles import get_profile
-from tautclass.threefolds import (certificate_degree1, certificate_degree2,
+from tautclass.threefolds import (certificate_degree1,
+                                  certificate_degree2_divisor,
                                   certificate_degree2_modnef,
-                                  default_threefold_profile, k3_quartic_data,
-                                  k3_quartic_profile, profile_triple,
-                                  threefold_profile, vmrt_class_threefold,
-                                  vmrt_table)
+                                  default_threefold_profile,
+                                  k3_bitangent_class, k3_quartic_profile,
+                                  profile_triple, threefold_profile,
+                                  vmrt_class_threefold, vmrt_table)
 
 
 def test_profile_triples():
@@ -75,12 +76,12 @@ def test_vmrt_table_rows():
     assert rows[3].h_coefficient == 3
     assert rows[2].h_coefficient == 16
     assert rows[1].cls is None
-    assert rows[1].k == 60 and rows[1].h_coefficient_min == 180
+    assert rows[1].k == 60 and rows[1].h_coefficient == 180
     # cross-check: r equals the surface (-1)-curve count for d >= 2
     from tautclass.surfaces import minus_one_curves, surface_lattice
     for d in range(2, 6):
         assert rows[d].r == len(minus_one_curves(surface_lattice(d)))
-    assert rows[1].r_min == len(minus_one_curves(surface_lattice(1)))
+    assert rows[1].r == len(minus_one_curves(surface_lattice(1)))
 
 
 def test_vmrt_table_json_has_notes():
@@ -119,8 +120,7 @@ def test_not_big_certificate():
 def test_certificates():
     assert certificate_degree1() == -11
     assert certificate_degree2_modnef() == -8
-    modnef, divisor = certificate_degree2()
-    assert modnef == -8
+    divisor = certificate_degree2_divisor()
     # exact expansion of the five-factor product; the registry's recorded
     # constant -49/6 for the same product is off by 1/3 (see README)
     assert divisor == Fraction(-51, 6)
@@ -128,8 +128,8 @@ def test_certificates():
 
 
 def test_k3_quartic_data():
-    data = k3_quartic_data()
     profile = k3_quartic_profile()
-    assert data.bitangent_class == parse_expr(profile, "6z + 8H")
-    assert data.normalized_class == parse_expr(profile, "z + 4/3H")
-    assert (data.zeta3, data.zeta2_h, data.zeta_h2) == (-24, 0, 4)
+    assert k3_bitangent_class() == parse_expr(profile, "6z + 8H")
+    assert (Fraction(1, 6) * k3_bitangent_class()
+            == parse_expr(profile, "z + 4/3H"))
+    assert profile_triple(profile) == (-24, 0, 4)
