@@ -36,7 +36,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .record import Record
@@ -73,10 +73,6 @@ def fraction_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _add_exponents(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
 
 
 class BaseProfile(Record):
@@ -263,19 +259,6 @@ def _numerators(terms: Sequence[tuple[Key, Fraction]]
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms}
 
 
-# The class product (_product) keeps tuple keys: its chains are short, and
-# packing and unpacking around them costs more than the packed kernel saves.
-def _mul_numerators(a: Mapping[PTKey, int],
-                    b: Mapping[PTKey, int]) -> dict[PTKey, int]:
-    """Exact product of two integer term maps, without zero terms."""
-    acc: dict[PTKey, int] = {}
-    for (z1, e1), c1 in a.items():
-        for (z2, e2), c2 in b.items():
-            key = (z1 + z2, _add_exponents(e1, e2))
-            acc[key] = acc.get(key, 0) + c1 * c2
-    return {k: c for k, c in acc.items() if c}
-
-
 def _pack(nums: Mapping[PTKey, int], width: int) -> dict[int, int]:
     """An integer term map with each key packed into one int.
 
@@ -326,17 +309,18 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
                 max_base_degree: int) -> dict[int, int]:
     """f^m for a packed term map f, truncated like the kernel.
 
-    Graded by base degree, f = P_0 + P_1 + ... with P_0 = c_0 zeta^d, and
-    Q = f^m has parts Q_0 = c_0^m zeta^(dm) and, from f Q' = m f' Q
-    (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7),
+    Graded by base degree, f = P_0 + P_1 + ...  When P_0 is one monomial
+    c_0 zeta^d (f need not be homogeneous: z^2 + H qualifies), Q = f^m has
+    parts Q_0 = c_0^m zeta^(dm) and, from f Q' = m f' Q (J.C.P. Miller's
+    recurrence; Knuth, TAOCP vol. 2, 4.7),
 
         k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
 
     Q_k reads only lower parts, so stopping at base degree
     ``max_base_degree`` is exact.  Dividing by zeta^d subtracts P_0's key
     (the zeta-power is the top field); dividing by k c_0 is exact because
-    f^m has integer coefficients.  f^1 is f; for m >= 2, f is homogeneous,
-    and without a pure zeta term it is multiplied m times.  For m = -1, P_0
+    f^m has integer coefficients.  f^1 is f.  When P_0 is missing or has
+    several terms (H, z + 1), f is multiplied m times.  For m = -1, P_0
     must be the constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0);
     any other negative m or constant part raises :class:`ValueError`.
     """
@@ -349,7 +333,7 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     if m < 0 and (m != -1 or levels.get(0) != [(0, 1)]):
         raise ValueError(f"no power {m} of a series with constant part "
                          f"{levels.get(0, [])}: only 1 has a power -1 here")
-    if 0 not in levels:
+    if len(levels.get(0, ())) != 1:
         power = f
         for _ in range(m - 1):
             power = _mul_packed(power, f, width, max_base_degree)
@@ -490,15 +474,33 @@ class PTClass(Record):
         return degrees.pop()
 
 
+def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
+           width: int, bound: int) -> tuple[int, dict[PTKey, int]]:
+    """The product of the runs f^m as integer numerators over one denominator.
+
+    Each f is packed once with field width ``width`` and raised by
+    :func:`_pow_packed`; the powers are multiplied by :func:`_mul_packed`,
+    both dropping base degree above ``bound``, and unpacked once.  The
+    caller keeps every field below the zeta-power under 2^width.
+    """
+    den, nums = 1, None
+    for factor, m in runs:
+        factor_den, factor_nums = _numerators(factor.terms)
+        den *= factor_den ** m
+        f = _pow_packed(_pack(factor_nums, width), m, width, bound)
+        nums = f if nums is None else _mul_packed(nums, f, width, bound)
+    return den, _unpack(nums, width, profile.nsyms)
+
+
 def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
     """The formal product of the factors, multiplied in one integer chain.
 
-    Each factor becomes integer numerators over its own denominator once,
-    the chain runs through :func:`_mul_numerators`, and the result is
-    reduced to Fractions once.  Nothing is truncated: the product is the
-    formal polynomial, not just what :func:`eval_top` can see.  Every
-    factor's profile is checked first; a zero factor then gives the zero
-    class, a single factor is returned as it is, and no factors give 1.
+    Consecutive equal factors form one run f^m for :func:`_chain`, so X^k
+    is one power.  Nothing is truncated: the chain's bound is the sum of
+    the factors' largest base degrees, and its field width is the bound's
+    bit length.  Every factor's profile is checked first; a zero factor
+    then gives the zero class, a single factor is returned as it is, and
+    no factors give 1.
     """
     for factor in factors:
         _require_profile(profile, factor)
@@ -506,14 +508,14 @@ def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
         return PTClass.one(profile)
     if len(factors) == 1:
         return factors[0]
-    if any(factor.is_zero for factor in factors):
+    runs = [(factor, len(list(group)))
+            for factor, group in itertools.groupby(factors)]
+    if any(factor.is_zero for factor, _ in runs):
         return PTClass.zero(profile)
-    den, nums = _numerators(factors[0].terms)
-    for factor in factors[1:]:
-        factor_den, factor_nums = _numerators(factor.terms)
-        den *= factor_den
-        nums = _mul_numerators(nums, factor_nums)
-    return _from_numerators(profile, den, nums)
+    bound = sum(m * max(sum(e) for (_, e), _ in factor.terms)
+                for factor, m in runs)
+    return _from_numerators(profile, *_chain(
+        profile, runs, max(bound.bit_length(), 1), bound))
 
 
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
@@ -573,18 +575,15 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     product that is not homogeneous of top degree raises
     :class:`DegreeMismatchError` as on the formal product.
 
-    A run whose f has a pure zeta term is raised with J.C.P. Miller's power
+    The runs go through :func:`_chain`, as in the formal product: a run
+    whose f has a pure zeta term is raised with J.C.P. Miller's power
     recurrence in :func:`_pow_packed`, the recurrence that also inverts
-    c(Omega_X) in :func:`segre_omega` (as the power -1): part k of f^m by
-    base degree comes from the lower parts in one exact integer division.
-    Any other run is multiplied out.  The runs are then multiplied together.
-
-    The running product uses packed keys of field width
-    (2n-1).bit_length().  The factors are homogeneous with non-negative
-    exponents and their degrees add up to 2n-1, so every base exponent and
-    base degree of every factor and partial product is at most
-    2n-1 < 2^width; the zeta-power is the top field and cannot carry into
-    another.
+    c(Omega_X) in :func:`segre_omega` (as the power -1), and any other run
+    is multiplied out.  The chain uses field width (2n-1).bit_length() and
+    bound n.  The factors are homogeneous with non-negative exponents and
+    their degrees add up to 2n-1, so every base exponent and base degree
+    of every factor and partial product is at most 2n-1 < 2^width; the
+    zeta-power is the top field and cannot carry into another.
     """
     runs = [(factor, len(list(group)))
             for factor, group in itertools.groupby(factors)]
@@ -595,15 +594,8 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     _require_top_degree(
         profile, sum(factor.homogeneous_degree() * m for factor, m in runs))
     n = profile.dim
-    width = (2 * n - 1).bit_length()
-    den, nums = 1, {0: 1}
-    for factor, m in runs:
-        factor_den, factor_nums = _numerators(factor.terms)
-        den *= factor_den ** m
-        nums = _mul_packed(
-            nums, _pow_packed(_pack(factor_nums, width), m, width, n),
-            width, n)
-    return _push_forward(profile, den, _unpack(nums, width, profile.nsyms))
+    return _push_forward(profile, *_chain(profile, runs,
+                                          (2 * n - 1).bit_length(), n))
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

@@ -6,11 +6,14 @@ K_X = -c_1(T_X), operators ``+ - * ^`` and parentheses.
 A numeric literal directly followed by a symbol or ``(`` multiplies it, so
 printed forms like ``3z - H`` parse back to the same class.
 
-The factors of one product, ``X^k`` counted as k factors, are collected
-and multiplied in one integer chain (``chow._product``); a sum adds its
-terms one by one.  Exponents are at most MAX_EXPONENT, the top degree
-2n-1 of the largest hypersurface profile, and their digits are counted
-before they are converted, so a huge exponent is a syntax error at once.
+In one product, numeric literals multiply into one Fraction that scales
+the product once; the other factors, ``X^k`` counted as k factors, are
+multiplied in one packed integer chain (``chow._product``), in which a
+run of equal factors is one power, so its work is bounded a priori.  A
+sum adds its terms one by one.  Exponents are at most MAX_EXPONENT, the
+top degree 2n-1 of the largest hypersurface profile, and their digits are
+counted before they are converted, so a huge exponent is a syntax error
+at once.
 
 Parentheses nest at most MAX_NESTING levels deep, so a hostile input is a
 syntax error rather than a recursion overflow.
@@ -67,7 +70,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
-        self.unit = (0, (0,) * profile.nsyms)  # the key of the class 1
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -102,23 +104,25 @@ class _Parser:
 
     def product(self) -> PTClass:
         factors: list[PTClass] = []
-        self.power(factors)
+        scalar = 1
         while True:
+            base, exponent = self.power()
+            if isinstance(base, Fraction):
+                scalar *= base ** exponent
+            else:
+                factors.extend([base] * exponent)
             kind, text, _ = self.peek()
             if text == "*":
                 self.advance()
-                self.power(factors)
-            elif kind in ("num", "sym") or text == "(":
-                self.power(factors)  # implicit multiplication
-            else:
-                return _product(self.profile, factors)
+            elif kind not in ("num", "sym") and text != "(":
+                value = _product(self.profile, factors)
+                return value if scalar == 1 else value * scalar
 
-    def power(self, factors: list[PTClass]) -> None:
-        """Append one factor, or k of them for ``X^k`` (none for k = 0)."""
+    def power(self) -> tuple[PTClass | Fraction, int]:
+        """One atom and its exponent, 1 without ``^``."""
         base = self.atom()
         if self.peek()[1] != "^":
-            factors.append(base)
-            return
+            return base, 1
         self.advance()
         kind, text, position = self.peek()
         if kind != "num" or "/" in text:
@@ -128,20 +132,18 @@ class _Parser:
         if len(text) > 4000 or int(text) > MAX_EXPONENT:
             raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", position)
         self.advance()
-        factors.extend([base] * int(text))
+        return base, int(text)
 
-    def atom(self) -> PTClass:
+    def atom(self) -> PTClass | Fraction:
+        """A class, or a Fraction for a numeric literal."""
         kind, text, position = self.advance()
         if kind == "num":
             numerator, _, denominator = text.partition("/")
             try:
-                value = Fraction(int(numerator), int(denominator or "1"))
+                return Fraction(int(numerator), int(denominator or "1"))
             except ZeroDivisionError:
                 raise ExprSyntaxError(f"zero denominator in {text!r}",
                                       position) from None
-            if not value:
-                return PTClass.zero(self.profile)
-            return PTClass(self.profile, ((self.unit, value),))
         if kind == "sym":
             return self.resolve(text, position)
         if text == "(":

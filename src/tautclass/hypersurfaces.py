@@ -25,6 +25,8 @@ from .record import Record
 # usage error rather than a long wait.  d has at most 9 digits, so Chern
 # numbers stay printable.
 MAX_HYPERSURFACE_DIM = 200
+# The closed forms of A(k, n) stop at k = 4; direct sums go a little further.
+MAX_COMB_POWER = 8
 
 
 def binom(a: int, b: int) -> int:
@@ -168,9 +170,15 @@ def sum_negative_part(n: int) -> Fraction:
 
 
 def comb_A_brute(k: int, n: int) -> Fraction:
-    """A(k, n) = sum over 0 <= i <= n of i^k / (i! (n-i)!), exactly."""
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+    """A(k, n) = sum over 0 <= i <= n of i^k / (i! (n-i)!), exactly.
+
+    k is at most MAX_COMB_POWER and n at most MAX_HYPERSURFACE_DIM: the sum
+    has n + 1 terms over factorial denominators, so n = 2000 takes a second.
+    """
+    if not 0 <= k <= MAX_COMB_POWER or not 1 <= n <= MAX_HYPERSURFACE_DIM:
+        raise ValueError(f"need 0 <= k <= {MAX_COMB_POWER} and "
+                         f"1 <= n <= {MAX_HYPERSURFACE_DIM}, got k = {k}, "
+                         f"n = {n}")
     return sum((Fraction(i**k, math.factorial(i) * math.factorial(n - i))
                 for i in range(n + 1)), Fraction(0))
 
@@ -178,8 +186,8 @@ def comb_A_brute(k: int, n: int) -> Fraction:
 def comb_A_closed(k: int, n: int) -> Fraction | None:
     """Closed form P_k(n) / 2^k . 2^n / n! of A(k, n) for k <= 4; None
     beyond the tabulated range."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if not 1 <= n <= MAX_HYPERSURFACE_DIM:
+        raise ValueError(f"need 1 <= n <= {MAX_HYPERSURFACE_DIM}, got {n}")
     if not 0 <= k <= 4:
         return None
     poly = (1, n, n * (n + 1), n * n * (n + 3),

@@ -10,6 +10,7 @@ classical dimension formula for the individual groups.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ Partition = tuple[int, ...]
 # The Weyl product runs over n^2 pairs of growing integers, so a large n is
 # slow; 200 is the largest rank of a tangent bundle handled here.
 MAX_SCHUR_DIM = 200
+MAX_SSYT_WORK = 10**6
 
 
 def normalize_partition(parts) -> Partition:
@@ -65,38 +67,32 @@ def schur_dim(mu, n: int) -> int:
 def ssyt_count(mu, n: int) -> int:
     """Number of semistandard Young tableaux of shape mu with entries <= n.
 
-    Brute-force filling, row by row: rows weakly increase, columns strictly
-    increase.  Independent oracle for :func:`schur_dim` at small weight.
+    Brute-force filling, row by row: each row is a weakly increasing tuple
+    from ``combinations_with_replacement``, kept when every entry exceeds
+    the one above it.  Independent oracle for :func:`schur_dim` at small
+    weight.  Row i has at most C(n + mu_i - 1, mu_i) fillings, so the
+    filling writes at most |mu| times their product entries.  Above
+    MAX_SSYT_WORK entries it is refused, and so is n above MAX_SCHUR_DIM.
     """
     mu = normalize_partition(mu)
+    if n > MAX_SCHUR_DIM:
+        raise ValueError(f"need n <= {MAX_SCHUR_DIM}, got {n}")
     if len(mu) > n:
         return 0
-    if not mu:
-        return 1
-
-    def fill_row(length: int, min_by_col: list[int]) -> list[tuple[int, ...]]:
-        rows: list[tuple[int, ...]] = []
-
-        def rec(pos: int, prev: int, acc: list[int]):
-            if pos == length:
-                rows.append(tuple(acc))
-                return
-            for v in range(max(prev, min_by_col[pos]), n + 1):
-                acc.append(v)
-                rec(pos + 1, v, acc)
-                acc.pop()
-
-        rec(0, 1, [])
-        return rows
+    work = sum(mu)
+    if work <= MAX_SSYT_WORK:  # so that each binomial below stays small
+        work *= math.prod(math.comb(n + length - 1, length) for length in mu)
+    if work > MAX_SSYT_WORK:
+        raise ValueError(f"ssyt_count{mu, n} would write more than "
+                         f"{MAX_SSYT_WORK} entries")
 
     def count_from(row_index: int, above: tuple[int, ...]) -> int:
         if row_index == len(mu):
             return 1
-        length = mu[row_index]
-        min_by_col = [above[i] + 1 if i < len(above) else 1
-                      for i in range(length)]
-        return sum(count_from(row_index + 1, row)
-                   for row in fill_row(length, min_by_col))
+        return sum(count_from(row_index + 1, row) for row
+                   in itertools.combinations_with_replacement(
+                       range(1, n + 1), mu[row_index])
+                   if all(v > a for v, a in zip(row, above)))
 
     return count_from(0, ())
 
@@ -127,6 +123,8 @@ def euler_char_forms(n: int, p: int, k: int) -> int:
     chi(Omega^p(k)) = C(n+1, p) chi(O(k-p)) - chi(Omega^(p-1)(k)), with
     chi(O(m)) the binomial polynomial, so the recursion is total in k.
     """
+    if n > MAX_SCHUR_DIM:
+        raise ValueError(f"need n <= {MAX_SCHUR_DIM}, got {n}")
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
     if p == 0:
@@ -140,6 +138,8 @@ def form_cohomology_dims(n: int, p: int, k: int) -> tuple[int, ...]:
     Nonzero cohomology sits in exactly one degree: q = 0 for k > p,
     q = p for k = 0, q = n for k < p - n, and nowhere otherwise.
     """
+    if n > MAX_SCHUR_DIM:
+        raise ValueError(f"need n <= {MAX_SCHUR_DIM}, got {n}")
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
     dims = [0] * (n + 1)

@@ -9,7 +9,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
@@ -210,13 +210,19 @@ def test_ptclass_mul_matches_naive_fraction_product(data):
     assert all(isinstance(c, Fraction) and c for _, c in product.terms)
 
 
+CUBIC = get_profile("cubic-surface")
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_ptclass_pow_matches_naive_fraction_product(data):
-    profile = get_profile(data.draw(st.sampled_from(
-        ["cubic-surface", "dp-surface-6"])))
-    x = data.draw(any_classes(profile))
-    power = data.draw(st.integers(0, 3))
+@given(st.sampled_from(["cubic-surface", "dp-surface-6", "hypersurface-n4-d3"])
+       .flatmap(lambda label: any_classes(get_profile(label))),
+       st.integers(0, 6))
+# one term of base degree 0: the power recurrence, on an inhomogeneous class
+@example(parse_expr(CUBIC, "z^2 + H"), 5)
+# two terms of base degree 0: repeated multiplication
+@example(parse_expr(CUBIC, "z + 1"), 5)
+def test_ptclass_pow_matches_naive_fraction_product(x, power):
+    profile = x.profile
     expected = PTClass.one(profile)
     for _ in range(power):
         expected = _naive_mul(expected, x)

@@ -341,6 +341,27 @@ def test_hypersurface_caps_hold_on_the_claim_route():
     assert hypersurfaces.HypersurfaceSpec(200, 3).n == 200
 
 
+@pytest.mark.parametrize("op, args, message", [
+    ("hyp.comb_A", {"k": 2, "n": 201}, "1 <= n <= 200, got k = 2, n = 201"),
+    ("hyp.comb_A", {"k": 9, "n": 3}, "0 <= k <= 8"),
+    ("hyp.comb_A_match", {"k": 4, "n": 201}, "n = 201"),
+    ("hyp.recursion_A", {"k": 4, "n": 201}, "n = 201"),
+    ("schur.euler_forms", {"n": 5000, "p": 5000, "k": 1}, "need n <= 200"),
+    ("schur.euler_forms", {"n": 201, "p": 1, "k": 1}, "need n <= 200"),
+    ("schur.bott", {"n": 201, "r": 1, "j": 1}, "need n <= 200"),
+    ("schur.ssyt", {"partition": [5, 5], "n": 12}, "more than 1000000"),
+    ("schur.ssyt", {"partition": [2000], "n": 2}, "more than 1000000"),
+    ("schur.ssyt", {"partition": [1], "n": 201}, "need n <= 200"),
+])
+def test_brute_force_ops_are_capped_on_the_claim_route(op, args, message):
+    # each op refuses an oversized input before it starts work, so a
+    # hand-built claim fails at once with an error
+    claim = Claim("t.cap", "d", "", op, args, {"int": 0}, "trivial")
+    result = run_claims(registry=(claim,)).results[0]
+    assert result.status == "fail"
+    assert result.computed.startswith("error: ") and message in result.computed
+
+
 def test_hypersurface_labels_have_one_spelling(capsys):
     for label in ("hypersurface-n003-d3", "hypersurface-n3-d03",
                   "hypersurface-n0-d3", "hypersurface-n3-d0"):

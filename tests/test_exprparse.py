@@ -205,26 +205,57 @@ def test_chained_parse_equals_binary_route(label, seed):
     assert all(isinstance(c, Fraction) and c for _, c in cls.terms)
 
 
-@pytest.mark.parametrize("text, products", [
-    ("z", 0), ("H", 0), ("3/4", 0), ("K", 0), ("(z + H)", 0), ("z^0", 0),
-    ("z^1", 0), ("z*H", 1), ("-z*H", 1), ("2z*H", 2), ("z^5", 4),
-    ("(z + H + F)^3", 2), ("z*(z + H)^2*3F", 4), ("z*H - 2F*z", 3),
-    ("z*K*2*3/4*H*F^2*(z - K)", 7),
+@pytest.mark.parametrize("text, chains", [
+    ("z", 0), ("H", 0), ("3/4", 0), ("2z", 0), ("K", 0), ("(z + H)", 0),
+    ("z^0", 0), ("z^1", 0), ("2^3", 0), ("z*H", 1), ("-z*H", 1),
+    ("2z*H", 1), ("z^5", 1), ("(z + H + F)^3", 1), ("z*(z + H)^2*3F", 1),
+    ("z*H - 2F*z", 2), ("z*K*2*3/4*H*F^2*(z - K)", 1),
 ])
-def test_one_product_chain_per_product(monkeypatch, text, products):
-    # a product of k nonzero factors multiplies k-1 times, X^k counting as
-    # k factors; a lone atom multiplies no times
+def test_one_product_chain_per_product(monkeypatch, text, chains):
+    # a product of two or more factors other than numeric literals, X^k
+    # counting as k factors, is one chain; literals only scale it, and a
+    # lone factor runs no chain
     profile = get_profile("cubic-surface")
     calls = []
-    kernel = chow._mul_numerators
+    chain = chow._chain
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(1)
-        return kernel(a, b)
+        return chain(*args)
 
-    monkeypatch.setattr(chow, "_mul_numerators", counting)
+    monkeypatch.setattr(chow, "_chain", counting)
     parse_expr(profile, text)
-    assert len(calls) == products
+    assert len(calls) == chains
+
+
+def test_exponents_below_the_cap_are_one_power(monkeypatch, capsys):
+    # X^k is one run raised by the power recurrence, so the pairwise
+    # products do not grow with k, and the largest allowed exponent on a
+    # class far above top degree finishes
+    profile = get_profile("cubic-surface")
+    calls = []
+    kernel = chow._mul_packed
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(chow, "_mul_packed", counting)
+    counts = []
+    for k in (4, 40):
+        calls.clear()
+        cls = parse_expr(profile, f"(z+H+F)^{k}")
+        assert len(cls.terms) == (k + 1) * (k + 2) // 2
+        counts.append(len(calls))
+    calls.clear()
+    assert main(["eval", "--profile", "cubic-surface",
+                 "--expr", "(z+H+F)^399"]) == 0
+    counts.append(len(calls))
+    assert counts == [counts[0]] * 3
+    out, err = capsys.readouterr()
+    assert out.startswith("class: z^399 + 399z^398*H + 399z^398*F + ")
+    assert out.endswith("\ndegree: 399 (intersection numbers need degree 3)\n")
+    assert err == ""
 
 
 def test_exponent_cap_regression(capsys):

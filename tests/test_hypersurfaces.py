@@ -9,7 +9,8 @@ import pytest
 
 from tautclass.chow import PTClass, segre_omega
 from tautclass.hypersurfaces import (MAX_HYPERSURFACE_DIM, HypersurfaceSpec,
-                                     binom, comb_A_brute, comb_identity_A,
+                                     binom, comb_A_brute, comb_A_closed,
+                                     comb_identity_A,
                                      cubic_mnef_closed_form,
                                      cubic_mnef_number, hypersurface_profile,
                                      recursion_check_A, segre_closed_form,
@@ -120,6 +121,10 @@ def test_comb_identity_examples():
     assert comb_identity_A(2, 3)[0] == 4
     brute_only, missing = comb_identity_A(5, 4)
     assert missing is None and brute_only == comb_A_brute(5, 4)
+    # both routes stop at n = MAX_HYPERSURFACE_DIM
+    assert comb_A_brute(4, 200) == comb_A_closed(4, 200)
+    with pytest.raises(ValueError, match="n <= 200"):
+        comb_A_closed(4, 201)
 
 
 def test_comb_identity_full_grid():
