@@ -46,6 +46,9 @@ PTKey = tuple[int, Exponents]
 Scalar = Union[int, Fraction]
 Key = TypeVar("Key")
 
+# The most terms a product may have, bounded before it is expanded.
+MAX_TERMS = 10**6
+
 
 class DegreeMismatchError(ValueError):
     """Raised when a class fails a homogeneity or degree requirement."""
@@ -482,7 +485,21 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
     :func:`_pow_packed`; the powers are multiplied by :func:`_mul_packed`,
     both dropping base degree above ``bound``, and unpacked once.  The
     caller keeps every field below the zeta-power under 2^width.
+
+    Before anything is multiplied, the term count of the product and of
+    every partial product is bounded a priori: a run of a t-term f has at
+    most C(t+m-1, m) terms, one per multiset of m terms, and the product
+    has at most C(D+k+1, k+1), the number of monomials in zeta and the k
+    basis symbols of total degree at most D, the sum of m times each f's
+    largest total degree.  Above MAX_TERMS it raises :class:`ValueError`.
     """
+    multisets = math.prod(math.comb(len(f.terms) + m - 1, m) for f, m in runs)
+    top = sum(m * max(zp + sum(e) for (zp, e), _ in f.terms) for f, m in runs)
+    terms = min(multisets,
+                math.comb(top + profile.nsyms + 1, profile.nsyms + 1))
+    if terms > MAX_TERMS:
+        raise ValueError(f"the product may have {terms} terms, more than "
+                         f"{MAX_TERMS}")
     den, nums = 1, None
     for factor, m in runs:
         factor_den, factor_nums = _numerators(factor.terms)

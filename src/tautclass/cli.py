@@ -13,6 +13,8 @@ Subcommands:
 * ``vmrt table`` prints the dual-VMRT class table as JSON rows with
   per-row provenance notes.
 * ``schur dim --partition a,b,c --dim N`` prints a Schur functor dimension.
+
+Each subcommand imports the layers it uses when it runs.
 """
 
 from __future__ import annotations
@@ -21,60 +23,57 @@ import argparse
 import json
 import sys
 
-from . import claims as claims_mod
-from . import schur as schur_mod
-from . import surfaces as surfaces_mod
-from . import threefolds as threefolds_mod
-from .chow import eval_top, fraction_str
-from .exprparse import format_class, parse_expr
-from .profiles import get_profile
-
 USAGE_ERROR = 2
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    registry = claims_mod.load_registry(args.registry)
-    report = claims_mod.run_claims(args.filter, registry)
-    sys.stdout.write(claims_mod.emit(report, args.format))
+    from . import claims
+    registry = claims.load_registry(args.registry)
+    report = claims.run_claims(args.filter, registry)
+    sys.stdout.write(claims.emit(report, args.format))
     return 1 if report.has_failures else 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import chow, exprparse, profiles
     try:
-        profile = get_profile(args.profile)
+        profile = profiles.get_profile(args.profile)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
-    cls = parse_expr(profile, args.expr)
-    print(f"class: {format_class(profile, cls)}")
+    cls = exprparse.parse_expr(profile, args.expr)
     degree = cls.homogeneous_degree()
+    print(f"class: {exprparse.format_class(profile, cls)}")
     top = 2 * profile.dim - 1
     if degree == top or degree is None:
-        print(f"value: {fraction_str(eval_top(profile, cls))}")
+        print(f"value: {chow.fraction_str(chow.eval_top(profile, cls))}")
     else:
         print(f"degree: {degree} (intersection numbers need degree {top})")
     return 0
 
 
 def _cmd_surface_curves(args: argparse.Namespace) -> int:
-    lattice = surfaces_mod.surface_lattice(args.degree)
+    from . import surfaces
+    lattice = surfaces.surface_lattice(args.degree)
     if args.conics:
-        classes = surfaces_mod.conic_classes(lattice)
+        classes = surfaces.conic_classes(lattice)
     else:
-        classes = surfaces_mod.minus_one_curves(lattice)
+        classes = surfaces.minus_one_curves(lattice)
     print(json.dumps([list(c.coeffs) for c in classes]))
     return 0
 
 
 def _cmd_vmrt_table(args: argparse.Namespace) -> int:
-    rows = threefolds_mod.vmrt_table()
+    from . import threefolds
+    rows = threefolds.vmrt_table()
     print(json.dumps([rows[d].to_json() for d in sorted(rows)], indent=2))
     return 0
 
 
 def _cmd_schur_dim(args: argparse.Namespace) -> int:
+    from . import schur
     partition = [int(p) for p in args.partition.split(",") if p != ""]
-    print(schur_mod.schur_dim(partition, args.dim))
+    print(schur.schur_dim(partition, args.dim))
     return 0
 
 

@@ -9,11 +9,12 @@ printed forms like ``3z - H`` parse back to the same class.
 In one product, numeric literals multiply into one Fraction that scales
 the product once; the other factors, ``X^k`` counted as k factors, are
 multiplied in one packed integer chain (``chow._product``), in which a
-run of equal factors is one power, so its work is bounded a priori.  A
-sum adds its terms one by one.  Exponents are at most MAX_EXPONENT, the
-top degree 2n-1 of the largest hypersurface profile, and their digits are
-counted before they are converted, so a huge exponent is a syntax error
-at once.
+run of equal factors is one power.  A product that may have more than
+``chow.MAX_TERMS`` terms by its a-priori bound raises before it is
+expanded.  A sum adds its terms one by one.  Exponents are at most
+MAX_EXPONENT, the top degree 2n-1 of the largest hypersurface profile,
+and their digits are counted before they are converted, so a huge
+exponent is a syntax error at once.
 
 Parentheses nest at most MAX_NESTING levels deep, so a hostile input is a
 syntax error rather than a recursion overflow.

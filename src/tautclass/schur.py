@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 Partition = tuple[int, ...]
 
@@ -116,20 +115,19 @@ def chi_line_bundle(n: int, m: int) -> int:
     return num // math.factorial(n)
 
 
-@lru_cache(maxsize=None)
 def euler_char_forms(n: int, p: int, k: int) -> int:
     """chi(P^n, Omega^p(k)) via the Euler-sequence recursion.
 
-    chi(Omega^p(k)) = C(n+1, p) chi(O(k-p)) - chi(Omega^(p-1)(k)), with
-    chi(O(m)) the binomial polynomial, so the recursion is total in k.
+    chi(Omega^p(k)) = C(n+1, p) chi(O(k-p)) - chi(Omega^(p-1)(k)), unrolled
+    in p to sum_{i=0}^{p} (-1)^(p-i) C(n+1, i) chi(O(k-i)), with chi(O(m))
+    the binomial polynomial, so the sum is total in k.
     """
     if n > MAX_SCHUR_DIM:
         raise ValueError(f"need n <= {MAX_SCHUR_DIM}, got {n}")
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
-    if p == 0:
-        return chi_line_bundle(n, k)
-    return math.comb(n + 1, p) * chi_line_bundle(n, k - p) - euler_char_forms(n, p - 1, k)
+    return sum((-1) ** (p - i) * math.comb(n + 1, i) * chi_line_bundle(n, k - i)
+               for i in range(p + 1))
 
 
 def form_cohomology_dims(n: int, p: int, k: int) -> tuple[int, ...]:

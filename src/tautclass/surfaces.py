@@ -163,6 +163,9 @@ def _enumerate_classes(lattice: PicardLattice, selfint: int,
                        anticanonical_degree: int) -> list[CurveClass]:
     """All classes C with C^2 = selfint and -K.C = anticanonical_degree."""
     r = lattice.r
+    if not 0 <= r <= 8:
+        raise ValueError(f"the enumeration bound needs degree 1..9, "
+                         f"got {lattice.degree}")
     found = []
     for a0 in _a0_range(r, selfint, anticanonical_degree):
         sum_target = 3 * a0 - anticanonical_degree

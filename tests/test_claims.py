@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import importlib
 import json
+import pkgutil
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import tautclass
 from tautclass import hypersurfaces, surfaces, threefolds
 from tautclass.chow import BaseProfile, PTClass
 from tautclass.claims import (OPS, Claim, _render, emit, load_registry,
@@ -295,7 +297,7 @@ def test_cli_eval_errors(capsys):
     assert main(["eval", "--profile", "cubic-surface",
                  "--expr", "z^3 + z"]) == 2
     assert capsys.readouterr() == (
-        "class: z^3 + z\n", "error: class mixes total degrees [1, 3]\n")
+        "", "error: class mixes total degrees [1, 3]\n")
     assert main(["eval", "--profile", "cubic-surface",
                  "--expr", "1/0*z^3"]) == 2
     assert "offset 1" in capsys.readouterr().err
@@ -413,6 +415,49 @@ def test_cold_run_makes_each_profile_once(monkeypatch):
     run_claims()
     assert len(made) == 14
     assert set(made.values()) == {1}
+
+
+# Every functools cache in the library without a maxsize, with its whole
+# key set: each takes its keys from a small fixed set.
+UNBOUNDED_CACHE_KEYS = {
+    "surfaces.surface_lattice_profile": [(d,) for d in range(1, 8)],
+    "surfaces.minus_one_curves": [(surfaces.PicardLattice(d),)
+                                  for d in range(1, 10)],
+    "surfaces.conic_classes": [(surfaces.PicardLattice(d),)
+                               for d in range(3, 10)],
+    "surfaces.cubic_surface_profile": [()],
+    "threefolds.k3_quartic_profile": [()],
+    "threefolds.vmrt_table": [()],
+}
+
+
+def test_every_library_cache_is_bounded():
+    unbounded = {}
+    for info in pkgutil.iter_modules(tautclass.__path__):
+        layer = info.name
+        module = importlib.import_module(f"tautclass.{layer}")
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_parameters")
+                    and value.__module__ == module.__name__
+                    and value.cache_parameters()["maxsize"] is None):
+                unbounded[f"{layer}.{name}"] = value
+    assert sorted(unbounded) == sorted(UNBOUNDED_CACHE_KEYS)
+    for name, cached in unbounded.items():
+        cached.cache_clear()
+        for args in UNBOUNDED_CACHE_KEYS[name]:
+            cached(*args)
+        assert cached.cache_info().currsize == len(UNBOUNDED_CACHE_KEYS[name])
+    # other degrees raise before anything is cached
+    for cached, args in ((surfaces.surface_lattice_profile, (0,)),
+                         (surfaces.surface_lattice_profile, (8,)),
+                         *((surfaces.minus_one_curves,
+                            (surfaces.PicardLattice(d),)) for d in (-1, 0, 10)),
+                         *((surfaces.conic_classes,
+                            (surfaces.PicardLattice(d),)) for d in (2, 10))):
+        size = cached.cache_info().currsize
+        with pytest.raises(ValueError):
+            cached(*args)
+        assert cached.cache_info().currsize == size
 
 
 def test_cli_surface_curves(capsys):

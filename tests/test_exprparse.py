@@ -258,7 +258,7 @@ def test_exponents_below_the_cap_are_one_power(monkeypatch, capsys):
     assert err == ""
 
 
-def test_exponent_cap_regression(capsys):
+def test_exponent_cap_regression(monkeypatch, capsys):
     # an exponent above MAX_EXPONENT (2n-1 of the largest hypersurface
     # profile) is a syntax error at the exponent, found before the
     # exponent's digits are converted or any factor is multiplied
@@ -277,3 +277,18 @@ def test_exponent_cap_regression(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: exponent exceeds 399 (offset 9)\n"
+    # below the exponent cap, a product whose a-priori term bound is above
+    # chow.MAX_TERMS is a usage error before anything is multiplied
+    calls = []
+    kernel = chow._mul_packed
+    monkeypatch.setattr(chow, "_mul_packed",
+                        lambda *args: calls.append(1) or kernel(*args))
+    distinct = "*".join(f"(z+H+F+{i})" for i in range(1, 400))
+    for expr in ("(z+H+F+1)^399", distinct):
+        assert main(["eval", "--profile", "cubic-surface",
+                     "--expr", expr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: the product may have 10746800 terms, "
+                       "more than 1000000\n")
+    assert calls == []

@@ -11,6 +11,7 @@ the ``inspect`` module it pulls in was a large share of a cold
 from __future__ import annotations
 
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -149,14 +150,31 @@ def test_hypersurface_spec_bounds(n, d):
         HypersurfaceSpec(n, d)
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # Deterministic stand-in for a start-up timing: these modules (and the
-    # per-class code generation of @dataclass) were about a fifth of a
-    # cold `tautclass verify`.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import tautclass.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+@pytest.mark.parametrize("code, loaded", [
+    pytest.param("import tautclass", ["tautclass"], id="package"),
+    pytest.param("import tautclass.cli", ["tautclass", "tautclass.cli"],
+                 id="cli"),
+    pytest.param("from tautclass.cli import main; "
+                 "main(['schur', 'dim', '--partition', '2,1', '--dim', '3'])",
+                 ["tautclass", "tautclass.cli", "tautclass.schur"],
+                 id="schur-dim"),
+    pytest.param("from tautclass.cli import main; "
+                 "main(['verify', '--format', 'json'])",
+                 sorted(["tautclass"] + [
+                     f"tautclass.{info.name}" for info
+                     in pkgutil.iter_modules([str(SRC / "tautclass")])]),
+                 id="verify"),
+])
+def test_cli_import_skips_dataclasses_and_inspect(code, loaded):
+    # Deterministic stand-in for a start-up timing: each entry point loads
+    # only the layers it uses, and none loads dataclasses or inspect (these
+    # modules and the per-class code generation of @dataclass were about a
+    # fifth of a cold `tautclass verify`).
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
+              "print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('tautclass', 'dataclasses', 'inspect')"
+              "), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stderr.strip() == str(loaded)
