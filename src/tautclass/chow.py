@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
@@ -49,6 +50,9 @@ Key = TypeVar("Key")
 # The most terms a product may have, bounded before it is expanded.
 MAX_TERMS = 10**6
 
+# The one string form as_fraction accepts: "p" or "p/q" in ASCII digits.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 class DegreeMismatchError(ValueError):
     """Raised when a class fails a homogeneity or degree requirement."""
@@ -59,14 +63,18 @@ class ProfileMismatchError(ValueError):
 
 
 def as_fraction(value: Scalar | str) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
+
+    Any other string, such as '1e9999999', which ``Fraction`` would expand
+    to a huge integer, raises :class:`ValueError` before conversion.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "." in value:
-            raise ValueError(f"decimal literals are not exact: {value!r}")
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"not a 'p/q' rational: {value!r}")
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
@@ -156,13 +164,15 @@ class BaseProfile(Record):
         return dict(self.top_form)
 
     @cached_property
-    def _pushforward(self) -> tuple[int, dict[PTKey, int]]:
+    def _pushforward(self) -> tuple[int, dict[int, int], int]:
         """The pushforward functional on degree-(2n-1) monomials.
 
-        A pair (D, table): the table maps each monomial zeta^(n-1+j) . m
-        whose value s_j(Omega_X) . m on the top form is nonzero to D times
-        that value, an integer.  Each Segre term meets each top-form
-        monomial that it divides once, so no monomials are enumerated.
+        A triple (D, table, width): the table maps each monomial
+        zeta^(n-1+j) . m whose value s_j(Omega_X) . m on the top form is
+        nonzero to D times that value, an integer, and its keys are packed
+        with the width (2n-1).bit_length() that :func:`eval_product`
+        multiplies at.  Each Segre term meets each top-form monomial that
+        it divides once, so no monomials are enumerated.
         """
         seg_den, segre = _numerators(
             [((self.dim - 1 + j, e), s)
@@ -175,7 +185,9 @@ class BaseProfile(Record):
                 m = tuple(map(sub, exps, e))
                 if min(m) >= 0:
                     table[zp, m] = table.get((zp, m), 0) + s * f
-        return seg_den * form_den, {k: c for k, c in table.items() if c}
+        width = (2 * self.dim - 1).bit_length()
+        return (seg_den * form_den,
+                _pack({k: c for k, c in table.items() if c}, width), width)
 
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
@@ -478,13 +490,14 @@ class PTClass(Record):
 
 
 def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
-           width: int, bound: int) -> tuple[int, dict[PTKey, int]]:
-    """The product of the runs f^m as integer numerators over one denominator.
+           width: int, bound: int) -> tuple[int, dict[int, int]]:
+    """The product of the runs f^m as packed numerators over one denominator.
 
     Each f is packed once with field width ``width`` and raised by
     :func:`_pow_packed`; the powers are multiplied by :func:`_mul_packed`,
-    both dropping base degree above ``bound``, and unpacked once.  The
-    caller keeps every field below the zeta-power under 2^width.
+    both dropping base degree above ``bound``, and the product is returned
+    packed.  The caller keeps every field below the zeta-power under
+    2^width.
 
     Before anything is multiplied, the term count of the product and of
     every partial product is bounded a priori: a run of a t-term f has at
@@ -506,7 +519,7 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
         den *= factor_den ** m
         f = _pow_packed(_pack(factor_nums, width), m, width, bound)
         nums = f if nums is None else _mul_packed(nums, f, width, bound)
-    return den, _unpack(nums, width, profile.nsyms)
+    return den, nums
 
 
 def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
@@ -531,8 +544,9 @@ def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
         return PTClass.zero(profile)
     bound = sum(m * max(sum(e) for (_, e), _ in factor.terms)
                 for factor, m in runs)
-    return _from_numerators(profile, *_chain(
-        profile, runs, max(bound.bit_length(), 1), bound))
+    width = max(bound.bit_length(), 1)
+    den, nums = _chain(profile, runs, width, bound)
+    return _from_numerators(profile, den, _unpack(nums, width, profile.nsyms))
 
 
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:
@@ -546,61 +560,39 @@ def _is_base(cls: PTClass, degree: int) -> bool:
     return all(zp == 0 and sum(e) == degree for (zp, e), _ in cls.terms)
 
 
-def _require_top_degree(profile: BaseProfile, degree: int) -> None:
-    n = profile.dim
-    if degree != 2 * n - 1:
-        raise DegreeMismatchError(
-            f"eval_top on {profile.label!r} needs total degree "
-            f"{2 * n - 1} (= 2*{n}-1), got {degree}")
-
-
 def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
     """Intersection number of a homogeneous degree-(2n-1) class on P(T_X).
 
     Each monomial zeta^(n-1+j) . pi^* m pushes forward to s_j(Omega_X) . m,
     which is then evaluated against the top form; monomials with zeta-power
-    below n-1 contribute zero.  The map is linear in the class, so the
-    class's integer numerators are dotted with the profile's pushforward
-    table (integers over one denominator, built once per profile from
-    :func:`segre_omega` and the top form) and one Fraction is reduced.
+    below n-1 contribute zero.  This is :func:`eval_product` of the one
+    factor ``cls``, with its guards: the zero class gives 0, and a class of
+    mixed or wrong degree raises :class:`DegreeMismatchError`.
     """
-    _require_profile(profile, cls)
-    degree = cls.homogeneous_degree()
-    if degree is None:
-        return Fraction(0)
-    _require_top_degree(profile, degree)
-    return _push_forward(profile, *_numerators(cls.terms))
-
-
-def _push_forward(profile: BaseProfile, den: int,
-                  nums: Mapping[PTKey, int]) -> Fraction:
-    """The pushforward functional on a top-degree integer term map over den."""
-    table_den, table = profile._pushforward
-    return Fraction(sum(c * table.get(k, 0) for k, c in nums.items()),
-                    den * table_den)
+    return eval_product(profile, (cls,))
 
 
 def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     """The value of :func:`eval_top` on the product of the factors.
 
-    The integer product is dotted with the pushforward table directly, as
-    in :func:`eval_top`, and one Fraction is reduced.  The running
-    product drops base monomials of degree > dim X: they vanish on X, no
-    later factor lowers their degree, and their zeta-power is then below
-    n-1.  Consecutive equal factors form one run f^m, and each run's
-    profile and degree are checked first, so a zero factor gives 0, and a
-    product that is not homogeneous of top degree raises
+    The packed integer product is dotted with the profile's pushforward
+    table on the same packed keys, and one Fraction is reduced.  The
+    running product drops base monomials of degree > dim X: they vanish
+    on X, no later factor lowers their degree, and their zeta-power is
+    then below n-1.  Consecutive equal factors form one run f^m, and each
+    run's profile and degree are checked first, so a zero factor gives 0,
+    and a product that is not homogeneous of top degree raises
     :class:`DegreeMismatchError` as on the formal product.
 
     The runs go through :func:`_chain`, as in the formal product: a run
     whose f has a pure zeta term is raised with J.C.P. Miller's power
     recurrence in :func:`_pow_packed`, the recurrence that also inverts
     c(Omega_X) in :func:`segre_omega` (as the power -1), and any other run
-    is multiplied out.  The chain uses field width (2n-1).bit_length() and
-    bound n.  The factors are homogeneous with non-negative exponents and
-    their degrees add up to 2n-1, so every base exponent and base degree
-    of every factor and partial product is at most 2n-1 < 2^width; the
-    zeta-power is the top field and cannot carry into another.
+    is multiplied out.  The chain uses the table's field width
+    (2n-1).bit_length() and bound n.  The factors are homogeneous with
+    non-negative exponents and degrees adding up to 2n-1, so no base
+    exponent or base degree of a factor or partial product exceeds
+    2n-1 < 2^width, and the zeta-power, the top field, cannot carry.
     """
     runs = [(factor, len(list(group)))
             for factor, group in itertools.groupby(factors)]
@@ -608,11 +600,16 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
         _require_profile(profile, factor)
     if any(factor.is_zero for factor, _ in runs):
         return Fraction(0)
-    _require_top_degree(
-        profile, sum(factor.homogeneous_degree() * m for factor, m in runs))
     n = profile.dim
-    return _push_forward(profile, *_chain(profile, runs,
-                                          (2 * n - 1).bit_length(), n))
+    degree = sum(factor.homogeneous_degree() * m for factor, m in runs)
+    if degree != 2 * n - 1:
+        raise DegreeMismatchError(
+            f"eval_top on {profile.label!r} needs total degree "
+            f"{2 * n - 1} (= 2*{n}-1), got {degree}")
+    table_den, table, width = profile._pushforward
+    den, nums = _chain(profile, runs, width, n)
+    return Fraction(sum(c * table.get(k, 0) for k, c in nums.items()),
+                    den * table_den)
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

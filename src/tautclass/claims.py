@@ -256,7 +256,10 @@ def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
         text = resources.files("tautclass").joinpath("data/registry.json").read_text()
     else:
         text = Path(path).read_text()
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("registry JSON is nested too deeply") from None
     entries = raw.get("claims") if isinstance(raw, dict) else None
     if not isinstance(entries, list):
         raise ValueError('registry must be an object with a "claims" list')

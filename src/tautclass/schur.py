@@ -106,6 +106,8 @@ def plethysm_rectangle_check(n: int, k: int) -> bool:
     functor: both dimensions equal C(n+k-1, n-1)."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
+    if n > MAX_SCHUR_DIM:
+        raise ValueError(f"need 1 <= n <= {MAX_SCHUR_DIM}, got {n}")
     return schur_dim(rectangle(k, n - 1), n) == sym_power_dim(n, k)
 
 

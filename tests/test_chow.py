@@ -418,7 +418,10 @@ def test_pushforward_table_matches_segre_route(profile):
     if isinstance(profile, str):
         profile = get_profile(profile)
     top = 2 * profile.dim - 1
-    den, table = profile._pushforward
+    den, packed, width = profile._pushforward
+    assert width == top.bit_length()
+    table = _unpack(packed, width, profile.nsyms)
+    assert _pack(table, width) == packed
     segre = segre_omega(profile)
     monomials = [(zp, m) for zp in range(top + 1)
                  for m in compositions(top - zp, profile.nsyms)]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tautclass
-from tautclass import hypersurfaces, surfaces, threefolds
+from tautclass import hypersurfaces, schur, surfaces, threefolds
 from tautclass.chow import BaseProfile, PTClass
 from tautclass.claims import (OPS, Claim, _render, emit, load_registry,
                               run_claims)
@@ -186,7 +186,8 @@ def test_deeply_nested_class_spec_fails_its_claim(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     {"interval": {}}, {"interval": []}, {"interval": "abc"},
     {"interval": {"min": "-100", "mx": "1"}}, {"interval": {"min": True}},
-    {"rational": True}], ids=repr)
+    {"rational": True}, {"rational": "1e99999"},
+    {"interval": {"max": "1e99999"}}], ids=repr)
 def test_malformed_number_spec_fails_its_claim(spec):
     # hyp.mnef at n = 3 is -9, which each spec would otherwise pass or
     # show with an empty or misread expected column
@@ -260,15 +261,18 @@ def test_cli_verify_rejects_non_integer_arg(tmp_path, capsys):
 
 
 def test_cli_verify_rejects_malformed_registry(tmp_path, capsys):
-    # a registry of the wrong shape is a usage error, not a traceback
+    # a registry of the wrong shape is a usage error, not a traceback; so
+    # is one nested past the depth that json.loads can recurse to
     no_id = {"claims": [{"description": "d", "op": "schur.dim",
                          "args": {"partition": [1], "n": 3},
                          "expected": {"int": 3}, "provenance": "trivial"}]}
     path = tmp_path / "registry.json"
-    for doc, message in ((no_id, "claim #0: missing or bad 'id'"),
-                         ([1, 2], 'an object with a "claims" list'),
-                         ({"claims": [1]}, "claim #0: entry must be an object")):
-        path.write_text(json.dumps(doc))
+    for text, message in (
+            (json.dumps(no_id), "claim #0: missing or bad 'id'"),
+            (json.dumps([1, 2]), 'an object with a "claims" list'),
+            (json.dumps({"claims": [1]}), "claim #0: entry must be an object"),
+            ('{"claims": ' + "[" * 200_000, "nested too deeply")):
+        path.write_text(text)
         assert main(["verify", "--registry", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and message in err
@@ -362,6 +366,17 @@ def test_brute_force_ops_are_capped_on_the_claim_route(op, args, message):
     result = run_claims(registry=(claim,)).results[0]
     assert result.status == "fail"
     assert result.computed.startswith("error: ") and message in result.computed
+
+
+def test_rectangle_claim_checks_n_before_building_the_shape(monkeypatch):
+    calls = []
+    monkeypatch.setattr(schur, "rectangle", lambda *args: calls.append(args))
+    claim = Claim("t.cap", "d", "", "schur.rectangle", {"n": 201, "k": 2},
+                  {"bool": True}, "trivial")
+    result = run_claims(registry=(claim,)).results[0]
+    assert result.status == "fail"
+    assert result.computed == "error: need 1 <= n <= 200, got 201"
+    assert calls == []
 
 
 def test_hypersurface_labels_have_one_spelling(capsys):
