@@ -305,9 +305,12 @@ def _mul_packed(a: Mapping[int, int], b: Mapping[int, int], width: int,
     """Exact product of two packed term maps, without zero terms.
 
     Pairs whose base degrees add up to more than ``max_base_degree`` are
-    skipped.  The caller keeps every field of every product below
-    2^width.
+    skipped.  The larger map is the outer loop, so the inner term list,
+    built once, is the smaller one.  The caller keeps every field of every
+    product below 2^width.
     """
+    if len(a) < len(b):
+        a, b = b, a
     mask = (1 << width) - 1
     b_terms = [(k, k & mask, c) for k, c in b.items()]
     acc: dict[int, int] = {}
@@ -333,11 +336,17 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
 
     Q_k reads only lower parts, so stopping at base degree
     ``max_base_degree`` is exact.  Dividing by zeta^d subtracts P_0's key
-    (the zeta-power is the top field); dividing by k c_0 is exact because
-    f^m has integer coefficients.  f^1 is f.  When P_0 is missing or has
-    several terms (H, z + 1), f is multiplied m times.  For m = -1, P_0
-    must be the constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0);
-    any other negative m or constant part raises :class:`ValueError`.
+    (the zeta-power is the top field), and that is done once: P_0 is taken
+    out of the levels, and every other level's keys are shifted down by
+    P_0's key, so each product key is already the key of Q_k.  Dividing by
+    k c_0 is exact because f^m has integer coefficients.  Each part Q_k is
+    a list of (key, coefficient) pairs; level k walks only the levels i
+    that f has, in increasing order up to k, skips a zero weight, and the
+    result map is built once, from all parts, at the end.  f^1 is f.  When
+    P_0 is missing or has several terms (H, z + 1), f is multiplied m
+    times.  For m = -1, P_0 must be the constant 1, and then
+    Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other negative m or constant
+    part raises :class:`ValueError`.
     """
     if m == 1:
         return f
@@ -353,29 +362,37 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
         for _ in range(m - 1):
             power = _mul_packed(power, f, width, max_base_degree)
         return power
-    (k0, c0), = levels[0]
-    top = max(levels)
+    (k0, c0), = levels.pop(0)
+    shifted = [(i, [(key - k0, c) for key, c in levels[i]])
+               for i in sorted(levels)]
+    top = max(levels, default=0)
     last = max_base_degree if m < 0 else min(max_base_degree, m * top)
-    parts = [{k0 * m: c0 ** abs(m)}]  # c_0 = 1 when m = -1
+    parts = [[(k0 * m, c0 ** abs(m))]]  # c_0 = 1 when m = -1
     for k in range(1, last + 1):
         acc: dict[int, int] = {}
-        for i in range(1, min(k, top) + 1):
+        for i, terms in shifted:
+            if i > k:
+                break
             weight = (m + 1) * i - k
-            for k1, c1 in levels.get(i, ()):
+            if not weight:
+                continue
+            lower = parts[k - i]
+            for k1, c1 in terms:
                 c1 *= weight
-                for k2, c2 in parts[k - i].items():
+                for k2, c2 in lower:
                     key = k1 + k2
                     acc[key] = acc.get(key, 0) + c1 * c2
-        part: dict[int, int] = {}
+        divisor = k * c0
+        part = []
         for key, c in acc.items():
             if c:
-                q, r = divmod(c, k * c0)
+                q, r = divmod(c, divisor)
                 if r:
                     raise ArithmeticError(
                         f"power recurrence left remainder {r} at level {k}")
-                part[key - k0] = q
+                part.append((key, q))
         parts.append(part)
-    return {key: c for part in parts for key, c in part.items()}
+    return {key: c for part in parts for key, c in part}
 
 
 def _from_numerators(profile: BaseProfile, den: int,
@@ -504,15 +521,20 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
     most C(t+m-1, m) terms, one per multiset of m terms, and the product
     has at most C(D+k+1, k+1), the number of monomials in zeta and the k
     basis symbols of total degree at most D, the sum of m times each f's
-    largest total degree.  Above MAX_TERMS it raises :class:`ValueError`.
+    largest total degree.  When the smaller bound is above MAX_TERMS it
+    raises :class:`ValueError`.  The minimum passes MAX_TERMS only if the
+    multiset bound does, so the degree bound, a pass over every term, is
+    computed only then.
     """
-    multisets = math.prod(math.comb(len(f.terms) + m - 1, m) for f, m in runs)
-    top = sum(m * max(zp + sum(e) for (zp, e), _ in f.terms) for f, m in runs)
-    terms = min(multisets,
-                math.comb(top + profile.nsyms + 1, profile.nsyms + 1))
+    terms = math.prod(math.comb(len(f.terms) + m - 1, m) for f, m in runs)
     if terms > MAX_TERMS:
-        raise ValueError(f"the product may have {terms} terms, more than "
-                         f"{MAX_TERMS}")
+        top = sum(m * max(zp + sum(e) for (zp, e), _ in f.terms)
+                  for f, m in runs)
+        terms = min(terms,
+                    math.comb(top + profile.nsyms + 1, profile.nsyms + 1))
+        if terms > MAX_TERMS:
+            raise ValueError(f"the product may have {terms} terms, more "
+                             f"than {MAX_TERMS}")
     den, nums = 1, None
     for factor, m in runs:
         factor_den, factor_nums = _numerators(factor.terms)

@@ -72,8 +72,12 @@ def _cmd_vmrt_table(args: argparse.Namespace) -> int:
 
 def _cmd_schur_dim(args: argparse.Namespace) -> int:
     from . import schur
-    partition = [int(p) for p in args.partition.split(",") if p != ""]
-    print(schur.schur_dim(partition, args.dim))
+    parts = [p for p in args.partition.split(",") if p != ""]
+    for p in parts:
+        # int() would also read other Unicode digits, "_", signs and spaces
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError(f"invalid literal for int() with base 10: {p!r}")
+    print(schur.schur_dim([int(p) for p in parts], args.dim))
     return 0
 
 

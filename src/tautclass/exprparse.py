@@ -34,7 +34,7 @@ from .hypersurfaces import MAX_HYPERSURFACE_DIM
 # One token per match, after any whitespace: the group that matched is its
 # kind, and a non-space character that starts no token matches group 4.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()])|(\S))")
+    r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()])|(\S))")
 _KINDS = (None, "num", "sym", "op")
 MAX_NESTING = 100
 MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1

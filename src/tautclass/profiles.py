@@ -5,8 +5,8 @@ One table maps each fixed label (the cubic and K3 surfaces,
 :data:`FIXED_LABELS` is read from it; the pattern ``hypersurface-n<n>-d<d>``
 constructs hypersurface profiles on demand.  A label must match exactly,
 and the builders are memoized, so a label resolves to one profile object.
-Hypersurface labels write n and d without leading zeros, and a label
-above the caps of :class:`HypersurfaceSpec` is unknown.
+Hypersurface labels write n and d in ASCII digits without leading zeros,
+and a label above the caps of :class:`HypersurfaceSpec` is unknown.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .threefolds import default_threefold_profile, k3_quartic_profile
 
 # At most 9 digits of n and d are read, so int() never sees a huge digit
 # string; a longer n is above the cap anyway.
-_HYPERSURFACE_RE = re.compile(r"hypersurface-n([1-9]\d{0,8})-d([1-9]\d{0,8})")
+_HYPERSURFACE_RE = re.compile(
+    r"hypersurface-n([1-9][0-9]{0,8})-d([1-9][0-9]{0,8})")
 
 # Each entry looks its builder up when called, so a rebound module name
 # (a tracer's wrapper, a test's monkeypatch) is seen.
@@ -53,4 +54,4 @@ def get_profile(label: str) -> BaseProfile:
     raise KeyError(
         f"unknown profile {label!r}; fixed labels: {', '.join(FIXED_LABELS)}, "
         f"plus hypersurface-n<n>-d<d> with n <= {MAX_HYPERSURFACE_DIM} and d "
-        f"of at most 9 digits, both without leading zeros")
+        f"of at most 9 digits, both in ASCII digits without leading zeros")

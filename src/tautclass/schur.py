@@ -19,6 +19,9 @@ Partition = tuple[int, ...]
 # The Weyl product runs over n^2 pairs of growing integers, so a large n is
 # slow; 200 is the largest rank of a tangent bundle handled here.
 MAX_SCHUR_DIM = 200
+# S_mu(C^n) is a summand of (C^n)^(tensor |mu|), so with |mu| at most 1000
+# its dimension is at most 200^1000 < 10^2302, which always prints.
+MAX_SCHUR_WEIGHT = 1000
 MAX_SSYT_WORK = 10**6
 
 
@@ -44,11 +47,14 @@ def schur_dim(mu, n: int) -> int:
 
     Weyl product over the shape padded with zeros to n rows:
     prod_{i<j} (mu_i - mu_j + j - i) / (j - i).  Shapes with more than n
-    rows give the zero functor.  n is capped at MAX_SCHUR_DIM.
+    rows give the zero functor.  n is capped at MAX_SCHUR_DIM and the
+    weight |mu| at MAX_SCHUR_WEIGHT, both before the product.
     """
     mu = normalize_partition(mu)
     if not 1 <= n <= MAX_SCHUR_DIM:
         raise ValueError(f"need 1 <= n <= {MAX_SCHUR_DIM}, got {n}")
+    if sum(mu) > MAX_SCHUR_WEIGHT:
+        raise ValueError(f"need |mu| <= {MAX_SCHUR_WEIGHT}, got {sum(mu)}")
     if len(mu) > n:
         return 0
     padded = mu + (0,) * (n - len(mu))

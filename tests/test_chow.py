@@ -371,6 +371,35 @@ def test_power_minus_one_inverts_a_series(coeffs, top):
     assert inverse == {k: c for k, c in geometric.items() if c}
 
 
+NONZERO = st.integers(-4, 4).filter(bool)
+# Two symbols, zeta-power 0..2, base degree 1..3: several terms per level.
+LEVEL_TERMS = st.dictionaries(
+    st.sampled_from([(zp, e) for zp in range(3) for e in TWO_SYMBOL_DEGREE_3]),
+    NONZERO, min_size=1, max_size=8)
+# Base degree 0: none, a single P_0 (the recurrence) or two terms.
+CONSTANT_TERMS = st.dictionaries(
+    st.sampled_from([(zp, (0, 0)) for zp in range(3)]), NONZERO, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LEVEL_TERMS, CONSTANT_TERMS, LEVEL_TERMS,
+       st.integers(min_value=1, max_value=6), st.data())
+def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
+                                                       m, data):
+    # f is inhomogeneous; f^m truncated at a bound below m * (f's top base
+    # degree) against m - 1 truncated multiplications (f^1 is f itself)
+    top = max(sum(e) for _, e in upper)
+    bound = data.draw(st.integers(min_value=0, max_value=m * top - 1))
+    width = max(bound, 3).bit_length()
+    f = _pack({**constant, **upper}, width)
+    power = f
+    for _ in range(m - 1):
+        power = _mul_packed(power, f, width, bound)
+    assert _pow_packed(f, m, width, bound) == power
+    g = _pack(other, width)
+    assert _mul_packed(f, g, width, bound) == _mul_packed(g, f, width, bound)
+
+
 @pytest.mark.parametrize("m, constant", [(-2, 1), (-1, 2), (-1, -1), (-1, 0)])
 def test_other_negative_powers_raise(m, constant):
     # constant 0: no base-degree-0 term at all

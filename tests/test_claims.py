@@ -380,8 +380,10 @@ def test_rectangle_claim_checks_n_before_building_the_shape(monkeypatch):
 
 
 def test_hypersurface_labels_have_one_spelling(capsys):
+    # "\u0660" is ARABIC-INDIC DIGIT ZERO, which int() reads as 0
     for label in ("hypersurface-n003-d3", "hypersurface-n3-d03",
-                  "hypersurface-n0-d3", "hypersurface-n3-d0"):
+                  "hypersurface-n0-d3", "hypersurface-n3-d0",
+                  "hypersurface-n1\u0660-d3"):
         with pytest.raises(KeyError, match="leading zeros"):
             get_profile(label)
         assert main(["eval", "--profile", label, "--expr", "z"]) == 2
@@ -500,6 +502,15 @@ def test_cli_schur_dim(capsys):
     assert main(["schur", "dim", "--partition", "a", "--dim", "3"]) == 2
     assert capsys.readouterr() == (
         "", "error: invalid literal for int() with base 10: 'a'\n")
+
+
+@pytest.mark.parametrize("partition", ["\uff13,1_0", "1_0", "\uff13", "+3",
+                                       " 3", "3,-1"])
+def test_cli_schur_dim_reads_ascii_digits_only(capsys, partition):
+    # int() reads "\uff13" (FULLWIDTH DIGIT THREE) as 3 and "1_0" as 10
+    assert main(["schur", "dim", "--partition", partition, "--dim", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid literal")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,19 @@ def test_parenthesis_nesting_cap(capsys):
     assert out == "" and "offset 101" in err_text
 
 
+@pytest.mark.parametrize("text, position", [
+    ("z^\uff13", 3), ("\uff13z", 1), ("1/\u0663z", 2), ("(4/\u0663)z", 3)])
+def test_numbers_are_ascii_digits(capsys, text, position):
+    # int() reads FULLWIDTH DIGIT THREE and the Arabic-Indic digits; the
+    # grammar's numbers are ASCII digits only, so these are syntax errors
+    profile = get_profile("cubic-surface")
+    with pytest.raises(ExprSyntaxError, match="unexpected") as err:
+        parse_expr(profile, text)
+    assert err.value.position == position
+    assert main(["eval", "--profile", "cubic-surface", "--expr", text]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_format_class_rejects_other_profile():
     cls = PTClass.zeta(get_profile("dp3-degree2"))
     with pytest.raises(ProfileMismatchError):
@@ -267,7 +280,9 @@ def test_exponent_cap_regression(monkeypatch, capsys):
     assert parse_expr(profile, "z^399") == PTClass.zeta(profile, 399)
     assert parse_expr(profile, "z^0399") == PTClass.zeta(profile, 399)
     assert parse_expr(profile, "(z+H+F)^4").homogeneous_degree() == 4
-    assert parse_expr(profile, "z^\u0660\u0660\u0661") == PTClass.zeta(profile)
+    # numbers are ASCII digits: int() would read these Arabic-Indic digits
+    with pytest.raises(ExprSyntaxError, match=r"'\u0660' \(offset 3\)"):
+        parse_expr(profile, "z^\u0660\u0660\u0661")
     for exponent in ("400", "0400", "100000", "9" * 4000, "9" * 5000):
         with pytest.raises(ExprSyntaxError,
                            match=r"exponent exceeds 399 \(offset 9\)"):

@@ -54,6 +54,17 @@ def test_schur_dim_cap(capsys):
                   {"int": 201}, "trivial")
     result = run_claims(registry=(claim,)).results[0]
     assert result.status == "fail" and "n <= 200" in result.computed
+    # the weight |mu| is capped too, so the dimension always prints
+    assert main(["schur", "dim", "--partition", "1000", "--dim", "2"]) == 0
+    assert capsys.readouterr().out == "1001\n"
+    assert main(["schur", "dim", "--partition", "1001", "--dim", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: need |mu| <= 1000, got 1001\n"
+    claim = Claim("t.heavy", "d", "", "schur.dim",
+                  {"partition": [600, 401], "n": 3}, {"int": 0}, "trivial")
+    result = run_claims(registry=(claim,)).results[0]
+    assert result.status == "fail"
+    assert result.computed == "error: need |mu| <= 1000, got 1001"
 
 
 def test_schur_dim_matches_ssyt_oracle():
