@@ -38,14 +38,13 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
-from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .record import Record
 
 Exponents = tuple[int, ...]
 PTKey = tuple[int, Exponents]
 Scalar = Union[int, Fraction]
-Key = TypeVar("Key")
 
 # The most terms a product may have, bounded before it is expanded.
 MAX_TERMS = 10**6
@@ -172,22 +171,19 @@ class BaseProfile(Record):
         nonzero to D times that value, an integer, and its keys are packed
         with the width (2n-1).bit_length() that :func:`eval_product`
         multiplies at.  Each Segre term meets each top-form monomial that
-        it divides once, so no monomials are enumerated.
+        it divides once, so no monomials are enumerated; the values are
+        summed as Fractions and packed once.
         """
-        seg_den, segre = _numerators(
-            [((self.dim - 1 + j, e), s)
-             for j, s_j in enumerate(segre_omega(self))
-             for (_, e), s in s_j.terms])
-        form_den, form = _numerators(self.top_form)
-        table: dict[PTKey, int] = {}
-        for (zp, e), s in segre.items():
-            for exps, f in form.items():
-                m = tuple(map(sub, exps, e))
-                if min(m) >= 0:
-                    table[zp, m] = table.get((zp, m), 0) + s * f
+        table: dict[PTKey, Fraction] = {}
+        for j, s_j in enumerate(segre_omega(self)):
+            for (_, e), s in s_j.terms:
+                for exps, f in self.top_form:
+                    m = tuple(map(sub, exps, e))
+                    if min(m) >= 0:
+                        key = (self.dim - 1 + j, m)
+                        table[key] = table.get(key, 0) + s * f
         width = (2 * self.dim - 1).bit_length()
-        return (seg_den * form_den,
-                _pack({k: c for k, c in table.items() if c}, width), width)
+        return *_pack([(k, c) for k, c in table.items() if c], width), width
 
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
@@ -241,63 +237,65 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     c(Omega) up to base degree n, so s_0 = 1.  With every c_i(Omega)
     written over one denominator D, the series 1 + sum_i D^i c_i(Omega)
     has integer coefficients, its inverse has part D^j s_j in base degree
-    j, and :func:`_pow_packed` computes that inverse as the power -1.  The
-    series is packed with field width n.bit_length(): every term has
-    zeta-power 0 and base degree at most n, so no field reaches 2^width
-    and no pair is truncated.  The inversion runs on every call and its
-    result is not kept; :func:`eval_top` and :func:`eval_product` read the
-    profile's pushforward table, built once from it.
+    j, the lowest field of a packed key, and :func:`_pow_packed` computes
+    that inverse as the power -1.  The series is packed with field width
+    n.bit_length(): every term has zeta-power 0 and base degree at most n,
+    so no field reaches 2^width and no pair is truncated.  The inversion
+    runs on every call and its result is not kept; :func:`eval_top` and
+    :func:`eval_product` read the profile's pushforward table, built once.
     """
     n = profile.dim
     width = n.bit_length()
     # c_i(Omega) = (-1)^i c_i(T_X), read from chern_terms so that the
     # inversion does not build the chern classes.
-    omega = [_numerators([((0, e), -c if i % 2 else c) for e, c in terms])
+    omega = [_pack([((0, e), -c if i % 2 else c) for e, c in terms], width)
              for i, terms in enumerate(profile.chern_terms, start=1)]
     den = math.lcm(*(d for d, _ in omega))
     series = {0: 1}
-    for i, (d, nums) in enumerate(omega, start=1):
-        series.update(_pack({k: c * (den // d) * den ** (i - 1)
-                             for k, c in nums.items()}, width))
-    parts: list[dict[PTKey, int]] = [{} for _ in range(n + 1)]
-    for key, c in _unpack(_pow_packed(series, -1, width, n), width,
-                          profile.nsyms).items():
-        parts[sum(key[1])][key] = c
-    return tuple(_from_numerators(profile, den ** j, nums)
-                 for j, nums in enumerate(parts))
+    for i, (d, packed) in enumerate(omega, start=1):
+        scale = den // d * den ** (i - 1)
+        series.update((k, c * scale) for k, c in packed.items())
+    mask = (1 << width) - 1
+    parts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for key, c in _pow_packed(series, -1, width, n).items():
+        parts[key & mask][key] = c
+    return tuple(_unpack(profile, den ** j, part, width)
+                 for j, part in enumerate(parts))
 
 
-def _numerators(terms: Sequence[tuple[Key, Fraction]]
-                ) -> tuple[int, dict[Key, int]]:
-    """Terms as integer numerators over one common denominator."""
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms}
+def _pack(terms: Sequence[tuple[PTKey, Scalar]],
+          width: int) -> tuple[int, dict[int, int]]:
+    """Terms as (D, packed): integer numerators over one denominator D.
 
-
-def _pack(nums: Mapping[PTKey, int], width: int) -> dict[int, int]:
-    """An integer term map with each key packed into one int.
-
-    From high to low bits a packed key holds the zeta-power, the base
-    exponents e_1..e_k and their sum |e|, each in a ``width``-bit field.
-    While every field below the zeta-power stays under 2^width, adding two
-    keys multiplies their monomials.
+    D is the lcm of the coefficients' denominators.  From high to low bits
+    a packed key holds the zeta-power, the base exponents e_1..e_k and
+    their sum |e|, each in a ``width``-bit field.  While every field below
+    the zeta-power stays under 2^width, adding two keys multiplies their
+    monomials.
     """
+    den = math.lcm(*(c.denominator for _, c in terms))
     packed: dict[int, int] = {}
-    for (zp, exps), c in nums.items():
+    for (zp, exps), c in terms:
         key = zp
         for e in exps:
             key = key << width | e
-        packed[key << width | sum(exps)] = c
-    return packed
+        packed[key << width | sum(exps)] = c.numerator * (den // c.denominator)
+    return den, packed
 
 
-def _unpack(packed: Mapping[int, int], width: int,
-            nsyms: int) -> dict[PTKey, int]:
-    """Inverse of :func:`_pack` for keys over ``nsyms`` basis symbols."""
+def _unpack(profile: BaseProfile, den: int, packed: Mapping[int, int],
+            width: int) -> PTClass:
+    """The class of a zero-free packed map over D, inverse to :func:`_pack`.
+
+    Packed keys sort as their (zeta-power, exponents) keys do.
+    """
+    nsyms = profile.nsyms
     mask = (1 << width) - 1
-    return {(key >> width * (nsyms + 1),
-             tuple(key >> width * i & mask for i in range(nsyms, 0, -1))): c
-            for key, c in packed.items()}
+    return PTClass(profile, tuple(
+        ((key >> width * (nsyms + 1),
+          tuple(key >> width * i & mask for i in range(nsyms, 0, -1))),
+         Fraction(c, den))
+        for key, c in sorted(packed.items())))
 
 
 def _mul_packed(a: Mapping[int, int], b: Mapping[int, int], width: int,
@@ -393,12 +391,6 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
                 part.append((key, q))
         parts.append(part)
     return {key: c for part in parts for key, c in part}
-
-
-def _from_numerators(profile: BaseProfile, den: int,
-                     nums: Mapping[PTKey, int]) -> "PTClass":
-    return PTClass(profile,
-                   tuple(sorted((k, Fraction(c, den)) for k, c in nums.items())))
 
 
 # PTClass.__init__ sets its slots with this, past Record.__setattr__.
@@ -537,9 +529,9 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
                              f"than {MAX_TERMS}")
     den, nums = 1, None
     for factor, m in runs:
-        factor_den, factor_nums = _numerators(factor.terms)
+        factor_den, f = _pack(factor.terms, width)
         den *= factor_den ** m
-        f = _pow_packed(_pack(factor_nums, width), m, width, bound)
+        f = _pow_packed(f, m, width, bound)
         nums = f if nums is None else _mul_packed(nums, f, width, bound)
     return den, nums
 
@@ -567,8 +559,7 @@ def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
     bound = sum(m * max(sum(e) for (_, e), _ in factor.terms)
                 for factor, m in runs)
     width = max(bound.bit_length(), 1)
-    den, nums = _chain(profile, runs, width, bound)
-    return _from_numerators(profile, den, _unpack(nums, width, profile.nsyms))
+    return _unpack(profile, *_chain(profile, runs, width, bound), width)
 
 
 def _require_profile(profile: BaseProfile, cls: PTClass) -> None:

@@ -367,9 +367,10 @@ def _check(claim: Claim) -> tuple[str, str, str]:
         return "fail", f"error: unknown operation {claim.op!r}", expected
     try:
         computed = op(**claim.args)
+        status = "pass" if matches(computed) else "fail"
+        return status, _render(computed), expected
     except Exception as exc:  # diagnostic, keep running
         return "fail", f"error: {exc}", expected
-    return "pass" if matches(computed) else "fail", _render(computed), expected
 
 
 def run_claims(filter_prefix: str | None = None,

@@ -26,6 +26,14 @@ import sys
 USAGE_ERROR = 2
 
 
+def _ascii_int(text: str) -> int:
+    """A non-negative integer in ASCII digits; int() would also read other
+    Unicode digits, "_", signs and spaces."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import claims
     registry = claims.load_registry(args.registry)
@@ -54,7 +62,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_surface_curves(args: argparse.Namespace) -> int:
     from . import surfaces
-    lattice = surfaces.surface_lattice(args.degree)
+    lattice = surfaces.surface_lattice(_ascii_int(args.degree))
     if args.conics:
         classes = surfaces.conic_classes(lattice)
     else:
@@ -72,12 +80,8 @@ def _cmd_vmrt_table(args: argparse.Namespace) -> int:
 
 def _cmd_schur_dim(args: argparse.Namespace) -> int:
     from . import schur
-    parts = [p for p in args.partition.split(",") if p != ""]
-    for p in parts:
-        # int() would also read other Unicode digits, "_", signs and spaces
-        if not (p.isascii() and p.isdigit()):
-            raise ValueError(f"invalid literal for int() with base 10: {p!r}")
-    print(schur.schur_dim([int(p) for p in parts], args.dim))
+    parts = [_ascii_int(p) for p in args.partition.split(",") if p != ""]
+    print(schur.schur_dim(parts, _ascii_int(args.dim)))
     return 0
 
 
@@ -106,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     surface = sub.add_parser("surface", help="del Pezzo surface data")
     surface_sub = surface.add_subparsers(dest="surface_command", required=True)
     curves = surface_sub.add_parser("curves", help="list curve classes")
-    curves.add_argument("--degree", type=int, required=True)
+    curves.add_argument("--degree", required=True)
     curves.add_argument("--conics", action="store_true",
                         help="list conic classes instead of (-1)-curves")
     curves.set_defaults(func=_cmd_surface_curves)
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     schur_sub = schur.add_subparsers(dest="schur_command", required=True)
     dim = schur_sub.add_parser("dim", help="dimension of a Schur functor")
     dim.add_argument("--partition", required=True, metavar="a,b,c")
-    dim.add_argument("--dim", type=int, required=True, metavar="N")
+    dim.add_argument("--dim", required=True, metavar="N")
     dim.set_defaults(func=_cmd_schur_dim)
 
     return parser

@@ -11,10 +11,16 @@ the product once; the other factors, ``X^k`` counted as k factors, are
 multiplied in one packed integer chain (``chow._product``), in which a
 run of equal factors is one power.  A product that may have more than
 ``chow.MAX_TERMS`` terms by its a-priori bound raises before it is
-expanded.  A sum adds its terms one by one.  Exponents are at most
-MAX_EXPONENT, the top degree 2n-1 of the largest hypersurface profile,
-and their digits are counted before they are converted, so a huge
-exponent is a syntax error at once.
+expanded.  Before that, the sizes of its numeric literals and of its
+powers' bases (for a class, its largest coefficient), each
+ceil(log2 |numerator|) + ceil(log2 denominator) times the exponent, are
+summed over the product; a sum above MAX_PRODUCT_BITS is a syntax error
+at the factor that passes it, before anything cancels.  A class factor
+without an exponent adds its own coefficients, which its own parse
+bounded, and is not counted.  A sum adds its terms one by one.
+Exponents are at most MAX_EXPONENT, the top degree 2n-1 of the largest
+hypersurface profile, and their digits are counted before they are
+converted, so a huge exponent is a syntax error at once.
 
 Parentheses nest at most MAX_NESTING levels deep, so a hostile input is a
 syntax error rather than a recursion overflow.
@@ -38,6 +44,10 @@ _TOKEN_RE = re.compile(
 _KINDS = (None, "num", "sym", "op")
 MAX_NESTING = 100
 MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
+# The folded scalar, and each power of a base's largest coefficient, then
+# has a numerator and a denominator of at most 14 001 bits, so at most 4215
+# digits, within Python's 4300-digit print limit.
+MAX_PRODUCT_BITS = 14_000
 
 
 class ExprSyntaxError(ValueError):
@@ -106,9 +116,21 @@ class _Parser:
     def product(self) -> PTClass:
         factors: list[PTClass] = []
         scalar = 1
+        bits = 0
         while True:
+            start = self.index
             base, exponent = self.power()
-            if isinstance(base, Fraction):
+            literal = isinstance(base, Fraction)
+            if literal:
+                bits += exponent * _size(base)
+            elif exponent > 1:
+                bits += exponent * max((_size(c) for _, c in base.terms),
+                                       default=0)
+            if bits > MAX_PRODUCT_BITS:
+                raise ExprSyntaxError(
+                    f"coefficients may exceed {MAX_PRODUCT_BITS} bits",
+                    self.tokens[start][2])
+            if literal:
                 scalar *= base ** exponent
             else:
                 factors.extend([base] * exponent)
@@ -173,6 +195,12 @@ class _Parser:
             return profile.canonical
         raise ExprSyntaxError(
             f"unknown symbol {text!r} for profile {profile.label!r}", position)
+
+
+def _size(q: Fraction) -> int:
+    """ceil(log2 |numerator|) + ceil(log2 denominator): 0 for 1 and -1."""
+    return ((abs(q.numerator) - 1).bit_length()
+            + (q.denominator - 1).bit_length())
 
 
 def parse_expr(profile: BaseProfile, text: str) -> PTClass:

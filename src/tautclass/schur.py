@@ -22,6 +22,9 @@ MAX_SCHUR_DIM = 200
 # S_mu(C^n) is a summand of (C^n)^(tensor |mu|), so with |mu| at most 1000
 # its dimension is at most 200^1000 < 10^2302, which always prints.
 MAX_SCHUR_WEIGHT = 1000
+# With n <= 200 and |k| <= 10^20, |chi(P^n, Omega^p(k))| is below
+# 2^(n+1) (|k| + 2n)^n < 10^4061, which always prints.
+MAX_TWIST = 10**20
 MAX_SSYT_WORK = 10**6
 
 
@@ -128,12 +131,15 @@ def euler_char_forms(n: int, p: int, k: int) -> int:
 
     chi(Omega^p(k)) = C(n+1, p) chi(O(k-p)) - chi(Omega^(p-1)(k)), unrolled
     in p to sum_{i=0}^{p} (-1)^(p-i) C(n+1, i) chi(O(k-i)), with chi(O(m))
-    the binomial polynomial, so the sum is total in k.
+    the binomial polynomial, so the sum is total in k.  |k| is capped at
+    MAX_TWIST before the sum.
     """
     if n > MAX_SCHUR_DIM:
         raise ValueError(f"need n <= {MAX_SCHUR_DIM}, got {n}")
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}, got {p}")
+    if abs(k) > MAX_TWIST:
+        raise ValueError(f"need |k| <= {MAX_TWIST}")
     return sum((-1) ** (p - i) * math.comb(n + 1, i) * chi_line_bundle(n, k - i)
                for i in range(p + 1))
 

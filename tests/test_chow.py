@@ -208,6 +208,10 @@ def test_ptclass_mul_matches_naive_fraction_product(data):
     product = x * y
     assert product == _naive_mul(x, y)
     assert all(isinstance(c, Fraction) and c for _, c in product.terms)
+    # every field of x, y and the product is below 2^5: the class survives
+    # packing and unpacking
+    for cls in (x, y, product):
+        assert _unpack(profile, *_pack(cls.terms, 5), 5) == cls
 
 
 CUBIC = get_profile("cubic-surface")
@@ -338,10 +342,12 @@ def test_power_recurrence_matches_binomials(n):
     # 2 zeta - 3H, so every coefficient is over 2^m).
     m = 2 * n - 3
     width = (2 * n - 1).bit_length()
+    profile = get_profile(f"hypersurface-n{n}-d3")
     for c0, c1 in ((1, 3), (2, -3)):
-        f = _pack({(1, (0,)): c0, (0, (1,)): c1}, width)
-        power = _unpack(_pow_packed(f, m, width, n), width, 1)
-        assert power == {
+        den, f = _pack([((1, (0,)), c0), ((0, (1,)), c1)], width)
+        assert den == 1
+        power = _unpack(profile, den, _pow_packed(f, m, width, n), width)
+        assert dict(power.terms) == {
             (m - k, (k,)): math.comb(m, k) * c0 ** (m - k) * c1 ** k
             for k in range(n + 1)}
 
@@ -357,9 +363,9 @@ def test_power_minus_one_inverts_a_series(coeffs, top):
     # f = 1 + (terms of base degree 1..3 in two symbols); f^(-1) up to
     # base degree `top` against f . f^(-1) = 1 and sum_k (1 - f)^k.
     width = max(top, 3).bit_length()
-    f = _pack({(0, (0, 0)): 1, **{(0, e): c for e, c
-                                  in zip(TWO_SYMBOL_DEGREE_3, coeffs) if c}},
-              width)
+    den, f = _pack([((0, (0, 0)), 1)] + [
+        ((0, e), c) for e, c in zip(TWO_SYMBOL_DEGREE_3, coeffs) if c], width)
+    assert den == 1
     inverse = _pow_packed(f, -1, width, top)
     assert _mul_packed(f, inverse, width, top) == {0: 1}
     one_minus_f = {k: -c for k, c in f.items() if k}
@@ -391,19 +397,23 @@ def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
     top = max(sum(e) for _, e in upper)
     bound = data.draw(st.integers(min_value=0, max_value=m * top - 1))
     width = max(bound, 3).bit_length()
-    f = _pack({**constant, **upper}, width)
+    den, f = _pack([*constant.items(), *upper.items()], width)
+    assert den == 1
     power = f
     for _ in range(m - 1):
         power = _mul_packed(power, f, width, bound)
     assert _pow_packed(f, m, width, bound) == power
-    g = _pack(other, width)
+    _, g = _pack(list(other.items()), width)
     assert _mul_packed(f, g, width, bound) == _mul_packed(g, f, width, bound)
 
 
 @pytest.mark.parametrize("m, constant", [(-2, 1), (-1, 2), (-1, -1), (-1, 0)])
 def test_other_negative_powers_raise(m, constant):
     # constant 0: no base-degree-0 term at all
-    f = _pack({(0, (1,)): 3, **({(0, (0,)): constant} if constant else {})}, 2)
+    terms = [((0, (1,)), 3)]
+    if constant:
+        terms.append(((0, (0,)), constant))
+    _, f = _pack(terms, 2)
     with pytest.raises(ValueError, match="power"):
         _pow_packed(f, m, 2, 3)
 
@@ -449,8 +459,9 @@ def test_pushforward_table_matches_segre_route(profile):
     top = 2 * profile.dim - 1
     den, packed, width = profile._pushforward
     assert width == top.bit_length()
-    table = _unpack(packed, width, profile.nsyms)
-    assert _pack(table, width) == packed
+    cls = _unpack(profile, den, packed, width)
+    assert _pack(cls.terms, width) == (den, packed)
+    table = dict(cls.terms)
     segre = segre_omega(profile)
     monomials = [(zp, m) for zp in range(top + 1)
                  for m in compositions(top - zp, profile.nsyms)]
@@ -462,7 +473,7 @@ def test_pushforward_table_matches_segre_route(profile):
         expected = Fraction(0) if j < 0 else sum(
             (s * form.get(tuple(map(operator.add, e, m)), 0)
              for (_, e), s in segre[j].terms), Fraction(0))
-        assert Fraction(table.get((zp, m), 0), den) == expected
+        assert table.get((zp, m), 0) == expected
 
 
 def test_empty_top_form_pushes_to_zero():

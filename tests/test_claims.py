@@ -249,6 +249,28 @@ def test_cli_verify_registry_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 1
 
 
+def test_unprintable_claim_value_fails_alone(tmp_path, capsys):
+    # chi(Sym^m T) on a cubic surface grows like m^3, so at m = 10^2000 its
+    # numerator has over 6000 digits, more than str() prints; that claim
+    # fails with the error and the run goes on.  The twist cap refuses
+    # k = 10^30 before the sum, whose value would have over 5000 digits.
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"claims": [
+        {"id": f"t.{i}", "description": "d", "anchor": "", "op": op,
+         "args": args, "expected": {"int": 6}, "provenance": "trivial"}
+        for i, (op, args) in enumerate((
+            ("schur.euler_forms", {"n": 3, "p": 1, "k": 2}),
+            ("schur.euler_forms", {"n": 200, "p": 0, "k": 10**30}),
+            ("surfaces.chi_sym", {"degree": 3, "m": 10**2000})))]}))
+    assert main(["verify", "--registry", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    claims = json.loads(out)["claims"]
+    assert [c["status"] for c in claims] == ["pass", "fail", "fail"]
+    assert claims[1]["computed"] == "error: need |k| <= 100000000000000000000"
+    assert claims[2]["computed"].startswith("error: Exceeds the limit (4300")
+
+
 def test_cli_verify_rejects_non_integer_arg(tmp_path, capsys):
     # a float must not be truncated into a different, passing claim
     path = tmp_path / "registry.json"
@@ -358,6 +380,8 @@ def test_hypersurface_caps_hold_on_the_claim_route():
     ("schur.ssyt", {"partition": [5, 5], "n": 12}, "more than 1000000"),
     ("schur.ssyt", {"partition": [2000], "n": 2}, "more than 1000000"),
     ("schur.ssyt", {"partition": [1], "n": 201}, "need n <= 200"),
+    ("schur.euler_forms", {"n": 3, "p": 1, "k": -10**21},
+     "need |k| <= 100000000000000000000"),
 ])
 def test_brute_force_ops_are_capped_on_the_claim_route(op, args, message):
     # each op refuses an oversized input before it starts work, so a
@@ -505,12 +529,19 @@ def test_cli_schur_dim(capsys):
 
 
 @pytest.mark.parametrize("partition", ["\uff13,1_0", "1_0", "\uff13", "+3",
-                                       " 3", "3,-1"])
+                                       " 3", "3,-1", "\uff17"])
 def test_cli_schur_dim_reads_ascii_digits_only(capsys, partition):
-    # int() reads "\uff13" (FULLWIDTH DIGIT THREE) as 3 and "1_0" as 10
+    # int() reads "\uff13" (FULLWIDTH DIGIT THREE) as 3 and "1_0" as 10;
+    # each text is also refused as --dim and as surface curves --degree
     assert main(["schur", "dim", "--partition", partition, "--dim", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: invalid literal")
+    for argv in (["schur", "dim", "--partition", "2", "--dim", partition],
+                 ["surface", "curves", "--degree", partition]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: invalid literal for int() with base 10: "
+                f"{partition!r}\n")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from tautclass import chow
 from tautclass.chow import (DegreeMismatchError, ProfileMismatchError,
                             PTClass, eval_top)
 from tautclass.cli import main
-from tautclass.exprparse import (MAX_EXPONENT, ExprSyntaxError, format_class,
-                                 parse_expr)
+from tautclass.exprparse import (MAX_EXPONENT, MAX_PRODUCT_BITS,
+                                 ExprSyntaxError, format_class, parse_expr)
 from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM
 from tautclass.profiles import get_profile
 
@@ -307,3 +307,31 @@ def test_exponent_cap_regression(monkeypatch, capsys):
         assert err == ("error: the product may have 10746800 terms, "
                        "more than 1000000\n")
     assert calls == []
+
+
+def test_coefficient_size_is_bounded_before_multiplying(capsys):
+    # the sizes of a product's literals and powers' bases, times their
+    # exponents, add up to at most MAX_PRODUCT_BITS, checked before
+    # anything cancels or is multiplied; 10^4000 - 1 has 13 288 bits
+    profile = get_profile("cubic-surface")
+    big = "9" * 4000
+    assert MAX_PRODUCT_BITS == 14_000
+    for expr, offset in ((f"({big})^399*z^3", 1), (f"{big}^399*z^3", 1),
+                         (f"z*(1/{big})^399*({big})^399", 3),
+                         (f"({big}z + H)^2*z", 1), (f"z*{big}*{big}", 4004)):
+        with pytest.raises(ExprSyntaxError,
+                           match=rf"exceed 14000 bits \(offset {offset}\)"):
+            parse_expr(profile, expr)
+    assert parse_expr(profile, "(4/3)^5*z^3") == (
+        Fraction(1024, 243) * PTClass.zeta(profile, 3))
+    assert parse_expr(profile, f"{big}*z") == int(big) * PTClass.zeta(profile)
+    # coefficients 1 count 0 bits, and an unraised class factor counts none
+    assert parse_expr(profile, "*".join(["z^399"] * 40)) == PTClass.zeta(
+        profile, 399 * 40)
+    assert parse_expr(profile, f"({big})*({big})") == (
+        int(big) ** 2 * PTClass.one(profile))
+    assert main(["eval", "--profile", "cubic-surface",
+                 "--expr", f"({big})^399*z^3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: coefficients may exceed 14000 bits (offset 1)\n"
