@@ -35,16 +35,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
-from typing import Iterable, Mapping, Sequence, Union
 
 from .record import Record
 
 Exponents = tuple[int, ...]
 PTKey = tuple[int, Exponents]
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 # The most terms a product may have, bounded before it is expanded.
 MAX_TERMS = 10**6

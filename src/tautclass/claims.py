@@ -12,11 +12,10 @@ exact; there are no tolerances anywhere.
 from __future__ import annotations
 
 import json
+import os
 import time
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
-from typing import Any, Callable, Mapping
 
 from . import hypersurfaces as hyp
 from . import schur
@@ -49,7 +48,7 @@ class _FrozenDict(dict):
         return _FrozenDict, (dict(self),)
 
 
-def _freeze(value: Any) -> Any:
+def _freeze(value: object) -> object:
     """JSON data made read-only: objects as _FrozenDicts, arrays as tuples."""
     if isinstance(value, dict):
         return _FrozenDict({k: _freeze(v) for k, v in value.items()})
@@ -72,8 +71,8 @@ class Claim(Record):
     description: str
     anchor: str
     op: str
-    args: Mapping[str, Any]
-    expected: Mapping[str, Any]
+    args: Mapping[str, object]
+    expected: Mapping[str, object]
     provenance: str
 
     def __init__(self, *args, **kwargs) -> None:
@@ -91,20 +90,6 @@ class ClaimResult(Record):
     expected: str
     provenance: str
     elapsed: float
-
-
-class Report:
-    def __init__(self) -> None:
-        self.results: list[ClaimResult] = []
-
-    @property
-    def summary(self) -> dict[str, int]:
-        passed = sum(result.status == "pass" for result in self.results)
-        return {"pass": passed, "fail": len(self.results) - passed}
-
-    @property
-    def has_failures(self) -> bool:
-        return any(result.status == "fail" for result in self.results)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +147,22 @@ def _op_comb_A_match(k: int, n: int) -> bool:
     return closed is not None and brute == closed
 
 
-OPS: dict[str, Callable[..., Any]] = {
+def _part(values: tuple, index: int) -> object:
+    # a real position only: Python would read index -1 as the last part
+    if not 0 <= index < len(values):
+        raise IndexError(f"index must lie in 0..{len(values) - 1}, got {index}")
+    return values[index]
+
+
+def _op_cubic_certificate(component: str) -> object:
+    certificate = surfaces.cubic_surface_certificate()
+    if component not in certificate._fields:
+        raise ValueError(f"component must be one of "
+                         f"{', '.join(certificate._fields)}, got {component!r}")
+    return getattr(certificate, component)
+
+
+OPS: dict[str, Callable[..., object]] = {
     "chow.eval_expr": _op_eval_expr,
     "chow.segre_top": _op_segre_top,
     "chow.dual_vmrt": _op_dual_vmrt,
@@ -183,8 +183,7 @@ OPS: dict[str, Callable[..., Any]] = {
     "surfaces.degree5_vmrt_sum": lambda: surfaces.degree5_vmrt_sum(),
     "surfaces.cubic_conics_match_lines":
         lambda: surfaces.cubic_conics_match_lines(),
-    "surfaces.cubic_certificate": lambda component:
-        getattr(surfaces.cubic_surface_certificate(), component),
+    "surfaces.cubic_certificate": _op_cubic_certificate,
     "surfaces.chi_sym": lambda degree, m:
         surfaces.chi_sym_tangent_surface(degree, m),
     "surfaces.noether_all": lambda:
@@ -204,8 +203,8 @@ OPS: dict[str, Callable[..., Any]] = {
     "hyp.comb_A": lambda k, n: hyp.comb_identity_A(k, n)[0],
     "hyp.comb_A_match": _op_comb_A_match,
     "hyp.recursion_A": lambda k, n: hyp.recursion_check_A(k, n),
-    "threefolds.triple": lambda d, b3, index:
-        threefolds.profile_triple(threefolds.threefold_profile(d, b3))[index],
+    "threefolds.triple": lambda d, b3, index: _part(
+        threefolds.profile_triple(threefolds.threefold_profile(d, b3)), index),
     "threefolds.vmrt_class": lambda d: threefolds.vmrt_table()[d].cls,
     "threefolds.vmrt_k": lambda d: threefolds.vmrt_table()[d].k,
     "threefolds.vmrt_m_min":
@@ -221,7 +220,7 @@ OPS: dict[str, Callable[..., Any]] = {
     "threefolds.k3_normalized":
         lambda: Fraction(1, 6) * threefolds.k3_bitangent_class(),
     "threefolds.k3_value": lambda index:
-        threefolds.profile_triple(threefolds.k3_quartic_profile())[index],
+        _part(threefolds.profile_triple(threefolds.k3_quartic_profile()), index),
     "schur.dim": lambda partition, n: schur.schur_dim(partition, n),
     "schur.ssyt": lambda partition, n: schur.ssyt_count(partition, n),
     "schur.rectangle": lambda n, k: schur.plethysm_rectangle_check(n, k),
@@ -241,25 +240,24 @@ ENTRY_KEYS = {"id": str, "description": str, "op": str, "expected": dict,
               "provenance": str}
 
 
-def _is_int(value: Any) -> bool:
+def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_arg(value: Any) -> bool:
+def _is_arg(value: object) -> bool:
     return (_is_int(value) or isinstance(value, str)
             or (isinstance(value, list) and all(map(_is_int, value))))
 
 
-def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
-    """Load and validate the claim registry."""
+def load_registry(path: str | os.PathLike | None = None) -> tuple[Claim, ...]:
+    """Load and validate a claim registry, by default the built-in one."""
     if path is None:
-        text = resources.files("tautclass").joinpath("data/registry.json").read_text()
-    else:
-        text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except RecursionError:
-        raise ValueError("registry JSON is nested too deeply") from None
+        path = os.path.join(os.path.dirname(__file__), "data", "registry.json")
+    with open(path, encoding="utf-8") as file:
+        try:
+            raw = json.load(file)
+        except RecursionError:
+            raise ValueError("registry JSON is nested too deeply") from None
     entries = raw.get("claims") if isinstance(raw, dict) else None
     if not isinstance(entries, list):
         raise ValueError('registry must be an object with a "claims" list')
@@ -286,19 +284,13 @@ def load_registry(path: str | Path | None = None) -> tuple[Claim, ...]:
             if not _is_arg(value):
                 raise ValueError(f"{claim_id}: arg {name!r} must be an int, a "
                                  f"string or a list of ints, not {value!r}")
-        claims.append(Claim(
-            id=claim_id,
-            description=entry["description"],
-            anchor=entry.get("anchor", ""),
-            op=entry["op"],
-            args=args,
-            expected=expected,
-            provenance=entry["provenance"],
-        ))
+        claims.append(Claim(claim_id, entry["description"],
+                            entry.get("anchor", ""), entry["op"], args,
+                            expected, entry["provenance"]))
     return tuple(claims)
 
 
-def _render(value: Any) -> str:
+def _render(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
@@ -310,17 +302,18 @@ def _render(value: Any) -> str:
     return str(value)
 
 
-def _is_number(value: Any) -> bool:
+def _is_number(value: object) -> bool:
     return _is_int(value) or isinstance(value, Fraction)
 
 
-def _spec_fraction(spec: Any) -> Fraction:
+def _spec_fraction(spec: object) -> Fraction:
     if isinstance(spec, bool):
         raise ValueError(f"{spec!r} is a boolean, not a rational")
     return as_fraction(spec)
 
 
-def _decode_expected(expected: Mapping[str, Any]) -> tuple[str, Callable[[Any], bool]]:
+def _decode_expected(expected: Mapping[str, object]
+                     ) -> tuple[str, Callable[[object], bool]]:
     """Rendered text and match test of an expected-value spec.
 
     Raises on a spec that cannot be decoded: an unknown kind, a value of the
@@ -374,38 +367,35 @@ def _check(claim: Claim) -> tuple[str, str, str]:
 
 
 def run_claims(filter_prefix: str | None = None,
-               registry: tuple[Claim, ...] | None = None) -> Report:
+               registry: tuple[Claim, ...] | None = None
+               ) -> tuple[ClaimResult, ...]:
     """Run claims in registry order; failures carry a diagnostic and the
     run continues."""
-    claims = registry if registry is not None else load_registry()
-    report = Report()
-    for claim in claims:
+    results = []
+    for claim in load_registry() if registry is None else registry:
         if filter_prefix and not claim.id.startswith(filter_prefix):
             continue
         start = time.perf_counter()
         status, computed, expected = _check(claim)
-        report.results.append(ClaimResult(
-            id=claim.id,
-            status=status,
-            computed=computed,
-            expected=expected,
-            provenance=claim.provenance,
-            elapsed=time.perf_counter() - start,
-        ))
-    return report
+        results.append(ClaimResult(claim.id, status, computed, expected,
+                                   claim.provenance,
+                                   time.perf_counter() - start))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
-def emit(report: Report, format: str = "json") -> str:
-    """Render a report as JSON or markdown.
+def emit(results: tuple[ClaimResult, ...], format: str = "json") -> str:
+    """Render the results of a run as a JSON or markdown report.
 
     Output is byte-identical across runs for the same registry: per-claim
     timings stay on the in-memory result objects and are not emitted.  Both
     summaries keep a "skipped" count, always 0, as part of the report format.
     """
+    passed = sum(r.status == "pass" for r in results)
+    failed = len(results) - passed
     if format == "json":
         doc = {
             "claims": [{
@@ -414,13 +404,13 @@ def emit(report: Report, format: str = "json") -> str:
                 "computed": r.computed,
                 "expected": r.expected,
                 "provenance": r.provenance,
-            } for r in report.results],
-            "summary": {**report.summary, "skipped": 0},
+            } for r in results],
+            "summary": {"pass": passed, "fail": failed, "skipped": 0},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if format == "markdown":
         groups: dict[str, list[ClaimResult]] = {}
-        for result in report.results:
+        for result in results:
             groups.setdefault(result.id.split(".")[0], []).append(result)
         lines = ["# Claim verification report", ""]
         for group in sorted(groups):
@@ -431,9 +421,7 @@ def emit(report: Report, format: str = "json") -> str:
             for r in groups[group]:
                 lines.append(f"| {r.id} | {r.status} | {r.computed} | {r.expected} |")
             lines.append("")
-        summary = report.summary
-        lines.append(f"**summary:** {summary['pass']} pass, "
-                     f"{summary['fail']} fail, 0 skipped")
+        lines.append(f"**summary:** {passed} pass, {failed} fail, 0 skipped")
         lines.append("")
         return "\n".join(lines)
     raise ValueError(f"unknown format {format!r}")

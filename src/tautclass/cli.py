@@ -20,7 +20,6 @@ Each subcommand imports the layers it uses when it runs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 USAGE_ERROR = 2
@@ -36,10 +35,10 @@ def _ascii_int(text: str) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import claims
-    registry = claims.load_registry(args.registry)
-    report = claims.run_claims(args.filter, registry)
-    sys.stdout.write(claims.emit(report, args.format))
-    return 1 if report.has_failures else 0
+    results = claims.run_claims(args.filter,
+                                claims.load_registry(args.registry))
+    sys.stdout.write(claims.emit(results, args.format))
+    return 1 if any(r.status == "fail" for r in results) else 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -61,6 +60,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface_curves(args: argparse.Namespace) -> int:
+    import json
     from . import surfaces
     lattice = surfaces.surface_lattice(_ascii_int(args.degree))
     if args.conics:
@@ -72,6 +72,7 @@ def _cmd_surface_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_vmrt_table(args: argparse.Namespace) -> int:
+    import json
     from . import threefolds
     rows = threefolds.vmrt_table()
     print(json.dumps([rows[d].to_json() for d in sorted(rows)], indent=2))

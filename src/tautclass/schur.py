@@ -45,6 +45,14 @@ def rectangle(k: int, rows: int) -> Partition:
     return (k,) * rows
 
 
+def _check_caps(n: int, weight: int) -> None:
+    """Refuse n outside 1..MAX_SCHUR_DIM and a weight above MAX_SCHUR_WEIGHT."""
+    if not 1 <= n <= MAX_SCHUR_DIM:
+        raise ValueError(f"need 1 <= n <= {MAX_SCHUR_DIM}, got {n}")
+    if weight > MAX_SCHUR_WEIGHT:
+        raise ValueError(f"need |mu| <= {MAX_SCHUR_WEIGHT}, got {weight}")
+
+
 def schur_dim(mu, n: int) -> int:
     """dim of the Schur functor S_mu applied to an n-dimensional space.
 
@@ -54,10 +62,7 @@ def schur_dim(mu, n: int) -> int:
     weight |mu| at MAX_SCHUR_WEIGHT, both before the product.
     """
     mu = normalize_partition(mu)
-    if not 1 <= n <= MAX_SCHUR_DIM:
-        raise ValueError(f"need 1 <= n <= {MAX_SCHUR_DIM}, got {n}")
-    if sum(mu) > MAX_SCHUR_WEIGHT:
-        raise ValueError(f"need |mu| <= {MAX_SCHUR_WEIGHT}, got {sum(mu)}")
+    _check_caps(n, sum(mu))
     if len(mu) > n:
         return 0
     padded = mu + (0,) * (n - len(mu))
@@ -115,8 +120,7 @@ def plethysm_rectangle_check(n: int, k: int) -> bool:
     functor: both dimensions equal C(n+k-1, n-1)."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    if n > MAX_SCHUR_DIM:
-        raise ValueError(f"need 1 <= n <= {MAX_SCHUR_DIM}, got {n}")
+    _check_caps(n, (n - 1) * k)
     return schur_dim(rectangle(k, n - 1), n) == sym_power_dim(n, k)
 
 
@@ -196,6 +200,9 @@ def bridge_identity_check(n: int, d: int, k: int) -> bool:
     """
     if n < 2 or d < 1 or k < 1:
         raise ValueError("need n >= 2, d >= 1, k >= 1")
+    # The rectangle's weight (n-1)k bounds k, so both shapes are refused
+    # before either Weyl product.
+    _check_caps(n, (n - 1) * k)
     # Left side: mu = (k) applied to the rank-n bundle T_X(d-3).
     rank_left = schur_dim((k,), n)
     c1_twisted_tangent = Fraction((n + 2 - d) + n * (d - 3))

@@ -17,10 +17,10 @@ bitangent class.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
                    eval_product, eval_top, fraction_str)

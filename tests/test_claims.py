@@ -121,20 +121,20 @@ def test_claims_call_every_public_function():
 
 
 def test_full_run_has_single_known_failure():
-    report = run_claims()
-    failures = [r for r in report.results if r.status == "fail"]
+    results = run_claims()
+    failures = [r for r in results if r.status == "fail"]
     assert [f.id for f in failures] == ["dp3.cert.deg2.divisor"]
     assert failures[0].computed == "-17/2"
-    assert report.summary["pass"] == len(report.results) - 1
-    assert report.has_failures
+    assert [r.status for r in results].count("pass") == len(results) - 1
+    assert len(results) == len(load_registry())
 
 
 def test_filter_prefix():
-    report = run_claims("dp2.surface")
-    assert len(report.results) == 7
-    assert all(r.id.startswith("dp2.surface4.") for r in report.results)
-    assert not report.has_failures
-    assert run_claims("hyp.cubic").summary["fail"] == 0
+    results = run_claims("dp2.surface")
+    assert len(results) == 7
+    assert all(r.id.startswith("dp2.surface4.") for r in results)
+    assert all(r.status == "pass" for r in results)
+    assert all(r.status == "pass" for r in run_claims("hyp.cubic"))
 
 
 def test_unknown_op_fails_with_diagnostic_and_run_continues():
@@ -154,16 +154,16 @@ def test_unknown_op_fails_with_diagnostic_and_run_continues():
         Claim("x.m-bound", "d = 1 bound", "", "threefolds.vmrt_m_min",
               {"d": 1}, {"rational": "180"}, "derived"),
     )
-    report = run_claims(registry=registry)
-    assert [r.status for r in report.results] == [
+    results = run_claims(registry=registry)
+    assert [r.status for r in results] == [
         "fail", "fail", "fail", "pass", "fail", "pass"]
-    assert "unknown operation" in report.results[0].computed
-    assert report.results[1].computed.startswith("error:")
-    assert "no-such" in report.results[1].computed
-    assert report.results[2].computed.startswith("error:")
-    assert "dim" in report.results[2].computed
-    assert report.results[4].computed == "None"
-    assert report.results[5].computed == "180"
+    assert "unknown operation" in results[0].computed
+    assert results[1].computed.startswith("error:")
+    assert "no-such" in results[1].computed
+    assert results[2].computed.startswith("error:")
+    assert "dim" in results[2].computed
+    assert results[4].computed == "None"
+    assert results[5].computed == "180"
 
 
 def test_deeply_nested_class_spec_fails_its_claim(tmp_path, capsys):
@@ -194,7 +194,7 @@ def test_malformed_number_spec_fails_its_claim(spec):
     claim = Claim("t.spec", "d", "", "hyp.mnef", {"n": 3}, spec, "derived")
     ok = Claim("t.ok", "d", "", "hyp.mnef", {"n": 3},
                {"interval": {"min": "-100", "max": "1"}}, "derived")
-    bad, good = run_claims(registry=(claim, ok)).results
+    bad, good = run_claims(registry=(claim, ok))
     assert bad.status == "fail"
     assert bad.computed.startswith("error: bad expected spec")
     assert bad.expected == json.dumps(spec, sort_keys=True)
@@ -202,8 +202,7 @@ def test_malformed_number_spec_fails_its_claim(spec):
 
 
 def test_emit_json_schema_and_determinism():
-    report = run_claims("schur")
-    first = emit(report, "json")
+    first = emit(run_claims("schur"), "json")
     second = emit(run_claims("schur"), "json")
     assert first == second  # byte-identical across runs
     doc = json.loads(first)
@@ -359,7 +358,7 @@ def test_hypersurface_caps_hold_on_the_claim_route():
             ("hyp.c1_coeff", {"n": 200, "d": 3}, 199),
             ("hyp.sum_positive", {"n": 201}, 0),
             ("hyp.sum_negative", {"n": 201}, 0))))
-    results = run_claims(registry=registry).results
+    results = run_claims(registry=registry)
     assert [r.status for r in results] == ["fail", "fail", "fail", "pass",
                                            "fail", "fail"]
     for i in (0, 1, 4, 5):
@@ -387,7 +386,7 @@ def test_brute_force_ops_are_capped_on_the_claim_route(op, args, message):
     # each op refuses an oversized input before it starts work, so a
     # hand-built claim fails at once with an error
     claim = Claim("t.cap", "d", "", op, args, {"int": 0}, "trivial")
-    result = run_claims(registry=(claim,)).results[0]
+    result = run_claims(registry=(claim,))[0]
     assert result.status == "fail"
     assert result.computed.startswith("error: ") and message in result.computed
 
@@ -397,10 +396,51 @@ def test_rectangle_claim_checks_n_before_building_the_shape(monkeypatch):
     monkeypatch.setattr(schur, "rectangle", lambda *args: calls.append(args))
     claim = Claim("t.cap", "d", "", "schur.rectangle", {"n": 201, "k": 2},
                   {"bool": True}, "trivial")
-    result = run_claims(registry=(claim,)).results[0]
+    result = run_claims(registry=(claim,))[0]
     assert result.status == "fail"
     assert result.computed == "error: need 1 <= n <= 200, got 201"
     assert calls == []
+
+
+def test_bridge_claim_checks_the_weight_before_any_weyl_product(monkeypatch):
+    # the rectangle (k, ..., k) with n - 1 rows weighs 199 000 here, so the
+    # claim is refused before schur_dim((k,), n) runs its product
+    calls = []
+    monkeypatch.setattr(schur, "schur_dim", lambda *args: calls.append(args))
+    claim = Claim("t.bridge", "d", "", "schur.bridge",
+                  {"n": 200, "d": 3, "k": 1000}, {"bool": True}, "trivial")
+    result = run_claims(registry=(claim,))[0]
+    assert result.status == "fail"
+    assert result.computed == "error: need |mu| <= 1000, got 199000"
+    assert calls == []
+
+
+def test_part_picking_ops_accept_only_real_parts():
+    # each hostile claim's expected value is the part that Python's negative
+    # indexing or getattr would pick, so a typo cannot pass as another number
+    cases = [
+        ("threefolds.triple", {"d": 1, "b3": 42, "index": -3}, {"int": -78},
+         "error: index must lie in 0..2, got -3"),
+        ("threefolds.triple", {"d": 1, "b3": 42, "index": 3}, {"int": 0},
+         "error: index must lie in 0..2, got 3"),
+        ("threefolds.k3_value", {"index": -1}, {"int": 4},
+         "error: index must lie in 0..2, got -1"),
+        ("surfaces.cubic_certificate", {"component": "_fields"},
+         {"int": 0}, "error: component must be one of a, b, budget, "
+         "got '_fields'"),
+        ("surfaces.cubic_certificate", {"component": "c"}, {"int": 0},
+         "error: component must be one of a, b, budget, got 'c'"),
+        ("threefolds.triple", {"d": 1, "b3": 42, "index": 0}, {"int": -78},
+         "-78"),
+        ("threefolds.k3_value", {"index": 2}, {"int": 4}, "4"),
+        ("surfaces.cubic_certificate", {"component": "budget"},
+         {"rational": "-23/4"}, "-23/4"),
+    ]
+    registry = tuple(Claim(f"t.{i}", "d", "", op, args, expected, "trivial")
+                     for i, (op, args, expected, _) in enumerate(cases))
+    results = run_claims(registry=registry)
+    assert [r.computed for r in results] == [case[3] for case in cases]
+    assert [r.status for r in results] == ["fail"] * 5 + ["pass"] * 3
 
 
 def test_hypersurface_labels_have_one_spelling(capsys):

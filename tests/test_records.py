@@ -150,6 +150,11 @@ def test_hypersurface_spec_bounds(n, d):
         HypersurfaceSpec(n, d)
 
 
+# Standard-library modules no entry point needs, except json for verify.
+WATCHED_MODULES = ("dataclasses", "inspect", "typing", "pathlib",
+                   "importlib.resources", "zipfile", "tempfile", "json")
+
+
 @pytest.mark.parametrize("code, loaded", [
     pytest.param("import tautclass", ["tautclass"], id="package"),
     pytest.param("import tautclass.cli", ["tautclass", "tautclass.cli"],
@@ -159,21 +164,31 @@ def test_hypersurface_spec_bounds(n, d):
                  ["tautclass", "tautclass.cli", "tautclass.schur"],
                  id="schur-dim"),
     pytest.param("from tautclass.cli import main; "
-                 "main(['verify', '--format', 'json'])",
+                 "main(['eval', '--profile', 'cubic-surface', '--expr', 'z^3'])",
                  sorted(["tautclass"] + [
+                     f"tautclass.{name}" for name
+                     in ("chow", "cli", "exprparse", "hypersurfaces",
+                         "profiles", "record", "surfaces", "threefolds")]),
+                 id="eval"),
+    pytest.param("from tautclass.cli import main; "
+                 "main(['verify', '--format', 'json'])",
+                 sorted(["json", "tautclass"] + [
                      f"tautclass.{info.name}" for info
                      in pkgutil.iter_modules([str(SRC / "tautclass")])]),
                  id="verify"),
 ])
 def test_cli_import_skips_dataclasses_and_inspect(code, loaded):
     # Deterministic stand-in for a start-up timing: each entry point loads
-    # only the layers it uses, and none loads dataclasses or inspect (these
-    # modules and the per-class code generation of @dataclass were about a
-    # fifth of a cold `tautclass verify`).
+    # only the layers it uses, and none loads a watched module it does not
+    # use (dataclasses, inspect and the per-class code generation of
+    # @dataclass were about a fifth of a cold `tautclass verify`, and
+    # importlib.resources, with the typing, pathlib, zipfile and tempfile
+    # modules it loads, about 30 % of what was left).  `python -S` keeps
+    # a .pth file in site-packages from preloading any of them.
     script = ("import sys; sys.path.insert(0, sys.argv[1]); " + code + "; "
               "print(sorted(m for m in sys.modules "
-              "if m.split('.')[0] in ('tautclass', 'dataclasses', 'inspect')"
-              "), file=sys.stderr)")
+              "if m.split('.')[0] == 'tautclass' or m in "
+              f"{WATCHED_MODULES!r}), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                           capture_output=True, text=True, timeout=60,
                           check=True)

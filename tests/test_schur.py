@@ -52,7 +52,7 @@ def test_schur_dim_cap(capsys):
     assert out == "" and "n <= 200" in err
     claim = Claim("t.big", "d", "", "schur.dim", {"partition": [1], "n": 201},
                   {"int": 201}, "trivial")
-    result = run_claims(registry=(claim,)).results[0]
+    result = run_claims(registry=(claim,))[0]
     assert result.status == "fail" and "n <= 200" in result.computed
     # the weight |mu| is capped too, so the dimension always prints
     assert main(["schur", "dim", "--partition", "1000", "--dim", "2"]) == 0
@@ -62,7 +62,7 @@ def test_schur_dim_cap(capsys):
     assert out == "" and err == "error: need |mu| <= 1000, got 1001\n"
     claim = Claim("t.heavy", "d", "", "schur.dim",
                   {"partition": [600, 401], "n": 3}, {"int": 0}, "trivial")
-    result = run_claims(registry=(claim,)).results[0]
+    result = run_claims(registry=(claim,))[0]
     assert result.status == "fail"
     assert result.computed == "error: need |mu| <= 1000, got 1001"
 
