@@ -132,26 +132,9 @@ def _hyp_profile(n: int, d: int):
     return hyp.hypersurface_profile(hyp.HypersurfaceSpec(n, d))
 
 
-def _op_chern_value(n: int, d: int, j: int) -> Fraction:
-    profile = _hyp_profile(n, d)
-    return profile.evaluate(profile.chern[j - 1] * profile.symbol("H") ** (n - j))
-
-
-def _op_c1_square(n: int, d: int) -> Fraction:
-    profile = _hyp_profile(n, d)
-    return profile.evaluate(profile.chern[0] ** 2 * profile.symbol("H") ** (n - 2))
-
-
 def _op_comb_A_match(k: int, n: int) -> bool:
     brute, closed = hyp.comb_identity_A(k, n)
     return closed is not None and brute == closed
-
-
-def _part(values: tuple, index: int) -> object:
-    # a real position only: Python would read index -1 as the last part
-    if not 0 <= index < len(values):
-        raise IndexError(f"index must lie in 0..{len(values) - 1}, got {index}")
-    return values[index]
 
 
 def _op_cubic_certificate(component: str) -> object:
@@ -191,10 +174,8 @@ OPS: dict[str, Callable[..., object]] = {
     "surfaces.chi_growth_threshold": lambda:
         all((surfaces.chi_sym_cubic_coefficient(d) > 0) == (d >= 7)
             for d in range(1, 10)),
-    "hyp.chern_value": _op_chern_value,
     "hyp.c1_coeff": lambda n, d:
         dict(_hyp_profile(n, d).chern[0].terms).get((0, (1,)), Fraction(0)),
-    "hyp.c1_square": _op_c1_square,
     "hyp.segre_closed": lambda n, d, l:
         hyp.segre_closed_form(hyp.HypersurfaceSpec(n, d), l),
     "hyp.mnef": lambda n: hyp.cubic_mnef_number(n),
@@ -203,24 +184,15 @@ OPS: dict[str, Callable[..., object]] = {
     "hyp.comb_A": lambda k, n: hyp.comb_identity_A(k, n)[0],
     "hyp.comb_A_match": _op_comb_A_match,
     "hyp.recursion_A": lambda k, n: hyp.recursion_check_A(k, n),
-    "threefolds.triple": lambda d, b3, index: _part(
-        threefolds.profile_triple(threefolds.threefold_profile(d, b3)), index),
     "threefolds.vmrt_class": lambda d: threefolds.vmrt_table()[d].cls,
     "threefolds.vmrt_k": lambda d: threefolds.vmrt_table()[d].k,
     "threefolds.vmrt_m_min":
         lambda d: threefolds.vmrt_table()[d].h_coefficient,
     "threefolds.not_big": lambda d:
         threefolds.vmrt_table()[d].not_big_certificate_applies(),
-    "threefolds.certificate_degree1": lambda: threefolds.certificate_degree1(),
-    "threefolds.certificate_degree2_modnef":
-        lambda: threefolds.certificate_degree2_modnef(),
-    "threefolds.certificate_degree2_divisor":
-        lambda: threefolds.certificate_degree2_divisor(),
     "threefolds.k3_class": lambda: threefolds.k3_bitangent_class(),
     "threefolds.k3_normalized":
         lambda: Fraction(1, 6) * threefolds.k3_bitangent_class(),
-    "threefolds.k3_value": lambda index:
-        _part(threefolds.profile_triple(threefolds.k3_quartic_profile()), index),
     "schur.dim": lambda partition, n: schur.schur_dim(partition, n),
     "schur.ssyt": lambda partition, n: schur.ssyt_count(partition, n),
     "schur.rectangle": lambda n, k: schur.plethysm_rectangle_check(n, k),

@@ -2,7 +2,9 @@
 
 Grammar: rational literals (``2``, ``4/3``), the tautological symbol ``z``,
 the divisor symbols of the profile's basis, ``K`` for the canonical class
-K_X = -c_1(T_X), operators ``+ - * ^`` and parentheses.
+K_X = -c_1(T_X), ``c1`` .. ``cn`` for the Chern classes c_j(T_X) of an
+n-dimensional profile (no leading zero), operators ``+ - * ^`` and
+parentheses.
 A numeric literal directly followed by a symbol or ``(`` multiplies it, so
 printed forms like ``3z - H`` parse back to the same class.
 
@@ -42,6 +44,8 @@ from .hypersurfaces import MAX_HYPERSURFACE_DIM
 _TOKEN_RE = re.compile(
     r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()])|(\S))")
 _KINDS = (None, "num", "sym", "op")
+# c<j> with at most 9 digits, so int() never sees a huge digit string
+_CHERN_RE = re.compile(r"c([1-9][0-9]{0,8})")
 MAX_NESTING = 100
 MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
 # The folded scalar, and each power of a base's largest coefficient, then
@@ -193,6 +197,9 @@ class _Parser:
             return profile.symbol(text)
         if text == "K":
             return profile.canonical
+        match = _CHERN_RE.fullmatch(text)
+        if match and int(match[1]) <= profile.dim:
+            return profile.chern[int(match[1]) - 1]
         raise ExprSyntaxError(
             f"unknown symbol {text!r} for profile {profile.label!r}", position)
 

@@ -1,18 +1,20 @@
-"""Del Pezzo threefolds of Picard rank one: profiles, dual-VMRT classes and
-the negativity certificates.
+"""Del Pezzo threefolds of Picard rank one: profiles and dual-VMRT classes.
 
 A degree-d del Pezzo threefold V_d (-K = 2H, d = H^3) is presented by the
 profile with c_1 = 2H, H.c_2 = 12 and c_3 = (4 - b_3)[pt], which yields
 
-    zeta^5 = 8d - 44 - b_3,   zeta^4.pi^*H = 4d - 12,   zeta^3.pi^*H^2 = 2d.
+    zeta^5 = 8d - 44 - b_3,   zeta^4.pi^*H = 4d - 12,   zeta^3.pi^*H^2 = 2d;
+
+the registry claims ``dp3.triple.*`` pin them on ``dp3-degree1..3``.
 
 The family of lines has a generically finite evaluation map of degree k,
 and with r the number of lines inside a general fundamental divisor the
 total dual VMRT has class k zeta + (r/d - k) pi^*H.  For d = 1 only the
 bound r >= 240 is available, so that row has no class and its H-coefficient
 is a lower bound.  The negativity certificates of degrees 1 and 2 are
-products of classes zeta + a pi^*H; the quartic K3 surface contributes its
-bitangent class.
+products of classes zeta + a pi^*H, each one registry claim
+(``dp3.cert.*``) evaluated from its product as text; the quartic K3
+surface contributes its bitangent class.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chow import (BaseProfile, PTClass, dual_vmrt_generic,
-                   eval_product, eval_top, fraction_str)
+from .chow import BaseProfile, PTClass, dual_vmrt_generic, fraction_str
 from .exprparse import format_class
 from .hypersurfaces import weighted_ci_chern, weighted_ci_profile
 from .record import Record
@@ -66,17 +67,6 @@ def threefold_profile(d: int, b3: int) -> BaseProfile:
 
 def default_threefold_profile(d: int) -> BaseProfile:
     return threefold_profile(d, default_b3(d))
-
-
-def profile_triple(profile: BaseProfile) -> tuple[Fraction, Fraction, Fraction]:
-    """(zeta^(2n-1), zeta^(2n-2).pi^*H, zeta^(2n-3).pi^*H^2) on a profile
-    with basis {H}; (zeta^5, zeta^4.pi^*H, zeta^3.pi^*H^2) on a threefold."""
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    top = 2 * profile.dim - 1
-    return (eval_top(profile, zeta ** top),
-            eval_top(profile, zeta ** (top - 1) * h),
-            eval_top(profile, zeta ** (top - 2) * h * h))
 
 
 def vmrt_class_threefold(d: int, k: int, r: int) -> PTClass:
@@ -145,42 +135,6 @@ def vmrt_table() -> Mapping[int, VmrtRow]:
     return MappingProxyType(rows)
 
 
-def _zeta_h_product(d: int, shifts: tuple[int | Fraction, ...]) -> Fraction:
-    """prod over a in shifts of (zeta + a pi^*H) on the degree-d profile."""
-    profile = default_threefold_profile(d)
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    return eval_product(profile, [zeta + a * h for a in shifts])
-
-
-def certificate_degree1() -> Fraction:
-    """zeta.(zeta+H)(zeta+3H)^2(zeta+4H) on the (d, b_3) = (1, 42) profile.
-
-    Strict negativity contradicts pseudoeffectivity of zeta: the factors
-    are an irreducible member of |zeta + H|, the square of the nef class
-    zeta + 3H and the nef class zeta + 4H.
-    """
-    return _zeta_h_product(1, (0, 1, 3, 3, 4))
-
-
-def certificate_degree2_modnef() -> Fraction:
-    """zeta^2.(zeta+2H)^3 on the (2, 20) profile; negative, so zeta is not
-    modified nef."""
-    return _zeta_h_product(2, (0, 0, 2, 2, 2))
-
-
-def certificate_degree2_divisor() -> Fraction:
-    """zeta.(zeta+H)(zeta+4/3 H)(zeta+3/2 H)^2 on the (2, 20) profile.
-
-    The exact value of this expansion is -17/2; the claim registry
-    records the reported constant -49/6 for the same product, which the
-    exact arithmetic does not reproduce (the qualitative conclusion, strict
-    negativity, is unaffected).
-    """
-    return _zeta_h_product(
-        2, (0, 1, Fraction(4, 3), Fraction(3, 2), Fraction(3, 2)))
-
-
 @lru_cache(maxsize=None)
 def k3_quartic_profile() -> BaseProfile:
     """Profile of a smooth quartic K3 surface in P^3."""
@@ -192,8 +146,9 @@ def k3_bitangent_class() -> PTClass:
     quartic K3 surface S.
 
     Its sixth, zeta + 4/3 pi^*H, is the boundary pseudoeffective class.
-    ``profile_triple(k3_quartic_profile())`` gives the sanity values
-    zeta^3 = c_1^2 - c_2 = -24, zeta^2.pi^*H = 0, zeta.pi^*H^2 = H^2 = 4.
+    The registry claims ``dp3.k3.zeta3``, ``dp3.k3.zeta2h`` and
+    ``dp3.k3.zetah2`` pin the sanity values zeta^3 = c_1^2 - c_2 = -24,
+    zeta^2.pi^*H = 0 and zeta.pi^*H^2 = H^2 = 4 on ``k3-quartic``.
     """
     profile = k3_quartic_profile()
     return 6 * PTClass.zeta(profile) + 8 * profile.symbol("H")

@@ -32,10 +32,7 @@ from tautclass.surfaces import (conic_classes, conic_vmrt_class,
                                 noether_check, reflect, simple_roots,
                                 surface_lattice, surface_lattice_profile,
                                 _enumerate_classes)
-from tautclass.threefolds import (certificate_degree1,
-                                  certificate_degree2_divisor,
-                                  certificate_degree2_modnef, profile_triple,
-                                  threefold_profile, vmrt_table)
+from tautclass.threefolds import threefold_profile, vmrt_table
 
 
 def _report(num: int, label: str, failures: list[str]) -> None:
@@ -47,6 +44,15 @@ def _report(num: int, label: str, failures: list[str]) -> None:
 def _check(failures: list[str], ok: bool, message: str) -> None:
     if not ok:
         failures.append(message)
+
+
+def _value(profile: BaseProfile, text: str) -> Fraction:
+    return eval_top(profile, parse_expr(profile, text))
+
+
+def _threefold_triple(profile: BaseProfile) -> tuple[Fraction, ...]:
+    """(zeta^5, zeta^4.pi^*H, zeta^3.pi^*H^2) on a threefold profile."""
+    return tuple(_value(profile, text) for text in ("z^5", "z^4*H", "z^3*H^2"))
 
 
 def test_criterion_01_cubic_surface_ledger():
@@ -178,13 +184,15 @@ def test_criterion_07_comb_identities():
 
 def test_criterion_08_threefold_triples():
     failures: list[str] = []
-    _check(failures, profile_triple(threefold_profile(1, 42)) == (-78, -8, 2),
+    _check(failures,
+           _threefold_triple(threefold_profile(1, 42)) == (-78, -8, 2),
            "(1,42) triple")
-    _check(failures, profile_triple(threefold_profile(2, 20)) == (-48, -4, 4),
+    _check(failures,
+           _threefold_triple(threefold_profile(2, 20)) == (-48, -4, 4),
            "(2,20) triple")
     for d in range(1, 7):
         for b3 in range(0, 61, 2):
-            triple = profile_triple(threefold_profile(d, b3))
+            triple = _threefold_triple(threefold_profile(d, b3))
             _check(failures,
                    triple == (8 * d - 44 - b3, 4 * d - 12, 2 * d),
                    f"symbolic triple at (d,b3) = ({d},{b3})")
@@ -202,9 +210,10 @@ def test_criterion_08_threefold_triples():
 
 def test_criterion_09_certificates():
     failures: list[str] = []
-    cert1 = certificate_degree1()
-    modnef = certificate_degree2_modnef()
-    divisor = certificate_degree2_divisor()
+    degree2 = threefold_profile(2, 20)
+    cert1 = _value(threefold_profile(1, 42), "z*(z+H)*(z+3H)^2*(z+4H)")
+    modnef = _value(degree2, "z^2*(z+2H)^3")
+    divisor = _value(degree2, "z*(z+H)*(z+4/3H)*(z+3/2H)^2")
     _check(failures, cert1 == -11, f"degree-1 certificate = {cert1}")
     _check(failures, modnef == -8, f"degree-2 modified-nef = {modnef}")
     _check(failures, cert1 < 0 and modnef < 0 and divisor < 0,

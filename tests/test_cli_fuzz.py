@@ -28,9 +28,11 @@ LABELS = FIXED_LABELS + (
     "hypersurface-n03-d3", "hypersurface-n3-d03", "dp3-degree05",
     "dp-surface-8", "no-such", "")
 
-# Basis symbols of the fixed profiles, K, and names no profile has.
+# Basis symbols of the fixed profiles, K, Chern classes in and out of
+# range, and names no profile has.
 ATOMS = st.one_of(
-    st.sampled_from(("z", "H", "F", "E1", "E8", "K", "x", "zz", "K3")),
+    st.sampled_from(("z", "H", "F", "E1", "E8", "K", "c1", "c3", "c0", "c9",
+                     "x", "zz", "K3")),
     st.integers(0, 99).map(str),
     st.sampled_from(("1/0", "4/3", "0/5", "1" * 4000, "9" * 5000, "٣")))
 # 0..6, over the cap of 399, non-ASCII digits and a missing exponent.

@@ -15,7 +15,7 @@ from tautclass.cli import main
 from tautclass.exprparse import (MAX_EXPONENT, MAX_PRODUCT_BITS,
                                  ExprSyntaxError, format_class, parse_expr)
 from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM
-from tautclass.profiles import get_profile
+from tautclass.profiles import FIXED_LABELS, get_profile
 
 
 def test_eval_expression_examples():
@@ -76,6 +76,12 @@ def test_unknown_symbol():
     profile = get_profile("dp3-degree2")
     with pytest.raises(ExprSyntaxError, match="unknown symbol 'F'"):
         parse_expr(profile, "z + F")
+    # c<j> names c_j(T_X) only for 1 <= j <= n, without a leading zero
+    for symbol in ("c0", "c4", "c01", "C1"):
+        with pytest.raises(ExprSyntaxError,
+                           match=f"unknown symbol '{symbol}'") as err:
+            parse_expr(profile, f"z^2 + {symbol}")
+        assert err.value.position == 7
 
 
 def test_canonical_symbol_expansion():
@@ -86,6 +92,14 @@ def test_canonical_symbol_expansion():
     lattice = get_profile("dp-surface-5")
     assert parse_expr(lattice, "K") == parse_expr(
         lattice, "-3*H + E1 + E2 + E3 + E4")
+    for label in FIXED_LABELS:
+        fixed = get_profile(label)
+        assert parse_expr(fixed, "c1") == -parse_expr(fixed, "K"), label
+    # c_2 of a surface is its Euler number: 9 on the cubic, 24 on the K3
+    for label, euler in (("cubic-surface", 9), ("k3-quartic", 24)):
+        surface = get_profile(label)
+        assert surface.evaluate(parse_expr(surface, "c2")) == euler
+        assert eval_top(surface, parse_expr(surface, "z*c2")) == euler
 
 
 def test_implicit_multiplication():

@@ -7,24 +7,36 @@ from fractions import Fraction
 import pytest
 
 from tautclass import threefolds
-from tautclass.chow import BaseProfile
+from tautclass.chow import BaseProfile, eval_top
 from tautclass.claims import run_claims
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.profiles import get_profile
-from tautclass.threefolds import (certificate_degree1,
-                                  certificate_degree2_divisor,
-                                  certificate_degree2_modnef,
-                                  default_threefold_profile,
+from tautclass.threefolds import (default_threefold_profile,
                                   k3_bitangent_class, k3_quartic_profile,
-                                  profile_triple, threefold_profile,
-                                  vmrt_class_threefold, vmrt_table)
+                                  threefold_profile, vmrt_class_threefold,
+                                  vmrt_table)
+
+
+def _value(profile, text):
+    return eval_top(profile, parse_expr(profile, text))
+
+
+def _triple(profile):
+    """(zeta^(2n-1), zeta^(2n-2).pi^*H, zeta^(2n-3).pi^*H^2) on a profile
+    with basis {H}."""
+    top = 2 * profile.dim - 1
+    return tuple(_value(profile, text) for text in
+                 (f"z^{top}", f"z^{top - 1}*H", f"z^{top - 2}*H^2"))
 
 
 def test_profile_triples():
-    assert profile_triple(threefold_profile(1, 42)) == (-78, -8, 2)
-    assert profile_triple(threefold_profile(2, 20)) == (-48, -4, 4)
-    assert profile_triple(threefold_profile(3, 10)) == (-30, 0, 6)
+    # the registry's dp3.triple.* claims name only the label, so the b_3
+    # each label defaults to is pinned here
+    for d, b3, triple in ((1, 42, (-78, -8, 2)), (2, 20, (-48, -4, 4)),
+                          (3, 10, (-30, 0, 6))):
+        assert get_profile(f"dp3-degree{d}") == threefold_profile(d, b3)
+        assert _triple(threefold_profile(d, b3)) == triple
 
 
 @pytest.mark.parametrize("d, b3", [(2, 21), (5, 1), (3, 11)])
@@ -38,7 +50,7 @@ def test_odd_b3_is_rejected(d, b3):
 def test_triple_symbolic_grid():
     for d in range(1, 7):
         for b3 in range(0, 61, 6):
-            triple = profile_triple(threefold_profile(d, b3))
+            triple = _triple(threefold_profile(d, b3))
             assert triple == (8 * d - 44 - b3, 4 * d - 12, 2 * d)
 
 
@@ -118,9 +130,11 @@ def test_not_big_certificate():
 
 
 def test_certificates():
-    assert certificate_degree1() == -11
-    assert certificate_degree2_modnef() == -8
-    divisor = certificate_degree2_divisor()
+    assert _value(get_profile("dp3-degree1"),
+                  "z*(z+H)*(z+3H)^2*(z+4H)") == -11
+    degree2 = get_profile("dp3-degree2")
+    assert _value(degree2, "z^2*(z+2H)^3") == -8
+    divisor = _value(degree2, "z*(z+H)*(z+4/3H)*(z+3/2H)^2")
     # exact expansion of the five-factor product; the registry's recorded
     # constant -49/6 for the same product is off by 1/3 (see README)
     assert divisor == Fraction(-51, 6)
@@ -132,4 +146,4 @@ def test_k3_quartic_data():
     assert k3_bitangent_class() == parse_expr(profile, "6z + 8H")
     assert (Fraction(1, 6) * k3_bitangent_class()
             == parse_expr(profile, "z + 4/3H"))
-    assert profile_triple(profile) == (-24, 0, 4)
+    assert _triple(profile) == (-24, 0, 4)
