@@ -38,7 +38,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from operator import mul, sub
 
 from .record import Record
 
@@ -65,7 +65,7 @@ def as_fraction(value: Scalar | str) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
 
     Any other string, such as '1e9999999', which ``Fraction`` would expand
-    to a huge integer, raises :class:`ValueError` before conversion.
+    to a huge integer, and a zero denominator raise :class:`ValueError`.
     """
     if isinstance(value, Fraction):
         return value
@@ -74,7 +74,10 @@ def as_fraction(value: Scalar | str) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise ValueError(f"not a 'p/q' rational: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -499,24 +502,27 @@ class PTClass(Record):
 
 
 def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
-           width: int, bound: int) -> tuple[int, dict[int, int]]:
+           width: int, bound: int, table: Mapping[int, int] | None = None
+           ) -> tuple[int, dict[int, int] | int]:
     """The product of the runs f^m as packed numerators over one denominator.
 
     Each f is packed once with field width ``width`` and raised by
     :func:`_pow_packed`; the powers are multiplied by :func:`_mul_packed`,
     both dropping base degree above ``bound``, and the product is returned
-    packed.  The caller keeps every field below the zeta-power under
+    packed.  Given a ``table`` on packed keys, the last run is paired with
+    the others' product by :func:`_contract`, and the product's value is
+    returned.  The caller keeps every field below the zeta-power under
     2^width.
 
     Before anything is multiplied, the term count of the product and of
     every partial product is bounded a priori: a run of a t-term f has at
-    most C(t+m-1, m) terms, one per multiset of m terms, and the product
-    has at most C(D+k+1, k+1), the number of monomials in zeta and the k
-    basis symbols of total degree at most D, the sum of m times each f's
-    largest total degree.  When the smaller bound is above MAX_TERMS it
-    raises :class:`ValueError`.  The minimum passes MAX_TERMS only if the
-    multiset bound does, so the degree bound, a pass over every term, is
-    computed only then.
+    most C(t+m-1, m) terms, one per multiset of m terms, and the product,
+    the contracted run included, has at most C(D+k+1, k+1), the number of
+    monomials in zeta and the k basis symbols of total degree at most D,
+    the sum of m times each f's largest total degree.  When the smaller
+    bound is above MAX_TERMS it raises :class:`ValueError`.  The minimum
+    passes MAX_TERMS only if the multiset bound does, so the degree bound,
+    a pass over every term, is computed only then.
     """
     terms = math.prod(math.comb(len(f.terms) + m - 1, m) for f, m in runs)
     if terms > MAX_TERMS:
@@ -528,12 +534,29 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
             raise ValueError(f"the product may have {terms} terms, more "
                              f"than {MAX_TERMS}")
     den, nums = 1, None
-    for factor, m in runs:
+    for i, (factor, m) in enumerate(runs, start=1):
         factor_den, f = _pack(factor.terms, width)
         den *= factor_den ** m
         f = _pow_packed(f, m, width, bound)
+        if table is not None and i == len(runs):
+            return den, _contract({0: 1} if nums is None else nums, f, table)
         nums = f if nums is None else _mul_packed(nums, f, width, bound)
     return den, nums
+
+
+def _contract(a: Mapping[int, int], b: Mapping[int, int],
+              table: Mapping[int, int]) -> int:
+    """sum_a A[a] sum_b B[b] T[a+b], the table's value on the product of
+    two packed maps, which is not built; a key missing from T reads 0.  The
+    smaller map is the Python loop, and each inner sum is C-level iterators;
+    the key 0 (a lone run is contracted with 1) shifts no key of b.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get, zeros = table.get, itertools.repeat(0)
+    return sum(c * sum(map(mul, b.values(),
+                           map(get, map(k.__add__, b) if k else b, zeros)))
+               for k, c in a.items())
 
 
 def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
@@ -580,7 +603,8 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
     which is then evaluated against the top form; monomials with zeta-power
     below n-1 contribute zero.  This is :func:`eval_product` of the one
     factor ``cls``, with its guards: the zero class gives 0, and a class of
-    mixed or wrong degree raises :class:`DegreeMismatchError`.
+    mixed or wrong degree raises :class:`DegreeMismatchError`.  Its one run
+    is contracted with 1: the dot product with the pushforward table.
     """
     return eval_product(profile, (cls,))
 
@@ -588,13 +612,14 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
 def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     """The value of :func:`eval_top` on the product of the factors.
 
-    The packed integer product is dotted with the profile's pushforward
-    table on the same packed keys, and one Fraction is reduced.  The
-    running product drops base monomials of degree > dim X: they vanish
-    on X, no later factor lowers their degree, and their zeta-power is
-    then below n-1.  Consecutive equal factors form one run f^m, and each
-    run's profile and degree are checked first, so a zero factor gives 0,
-    and a product that is not homogeneous of top degree raises
+    The product is not built: :func:`_chain` multiplies every run but the
+    last and contracts the last with that product and the profile's
+    pushforward table, on the same packed keys; one Fraction is reduced.
+    The running product drops base monomials of degree > dim X: they
+    vanish on X, no later factor lowers their degree, and their zeta-power
+    is then below n-1.  Consecutive equal factors form one run f^m, and
+    each run's profile and degree are checked first, so a zero factor gives
+    0, and a product that is not homogeneous of top degree raises
     :class:`DegreeMismatchError` as on the formal product.
 
     The runs go through :func:`_chain`, as in the formal product: a run
@@ -604,8 +629,10 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     is multiplied out.  The chain uses the table's field width
     (2n-1).bit_length() and bound n.  The factors are homogeneous with
     non-negative exponents and degrees adding up to 2n-1, so no base
-    exponent or base degree of a factor or partial product exceeds
-    2n-1 < 2^width, and the zeta-power, the top field, cannot carry.
+    exponent or base degree of a factor, partial product or contracted
+    pair exceeds 2n-1 < 2^width, and no field carries.  So a contracted
+    pair of base degree above n needs no test: its key is not in the table,
+    whose keys zeta^(n-1+j) . m have base degree n-j <= n, and it reads 0.
     """
     runs = [(factor, len(list(group)))
             for factor, group in itertools.groupby(factors)]
@@ -620,9 +647,8 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
             f"eval_top on {profile.label!r} needs total degree "
             f"{2 * n - 1} (= 2*{n}-1), got {degree}")
     table_den, table, width = profile._pushforward
-    den, nums = _chain(profile, runs, width, n)
-    return Fraction(sum(c * table.get(k, 0) for k, c in nums.items()),
-                    den * table_den)
+    den, value = _chain(profile, runs, width, n, table)
+    return Fraction(value, den * table_den)
 
 
 def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:

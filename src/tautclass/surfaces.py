@@ -29,6 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .chow import (BaseProfile, PTClass, dual_vmrt_generic, eval_product,
                    fiber_line_degree)
@@ -203,11 +204,11 @@ def degenerate_members(lattice: PicardLattice,
     """
     _require_conic(lattice, fiber)
     lines = minus_one_curves(lattice)
-    members = set(lines)
+    by_coeffs = {line.coeffs: line for line in lines}
     pairs = []
     for l1 in lines:
-        l2 = fiber - l1
-        if l2 in members and l1.coeffs < l2.coeffs:
+        l2 = by_coeffs.get(tuple(map(sub, fiber.coeffs, l1.coeffs)))
+        if l2 is not None and l1.coeffs < l2.coeffs:
             pairs.append((l1, l2))
     return tuple(pairs)
 

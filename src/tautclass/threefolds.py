@@ -41,8 +41,10 @@ B3_DEFAULTS = {5: 0}
 EVALUATION_DEGREES = {1: 60, 2: 12, 3: 6, 4: 4, 5: 3}
 
 
+@lru_cache(maxsize=None)
 def default_b3(d: int) -> int:
-    """b_3 = 4 - c_3[V_d], from the weighted Chern data for d <= 4."""
+    """b_3 = 4 - c_3[V_d], from the weighted Chern data for d <= 4; each
+    d is computed once, since every dp3-degree<d> lookup reads it."""
     if d not in WEIGHTED_CI:
         return B3_DEFAULTS[d]
     top, coeffs = weighted_ci_chern(*WEIGHTED_CI[d])

@@ -15,9 +15,12 @@ from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
                             eval_product, eval_top, fiber_line_degree,
                             fraction_str, restrict_to_section, segre_omega)
-from tautclass.chow import _mul_packed, _pack, _pow_packed, _unpack
+from tautclass import chow
+from tautclass.chow import (_contract, _mul_packed, _pack, _pow_packed,
+                            _unpack, as_fraction)
 from tautclass.exprparse import parse_expr
-from tautclass.hypersurfaces import MAX_HYPERSURFACE_DIM, hypersurface_profile
+from tautclass.hypersurfaces import (MAX_HYPERSURFACE_DIM, cubic_mnef_number,
+                                     hypersurface_profile)
 from tautclass.profiles import FIXED_LABELS, get_profile
 from tautclass.threefolds import threefold_profile
 
@@ -335,6 +338,67 @@ def test_eval_product_guards():
     assert eval_product(profile, factors) == Fraction(-21, 4)
 
 
+def _shapes(profile):
+    """Factor lists of degree 2n-1 whose last run is the smallest, the
+    largest, or the only run, by their packed term counts."""
+    n = profile.dim
+    zeta = PTClass.zeta(profile)
+    s, t = profile.symbol(profile.basis[0]), profile.symbol(profile.basis[-1])
+    wide = (zeta + s - 2 * t) ** (2 * n - 2)
+    return {
+        "last-smallest": [wide, zeta],
+        "last-largest": [zeta, wide],
+        "last-largest-of-three": [zeta, zeta + Fraction(1, 2) * s,
+                                  (zeta + t) ** (2 * n - 3)],
+        "only-power": [zeta - Fraction(2, 3) * s + t] * (2 * n - 1),
+        "only-factor": [(zeta + s + t) ** (2 * n - 1)],
+    }
+
+
+@pytest.mark.parametrize("label", ["cubic-surface", "dp-surface-1",
+                                   "dp3-degree1", "hypersurface-n8-d3"])
+@pytest.mark.parametrize("shape", ["last-smallest", "last-largest",
+                                   "last-largest-of-three", "only-power",
+                                   "only-factor"])
+def test_eval_product_contracts_every_last_run(label, shape):
+    # the last run is contracted with the table, not multiplied, whether
+    # it is the smaller or the larger side of the pair, or alone
+    profile = get_profile(label)
+    factors = _shapes(profile)[shape]
+    formal = PTClass.one(profile)
+    for factor in factors:
+        formal = formal * factor
+    assert eval_product(profile, factors) == eval_top(profile, formal)
+
+
+def test_eval_product_multiplies_all_runs_but_the_last(monkeypatch):
+    # cubic_mnef_number's two runs, both raised by the power recurrence,
+    # make no pairwise product, and k distinct consecutive factors (every
+    # run has m = 1) make k - 2
+    calls = []
+    kernel = chow._mul_packed
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(chow, "_mul_packed", counting)
+    for n in (3, 16, 72):
+        cubic_mnef_number(n)
+    assert calls == []
+    for label, k in [("cubic-surface", 2), ("cubic-surface", 3),
+                     ("dp3-degree1", 5), ("dp-surface-1", 3),
+                     ("hypersurface-n4-d3", 7)]:
+        profile = get_profile(label)
+        zeta, h = PTClass.zeta(profile), profile.symbol(profile.basis[0])
+        factors = [zeta + i * h for i in range(k - 1)]
+        factors.append((zeta - h) ** (2 * profile.dim - k))
+        assert len(set(factors)) == k
+        calls.clear()
+        eval_product(profile, factors)
+        assert len(calls) == k - 2, (label, k)
+
+
 @pytest.mark.parametrize("n", [72, MAX_HYPERSURFACE_DIM])
 def test_power_recurrence_matches_binomials(n):
     # (zeta + aH)^m with m = 2n-3, up to base degree n, against
@@ -405,6 +469,34 @@ def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
     assert _pow_packed(f, m, width, bound) == power
     _, g = _pack(list(other.items()), width)
     assert _mul_packed(f, g, width, bound) == _mul_packed(g, f, width, bound)
+
+
+# Zeta-power 0..3 and two symbols of base degree 0..3, so every field of a
+# pair's key is at most 6 and the width 3 never carries.
+CONTRACT_TERMS = st.dictionaries(
+    st.sampled_from([(zp, e) for zp in range(4)
+                     for e in [(0, 0), *TWO_SYMBOL_DEGREE_3]]),
+    NONZERO, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CONTRACT_TERMS, CONTRACT_TERMS, st.integers(0, 6), st.data())
+def test_contraction_is_the_table_on_the_product(a, b, bound, data):
+    # the table holds keys of base degree <= bound only, as the pushforward
+    # table does, so pairs past the bound, which _mul_packed skips and the
+    # contraction does not, read 0
+    width = 3
+    keys = [(zp, e) for zp in range(7) for total in range(bound + 1)
+            for e in compositions(total, 2)]
+    table = data.draw(st.dictionaries(st.sampled_from(keys),
+                                      st.integers(-9, 9), max_size=30))
+    _, table = _pack(list(table.items()), width)
+    _, a = _pack(list(a.items()), width)
+    _, b = _pack(list(b.items()), width)
+    expected = sum(c * table.get(k, 0)
+                   for k, c in _mul_packed(a, b, width, bound).items())
+    assert _contract(a, b, table) == expected
+    assert _contract(b, a, table) == expected
 
 
 @pytest.mark.parametrize("m, constant", [(-2, 1), (-1, 2), (-1, -1), (-1, 0)])
@@ -622,6 +714,17 @@ def test_fiber_line_degree():
     assert fiber_line_degree(profile, 3 * zeta - 2 * h) == 3
     with pytest.raises(DegreeMismatchError):
         fiber_line_degree(profile, zeta ** 2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/00", "-0/0"])
+def test_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match=re.escape(
+            f"zero denominator in {text!r}")):
+        as_fraction(text)
+    doc = get_profile("cubic-surface").to_json()
+    doc["top_form"][0]["value"] = text
+    with pytest.raises(ValueError, match="zero denominator"):
+        BaseProfile.from_json(doc)
 
 
 def test_profile_json_round_trip():

@@ -183,6 +183,19 @@ def test_deeply_nested_class_spec_fails_its_claim(tmp_path, capsys):
     assert claim["computed"].startswith("error: bad expected spec")
 
 
+@pytest.mark.parametrize("text", ["1/0", "3/00", "-0/0"])
+def test_zero_denominator_spec_is_named(text):
+    # a zero denominator is a bad spec with a readable reason, not a bare
+    # "Fraction(1, 0)" from ZeroDivisionError
+    for spec in ({"rational": text}, {"interval": {"min": text}}):
+        claim = Claim("t.spec", "d", "", "hyp.mnef", {"n": 3}, spec,
+                      "derived")
+        result, = run_claims(registry=(claim,))
+        assert result.status == "fail"
+        assert result.computed == ("error: bad expected spec: zero "
+                                   f"denominator in {text!r}")
+
+
 @pytest.mark.parametrize("spec", [
     {"interval": {}}, {"interval": []}, {"interval": "abc"},
     {"interval": {"min": "-100", "mx": "1"}}, {"interval": {"min": True}},
@@ -500,6 +513,7 @@ UNBOUNDED_CACHE_KEYS = {
     "surfaces.cubic_surface_profile": [()],
     "threefolds.k3_quartic_profile": [()],
     "threefolds.vmrt_table": [()],
+    "threefolds.default_b3": [(d,) for d in range(1, 6)],
 }
 
 
@@ -530,6 +544,11 @@ def test_every_library_cache_is_bounded():
         with pytest.raises(ValueError):
             cached(*args)
         assert cached.cache_info().currsize == size
+    # default_b3 knows V_1..V_5 only
+    for d in (0, 6):
+        with pytest.raises(KeyError):
+            threefolds.default_b3(d)
+    assert threefolds.default_b3.cache_info().currsize == 5
 
 
 def test_cli_surface_curves(capsys):

@@ -123,6 +123,24 @@ def test_vmrt_table_built_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_default_profiles_derive_b3_once(monkeypatch):
+    # every dp3-degree<d> lookup reads default_b3(d); the weighted Chern
+    # data behind it is computed once per d, and a label is one object
+    threefolds.default_b3.cache_clear()
+    calls = []
+    chern = threefolds.weighted_ci_chern
+
+    def counting(*args):
+        calls.append(args)
+        return chern(*args)
+
+    monkeypatch.setattr(threefolds, "weighted_ci_chern", counting)
+    for d in range(1, 6):
+        profiles = {id(get_profile(f"dp3-degree{d}")) for _ in range(5)}
+        assert len(profiles) == 1
+    assert sorted(calls) == sorted(threefolds.WEIGHTED_CI.values())
+
+
 def test_not_big_certificate():
     rows = vmrt_table()
     assert [rows[d].not_big_certificate_applies() for d in range(1, 6)] == [
