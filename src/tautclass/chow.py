@@ -328,10 +328,23 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
                 max_base_degree: int) -> dict[int, int]:
     """f^m for a packed term map f, truncated like the kernel.
 
-    Graded by base degree, f = P_0 + P_1 + ...  When P_0 is one monomial
-    c_0 zeta^d (f need not be homogeneous: z^2 + H qualifies), Q = f^m has
-    parts Q_0 = c_0^m zeta^(dm) and, from f Q' = m f' Q (J.C.P. Miller's
-    recurrence; Knuth, TAOCP vol. 2, 4.7),
+    f^1 is f.  Otherwise f^m takes one of three routes: a two-term f is
+    raised by the binomial theorem, an f whose base-degree-0 part is one
+    monomial by J.C.P. Miller's recurrence, and any other f is multiplied
+    out.
+
+    The binomial route (m >= 2): f = a + b, with b of base degree no lower
+    than a, has the terms t_j = C(m, j) c_a^(m-j) c_b^j on the keys
+    (m-j) k_a + j k_b, computed in one pass from t_0 = c_a^m by
+    t_j = t_(j-1) (m-j+1) c_b / (j c_a).  That division is exact, since
+    t_(j-1) (m-j+1) c_b = j c_a t_j and t_j is an integer.  The base
+    degree of t_j does not fall with j, so the pass stops at the first t_j
+    past ``max_base_degree``, and no term is kept when t_0 is past it.
+
+    The recurrence: graded by base degree, f = P_0 + P_1 + ...  When P_0
+    is one monomial c_0 zeta^d (f need not be homogeneous: z^2 + H + F
+    qualifies), Q = f^m has parts Q_0 = c_0^m zeta^(dm) and, from
+    f Q' = m f' Q (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7),
 
         k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
 
@@ -343,15 +356,28 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     k c_0 is exact because f^m has integer coefficients.  Each part Q_k is
     a list of (key, coefficient) pairs; level k walks only the levels i
     that f has, in increasing order up to k, skips a zero weight, and the
-    result map is built once, from all parts, at the end.  f^1 is f.  When
-    P_0 is missing or has several terms (H, z + 1), f is multiplied m
-    times.  For m = -1, P_0 must be the constant 1, and then
+    result map is built once, from all parts, at the end.  When P_0 is
+    missing or has several terms (H + F + E1, z + H + 1), f is multiplied
+    m times.  For m = -1, P_0 must be the constant 1, and then
     Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other negative m or constant
     part raises :class:`ValueError`.
     """
     if m == 1:
         return f
     mask = (1 << width) - 1
+    if m >= 2 and len(f) == 2:
+        (ka, ca), (kb, cb) = sorted(f.items(), key=lambda t: t[0] & mask)
+        key, degree, c = ka * m, (ka & mask) * m, ca ** m
+        step, rise = kb - ka, (kb & mask) - (ka & mask)
+        power = {}
+        for j in range(m + 1):
+            if degree > max_base_degree:
+                break
+            power[key] = c
+            key += step
+            degree += rise
+            c = c * (m - j) * cb // ((j + 1) * ca)
+        return power
     levels: dict[int, list[tuple[int, int]]] = {}
     for key, c in f.items():
         levels.setdefault(key & mask, []).append((key, c))
@@ -622,11 +648,12 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     0, and a product that is not homogeneous of top degree raises
     :class:`DegreeMismatchError` as on the formal product.
 
-    The runs go through :func:`_chain`, as in the formal product: a run
-    whose f has a pure zeta term is raised with J.C.P. Miller's power
-    recurrence in :func:`_pow_packed`, the recurrence that also inverts
-    c(Omega_X) in :func:`segre_omega` (as the power -1), and any other run
-    is multiplied out.  The chain uses the table's field width
+    The runs go through :func:`_chain`, as in the formal product, and
+    :func:`_pow_packed` raises each: a two-term f, such as zeta + aH, by
+    the binomial theorem; another f with a pure zeta term by J.C.P.
+    Miller's power recurrence, which also inverts c(Omega_X) in
+    :func:`segre_omega` (as the power -1); and any other f is multiplied
+    out.  The chain uses the table's field width
     (2n-1).bit_length() and bound n.  The factors are homogeneous with
     non-negative exponents and degrees adding up to 2n-1, so no base
     exponent or base degree of a factor, partial product or contracted

@@ -225,8 +225,9 @@ CUBIC = get_profile("cubic-surface")
        .flatmap(lambda label: any_classes(get_profile(label))),
        st.integers(0, 6))
 # one term of base degree 0: the power recurrence, on an inhomogeneous class
+@example(parse_expr(CUBIC, "z^2 + H + F"), 5)
+# two terms: the binomial route, of base degree 0 and 1 or both 0
 @example(parse_expr(CUBIC, "z^2 + H"), 5)
-# two terms of base degree 0: repeated multiplication
 @example(parse_expr(CUBIC, "z + 1"), 5)
 def test_ptclass_pow_matches_naive_fraction_product(x, power):
     profile = x.profile
@@ -372,9 +373,10 @@ def test_eval_product_contracts_every_last_run(label, shape):
 
 
 def test_eval_product_multiplies_all_runs_but_the_last(monkeypatch):
-    # cubic_mnef_number's two runs, both raised by the power recurrence,
-    # make no pairwise product, and k distinct consecutive factors (every
-    # run has m = 1) make k - 2
+    # cubic_mnef_number's two runs, zeta^2 raised by the power recurrence
+    # and (zeta + H)^(2n-3) by the binomial route, make no pairwise
+    # product, and k distinct consecutive factors (every run has m = 1)
+    # make k - 2
     calls = []
     kernel = chow._mul_packed
 
@@ -403,7 +405,11 @@ def test_eval_product_multiplies_all_runs_but_the_last(monkeypatch):
 def test_power_recurrence_matches_binomials(n):
     # (zeta + aH)^m with m = 2n-3, up to base degree n, against
     # C(m, k) a^k from math.comb, for a = 3 and a = -3/2 (numerators
-    # 2 zeta - 3H, so every coefficient is over 2^m).
+    # 2 zeta - 3H, so every coefficient is over 2^m): the binomial route.
+    # Then (zeta + aH + bH^2)^m, one lowest monomial and three terms, so
+    # the power recurrence, against the multinomial sum: the term with
+    # i factors aH and j factors bH^2 is C(m, i+j) C(i+j, j) a^i b^j
+    # zeta^(m-i-j) H^(i+2j), and each key has one (i, j).
     m = 2 * n - 3
     width = (2 * n - 1).bit_length()
     profile = get_profile(f"hypersurface-n{n}-d3")
@@ -414,6 +420,15 @@ def test_power_recurrence_matches_binomials(n):
         assert dict(power.terms) == {
             (m - k, (k,)): math.comb(m, k) * c0 ** (m - k) * c1 ** k
             for k in range(n + 1)}
+    for a, b in ((3, -2), (-1, 5)):
+        den, f = _pack([((1, (0,)), 1), ((0, (1,)), a), ((0, (2,)), b)],
+                       width)
+        assert den == 1
+        power = _unpack(profile, den, _pow_packed(f, m, width, n), width)
+        assert dict(power.terms) == {
+            (m - i - j, (i + 2 * j,)):
+                math.comb(m, i + j) * math.comb(i + j, j) * a ** i * b ** j
+            for j in range(n // 2 + 1) for i in range(n - 2 * j + 1)}
 
 
 TWO_SYMBOL_DEGREE_3 = [e for k in (1, 2, 3) for e in compositions(k, 2)]
@@ -451,11 +466,41 @@ CONSTANT_TERMS = st.dictionaries(
     st.sampled_from([(zp, (0, 0)) for zp in range(3)]), NONZERO, max_size=2)
 
 
+def key_of_degree(degree: int):
+    return st.tuples(st.integers(0, 2),
+                     st.sampled_from(list(compositions(degree, 2))))
+
+
+@st.composite
+def two_terms(draw):
+    # Exactly two terms, for the binomial route: both of base degree 0
+    # (z + 1), both of one base degree d >= 1 (H + E1), or a single
+    # lowest term (z + aH).
+    shape = draw(st.sampled_from(["z + 1", "H + E1", "z + aH"]))
+    if shape == "z + 1":
+        degrees = (0, 0)
+    elif shape == "H + E1":
+        degrees = (draw(st.integers(1, 3)),) * 2
+    else:
+        low = draw(st.integers(0, 2))
+        degrees = (low, draw(st.integers(low + 1, 3)))
+    first = draw(key_of_degree(degrees[0]))
+    second = draw(key_of_degree(degrees[1]).filter(lambda k: k != first))
+    return {first: draw(NONZERO), second: draw(NONZERO)}
+
+
+def repeated_power(f, m, width, bound):
+    power = f
+    for _ in range(m - 1):
+        power = _mul_packed(power, f, width, bound)
+    return power
+
+
 @settings(max_examples=60, deadline=None)
 @given(LEVEL_TERMS, CONSTANT_TERMS, LEVEL_TERMS,
-       st.integers(min_value=1, max_value=6), st.data())
+       st.integers(min_value=1, max_value=6), two_terms(), st.data())
 def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
-                                                       m, data):
+                                                       m, pair, data):
     # f is inhomogeneous; f^m truncated at a bound below m * (f's top base
     # degree) against m - 1 truncated multiplications (f^1 is f itself)
     top = max(sum(e) for _, e in upper)
@@ -463,12 +508,20 @@ def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
     width = max(bound, 3).bit_length()
     den, f = _pack([*constant.items(), *upper.items()], width)
     assert den == 1
-    power = f
-    for _ in range(m - 1):
-        power = _mul_packed(power, f, width, bound)
-    assert _pow_packed(f, m, width, bound) == power
+    assert _pow_packed(f, m, width, bound) == repeated_power(f, m, width,
+                                                             bound)
     _, g = _pack(list(other.items()), width)
     assert _mul_packed(f, g, width, bound) == _mul_packed(g, f, width, bound)
+    # a two-term power, truncated below, at or above m * (its top base
+    # degree): below it, even the first term can be past the bound
+    m = data.draw(st.integers(min_value=2, max_value=12))
+    top = m * max(sum(e) for _, e in pair)
+    bound = data.draw(st.one_of(st.integers(0, max(top - 1, 0)),
+                                st.just(top), st.integers(top + 1, top + 3)))
+    width = max(bound, 3).bit_length()
+    _, f = _pack(list(pair.items()), width)
+    assert _pow_packed(f, m, width, bound) == repeated_power(f, m, width,
+                                                             bound)
 
 
 # Zeta-power 0..3 and two symbols of base degree 0..3, so every field of a

@@ -283,6 +283,14 @@ def test_exponents_below_the_cap_are_one_power(monkeypatch, capsys):
     assert out.startswith("class: z^399 + 399z^398*H + 399z^398*F + ")
     assert out.endswith("\ndegree: 399 (intersection numbers need degree 3)\n")
     assert err == ""
+    # a two-term base, even with no single lowest monomial, makes no
+    # pairwise product at all: the binomial route
+    for label, base in [("dp-surface-1", "H+E1"), ("cubic-surface", "z+1")]:
+        for k in (4, 40, 399):
+            calls.clear()
+            cls = parse_expr(get_profile(label), f"({base})^{k}")
+            assert len(cls.terms) == k + 1
+            assert calls == [], (base, k)
 
 
 def test_exponent_cap_regression(monkeypatch, capsys):
