@@ -38,7 +38,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
+from operator import index, mul, sub
 
 from .record import Record
 
@@ -127,7 +127,10 @@ class BaseProfile(Record):
                         name: str) -> tuple[tuple[Exponents, Fraction], ...]:
             collected: dict[Exponents, Fraction] = {}
             for exps, value in terms.items():
-                exps = tuple(int(e) for e in exps)
+                try:
+                    exps = tuple(index(e) for e in exps)
+                except TypeError:
+                    raise ValueError(f"bad {name} exponents {exps}") from None
                 if len(exps) != len(basis) or any(e < 0 for e in exps):
                     raise ValueError(f"bad {name} exponents {exps}")
                 if sum(exps) != degree:
@@ -452,12 +455,15 @@ class PTClass(Record):
              terms: Mapping[tuple[int, Exponents], Scalar]) -> "PTClass":
         collected: dict[tuple[int, Exponents], Fraction] = {}
         for (zp, exps), coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            try:
+                zp, exps = index(zp), tuple(index(e) for e in exps)
+            except TypeError:
+                raise ValueError(f"bad term key ({zp!r}, {exps})") from None
             if zp < 0 or len(exps) != profile.nsyms or any(e < 0 for e in exps):
                 raise ValueError(f"bad term key ({zp}, {exps})")
             q = as_fraction(coeff)
             if q:
-                key = (int(zp), exps)
+                key = (zp, exps)
                 collected[key] = collected.get(key, Fraction(0)) + q
         normalized = tuple(sorted((k, c) for k, c in collected.items() if c))
         return PTClass(profile, normalized)
@@ -676,20 +682,6 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     table_den, table, width = profile._pushforward
     den, value = _chain(profile, runs, width, n, table)
     return Fraction(value, den * table_den)
-
-
-def fiber_line_degree(profile: BaseProfile, cls: PTClass) -> Fraction:
-    """Degree of a divisor class on a line in a pi-fibre.
-
-    zeta restricts to the hyperplane class of the fibre and pulled-back
-    divisors restrict to zero, so a degree-1 class c.zeta + pi^* D pairs to c.
-    """
-    _require_profile(profile, cls)
-    degree = cls.homogeneous_degree()
-    if degree not in (None, 1):
-        raise DegreeMismatchError(
-            f"fibre-line pairing needs a degree-1 class, got degree {degree}")
-    return dict(cls.terms).get((1, (0,) * profile.nsyms), Fraction(0))
 
 
 def restrict_to_section(splitting: Iterable[int], quotient_index: int,

@@ -137,14 +137,6 @@ def _op_comb_A_match(k: int, n: int) -> bool:
     return closed is not None and brute == closed
 
 
-def _op_cubic_certificate(component: str) -> object:
-    certificate = surfaces.cubic_surface_certificate()
-    if component not in certificate._fields:
-        raise ValueError(f"component must be one of "
-                         f"{', '.join(certificate._fields)}, got {component!r}")
-    return getattr(certificate, component)
-
-
 OPS: dict[str, Callable[..., object]] = {
     "chow.eval_expr": _op_eval_expr,
     "chow.segre_top": _op_segre_top,
@@ -166,7 +158,6 @@ OPS: dict[str, Callable[..., object]] = {
     "surfaces.degree5_vmrt_sum": lambda: surfaces.degree5_vmrt_sum(),
     "surfaces.cubic_conics_match_lines":
         lambda: surfaces.cubic_conics_match_lines(),
-    "surfaces.cubic_certificate": _op_cubic_certificate,
     "surfaces.chi_sym": lambda degree, m:
         surfaces.chi_sym_tangent_surface(degree, m),
     "surfaces.noether_all": lambda:
@@ -207,9 +198,9 @@ OPS: dict[str, Callable[..., object]] = {
 # ---------------------------------------------------------------------------
 
 EXPECTED_KINDS = ("rational", "int", "bool", "class", "interval")
-# Required keys of a registry entry and their JSON types.
-ENTRY_KEYS = {"id": str, "description": str, "op": str, "expected": dict,
-              "provenance": str}
+# Keys of a registry entry and their JSON types; only "anchor" may be absent.
+ENTRY_KEYS = {"id": str, "description": str, "anchor": str, "op": str,
+              "expected": dict, "provenance": str}
 
 
 def _is_int(value: object) -> bool:
@@ -238,6 +229,7 @@ def load_registry(path: str | os.PathLike | None = None) -> tuple[Claim, ...]:
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"claim #{index}: entry must be an object")
+        entry = {"anchor": "", **entry}
         for key, kind in ENTRY_KEYS.items():
             if not isinstance(entry.get(key), kind):
                 raise ValueError(f"claim #{index}: missing or bad {key!r}")
@@ -257,7 +249,7 @@ def load_registry(path: str | os.PathLike | None = None) -> tuple[Claim, ...]:
                 raise ValueError(f"{claim_id}: arg {name!r} must be an int, a "
                                  f"string or a list of ints, not {value!r}")
         claims.append(Claim(claim_id, entry["description"],
-                            entry.get("anchor", ""), entry["op"], args,
+                            entry["anchor"], entry["op"], args,
                             expected, entry["provenance"]))
     return tuple(claims)
 

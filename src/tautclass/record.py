@@ -1,7 +1,7 @@
 """Immutable value records without ``dataclasses``.
 
 Every value type of the package (profiles, classes, specs, claims, curve
-classes, certificates) derives from :class:`Record`.  ``dataclasses``, with
+classes, table rows) derives from :class:`Record`.  ``dataclasses``, with
 the ``inspect`` module it imports and the source it generates and compiles
 for every decorated class, was a sixth to a quarter of a cold ``tautclass
 verify``; ``tests/test_records.py`` checks that the CLI does not import it.

@@ -31,8 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
-from .chow import (BaseProfile, PTClass, dual_vmrt_generic, eval_product,
-                   fiber_line_degree)
+from .chow import BaseProfile, PTClass, dual_vmrt_generic
 from .record import Record
 
 
@@ -231,39 +230,6 @@ def cubic_conics_match_lines() -> bool:
     lines = minus_one_curves(lattice)
     conics = set(conic_classes(lattice))
     return conics == {(-lattice.k) - l for l in lines}
-
-
-class CubicCertificate(Record):
-    """The three numbers behind non-pseudoeffectivity of T_X on a cubic."""
-
-    __slots__ = ("a", "b", "budget")
-    a: Fraction
-    b: Fraction
-    budget: Fraction
-
-
-def cubic_surface_certificate() -> CubicCertificate:
-    """Compute (a, b, budget) for the cubic surface.
-
-    With C = zeta + pi^*(K + 2F) the dual VMRT of one of the 27 conic
-    bundles and H the hyperplane class:
-
-        a      = zeta . C . (zeta + pi^*H)          = -1
-        b      = C^2 . (zeta + pi^*H)               = -4
-        budget = (zeta - 27/4 . C) . (fibre line)   = 1 - 27/4
-
-    From a = -1, b = -4 each Zariski coefficient must be >= 1/4, and the
-    budget being negative yields the contradiction.  This runs on the
-    reduced {H, F} profile; the tests repeat it on the rank-7 lattice
-    profile.
-    """
-    profile = cubic_surface_profile()
-    zeta, h = PTClass.zeta(profile), profile.symbol("H")
-    vmrt = dual_vmrt_generic(profile, 1, h - 2 * profile.symbol("F"))
-    a = eval_product(profile, [zeta, vmrt, zeta + h])
-    b = eval_product(profile, [vmrt, vmrt, zeta + h])
-    budget = fiber_line_degree(profile, zeta - Fraction(27, 4) * vmrt)
-    return CubicCertificate(a, b, budget)
 
 
 def degree4_pencil_pairs() -> tuple[tuple[CurveClass, CurveClass], ...]:

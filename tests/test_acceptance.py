@@ -25,7 +25,7 @@ from tautclass.hypersurfaces import (HypersurfaceSpec, comb_identity_A,
                                      sum_positive_part)
 from tautclass.profiles import get_profile
 from tautclass.surfaces import (conic_classes, conic_vmrt_class,
-                                cubic_surface_certificate, curve_poly,
+                                curve_poly,
                                 degenerate_members, degree4_pencil_pairs,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, minus_one_curves,
@@ -62,11 +62,13 @@ def test_criterion_01_cubic_surface_ledger():
                            ("z*H*F", 2)):
         value = eval_top(profile, parse_expr(profile, expr))
         _check(failures, value == expected, f"{expr} = {value} != {expected}")
-    cert = cubic_surface_certificate()
-    _check(failures, cert.a == -1, f"a = {cert.a}")
-    _check(failures, cert.b == -4, f"b = {cert.b}")
-    _check(failures, cert.budget == Fraction(-23, 4), f"budget = {cert.budget}")
-    _check(failures, cert.a - Fraction(1, 4) * cert.b == 0, "boundary a - b/4")
+    a = _value(profile, "z*(z - H + 2F)*(z + H)")
+    b = _value(profile, "(z - H + 2F)^2*(z + H)")
+    budget = _value(profile, "1/3*(z - 27/4*(z - H + 2F))*H^2")
+    _check(failures, a == -1, f"a = {a}")
+    _check(failures, b == -4, f"b = {b}")
+    _check(failures, budget == Fraction(-23, 4), f"budget = {budget}")
+    _check(failures, a - Fraction(1, 4) * b == 0, "boundary a - b/4")
     _report(1, "cubic surface intersection ledger and certificate", failures)
 
 

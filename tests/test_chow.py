@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             PTClass, ProfileMismatchError, dual_vmrt_generic,
-                            eval_product, eval_top, fiber_line_degree,
-                            fraction_str, restrict_to_section, segre_omega)
+                            eval_product, eval_top, fraction_str,
+                            restrict_to_section, segre_omega)
 from tautclass import chow
 from tautclass.chow import (_contract, _mul_packed, _pack, _pow_packed,
                             _unpack, as_fraction)
@@ -255,6 +255,11 @@ def test_atoms_equal_make_built_classes(label):
     assert PTClass.one(profile) == PTClass.make(profile, {(0, zeros): 1})
     with pytest.raises(ValueError, match="bad term key"):
         PTClass.zeta(profile, -1)
+    # a key that is not an int is refused, not truncated by int()
+    for key in ((Fraction(1, 2), zeros), (1.0, zeros), ("1", zeros),
+                (1, (1.5,) + zeros[1:]), (1, ("1",) + zeros[1:])):
+        with pytest.raises(ValueError, match="bad term key"):
+            PTClass.make(profile, {key: 1})
     for unknown in ("z", "K", "Q", ""):
         with pytest.raises(ValueError):
             profile.symbol(unknown)
@@ -737,6 +742,20 @@ def test_profiles_sharing_a_label_do_not_combine():
     assert a.symbol("H") + twin.symbol("H") == 2 * a.symbol("H")
 
 
+def test_profile_exponents_must_be_ints():
+    # int() truncated these: (2.9,) was stored as the top form on (2,)
+    chern = [{(1,): 3}, {(2,): 3}]
+    for exps in ((2.9,), (2.0,), ("2",), (Fraction(2),)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad top_form exponents {exps}")):
+            BaseProfile.make("x", 2, ("H",), {exps: 3}, chern)
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad c_2 exponents {exps}")):
+            BaseProfile.make("x", 2, ("H",), {(2,): 3}, [{(1,): 3}, {exps: 3}])
+    assert BaseProfile.make("x", 2, ("H",), {(2,): 3}, chern).top_form == (
+        ((2,), 3),)
+
+
 def test_restrict_to_section():
     assert restrict_to_section((2, 1, -1), 2, 1) == 0
     assert restrict_to_section((2, 1, -1), 2, Fraction(1, 2)) < 0
@@ -761,12 +780,17 @@ def test_dual_vmrt_generic():
 
 
 def test_fiber_line_degree():
-    profile = get_profile("cubic-surface")
-    zeta = PTClass.zeta(profile)
-    h = profile.symbol("H")
-    assert fiber_line_degree(profile, 3 * zeta - 2 * h) == 3
-    with pytest.raises(DegreeMismatchError):
-        fiber_line_degree(profile, zeta ** 2)
+    # a line in a pi-fibre is pi^*[pt]; zeta restricts to its hyperplane
+    # class and pulled-back divisors to zero, so c.z + pi^*D pairs to c.
+    # [pt] = H^2/3 on the cubic's {H, F} profile and H^2 on the lattice one
+    for label, fibre, divisors in (
+            ("cubic-surface", "1/3*H^2", ("0", "H", "2H - 3F", "-1/2*F")),
+            ("dp-surface-3", "H^2", ("0", "K", "H - E1 - E2", "3E6 - 2K"))):
+        profile = get_profile(label)
+        for c in (0, 1, 3, -2, Fraction(-23, 4)):
+            for d in divisors:
+                cls = parse_expr(profile, f"{fibre}*({c}*z + {d})")
+                assert eval_top(profile, cls) == c, (label, c, d)
 
 
 @pytest.mark.parametrize("text", ["1/0", "3/00", "-0/0"])

@@ -312,6 +312,26 @@ def test_cli_verify_rejects_malformed_registry(tmp_path, capsys):
         assert out == "" and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("anchor", [["x"], 3, None, {"a": "b"}], ids=repr)
+def test_registry_anchor_must_be_a_string(tmp_path, capsys, anchor):
+    # a list anchor made the claim unhashable and changeable through
+    # claim.anchor.append; an absent anchor still reads as ""
+    entry = {"id": "t.one", "description": "d", "op": "schur.dim",
+             "args": {"partition": [1], "n": 3}, "expected": {"int": 3},
+             "provenance": "trivial"}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"claims": [entry]}))
+    claim, = load_registry(path)
+    assert claim.anchor == "" and hash(claim) == hash(claim)
+    path.write_text(json.dumps({"claims": [{**entry, "anchor": anchor}]}))
+    with pytest.raises(ValueError) as info:
+        load_registry(path)
+    assert str(info.value) == "claim #0: missing or bad 'anchor'"
+    assert main(["verify", "--registry", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: claim #0: missing or bad 'anchor'\n")
+
+
 def test_cli_verify_missing_registry(capsys):
     assert main(["verify", "--registry", "/no/such/registry.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -426,25 +446,6 @@ def test_bridge_claim_checks_the_weight_before_any_weyl_product(monkeypatch):
     assert result.status == "fail"
     assert result.computed == "error: need |mu| <= 1000, got 199000"
     assert calls == []
-
-
-def test_part_picking_ops_accept_only_real_parts():
-    # a component must name a field of the certificate: getattr would read
-    # any attribute, so a typo could pass as another number
-    cases = [
-        ("surfaces.cubic_certificate", {"component": "_fields"},
-         {"int": 0}, "error: component must be one of a, b, budget, "
-         "got '_fields'"),
-        ("surfaces.cubic_certificate", {"component": "c"}, {"int": 0},
-         "error: component must be one of a, b, budget, got 'c'"),
-        ("surfaces.cubic_certificate", {"component": "budget"},
-         {"rational": "-23/4"}, "-23/4"),
-    ]
-    registry = tuple(Claim(f"t.{i}", "d", "", op, args, expected, "trivial")
-                     for i, (op, args, expected, _) in enumerate(cases))
-    results = run_claims(registry=registry)
-    assert [r.computed for r in results] == [case[3] for case in cases]
-    assert [r.status for r in results] == ["fail"] * 2 + ["pass"]
 
 
 def test_hypersurface_labels_have_one_spelling(capsys):

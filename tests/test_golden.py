@@ -23,6 +23,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 CASES = [
     ("verify.md", ["verify", "--format", "markdown"], 1),
+    ("verify.json", ["verify", "--format", "json"], 1),
     ("vmrt_table.json", ["vmrt", "table"], 0),
     ("eval_readme.txt",
      ["eval", "--profile", "dp3-degree2", "--expr", "z^2*(z+2*H)^3"], 0),

@@ -8,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from tautclass.chow import (PTClass, dual_vmrt_generic, eval_product,
-                            eval_top, fiber_line_degree)
+from tautclass.chow import PTClass, eval_top
+from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import weighted_ci_profile
+from tautclass.profiles import get_profile
 from tautclass.surfaces import (CurveClass, _a0_range,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, conic_classes,
                                 conic_vmrt_class, cubic_conics_match_lines,
-                                cubic_surface_certificate, curve_poly,
+                                curve_poly,
                                 degenerate_members, degree4_lines_covered,
                                 degree4_pairing, degree4_pencil_pairs,
                                 degree4_vmrt_pair_sum, degree5_sum,
@@ -144,28 +145,34 @@ def test_conic_vmrt_invariant_under_degeneration():
             assert conic_vmrt_class(lattice, l1 + l2) == cls
 
 
+def _value(label: str, text: str) -> Fraction:
+    profile = get_profile(label)
+    return eval_top(profile, parse_expr(profile, text))
+
+
 def test_cubic_certificate_values():
-    cert = cubic_surface_certificate()
-    assert cert.a == -1
-    assert cert.b == -4
-    assert cert.budget == Fraction(-23, 4)
+    # the registry's dp2.cubic.cert-* expressions, C = z - H + 2F
+    a = _value("cubic-surface", "z*(z - H + 2F)*(z + H)")
+    b = _value("cubic-surface", "(z - H + 2F)^2*(z + H)")
+    assert (a, b) == (-1, -4)
+    budget = _value("cubic-surface", "1/3*(z - 27/4*(z - H + 2F))*H^2")
+    assert budget == Fraction(-23, 4)
     # boundary: a - (1/4) b = 0, so a - lam.b < 0 exactly for lam < 1/4
-    assert cert.a - Fraction(1, 4) * cert.b == 0
+    assert a - Fraction(1, 4) * b == 0
 
 
 def test_cubic_certificate_on_full_lattice():
-    # the same products on the rank-7 profile, with H = -K and F = -K - E1
+    # the same numbers on the rank-7 profile, with H = -K and F = -K - E1,
+    # so C = z - K - 2E1, and a fibre line pi^*[pt] = H^2
     profile = surface_lattice_profile(3)
     lattice = surface_lattice(3)
-    h = curve_poly(profile, -lattice.k)
-    line = CurveClass((0, 1, 0, 0, 0, 0, 0))
-    f = curve_poly(profile, -lattice.k - line)
-    zeta = PTClass.zeta(profile)
-    vmrt = dual_vmrt_generic(profile, 1, h - 2 * f)
-    assert eval_product(profile, [zeta, vmrt, zeta + h]) == -1
-    assert eval_product(profile, [vmrt, vmrt, zeta + h]) == -4
-    assert fiber_line_degree(
-        profile, zeta - Fraction(27, 4) * vmrt) == Fraction(-23, 4)
+    fiber = -lattice.k - CurveClass((0, 1, 0, 0, 0, 0, 0))
+    assert (conic_vmrt_class(lattice, fiber)
+            == parse_expr(profile, "z - K - 2E1"))
+    assert _value("dp-surface-3", "z*(z - K - 2E1)*(z - K)") == -1
+    assert _value("dp-surface-3", "(z - K - 2E1)^2*(z - K)") == -4
+    budget = _value("dp-surface-3", "(z - 27/4*(z - K - 2E1))*H^2")
+    assert budget == Fraction(-23, 4)
 
 
 def test_weyl_reflection_closure():
