@@ -81,6 +81,13 @@ def as_fraction(value: Scalar | str) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _as_int(value: object) -> int:
+    """``operator.index(value)``; a bool or a non-int raises ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"not an integer: {value!r}")
+    return index(value)
+
+
 def fraction_str(value: Fraction) -> str:
     """Serialize a Fraction as a decimal-free 'p/q' (or bare 'p') string."""
     if value.denominator == 1:
@@ -229,7 +236,7 @@ class BaseProfile(Record):
 
         return BaseProfile.make(
             doc["label"],
-            int(doc["dim"]),
+            _as_int(doc["dim"]),
             doc["basis"],
             terms(doc["top_form"]),
             [terms(entries) for entries in doc["chern"]],
@@ -692,7 +699,7 @@ def restrict_to_section(splitting: Iterable[int], quotient_index: int,
     given degrees, the section of P(T_X|_l) defined by the quotient onto the
     summand of degree a_q meets zeta + eps.pi^*H in degree a_q + eps.
     """
-    degrees = tuple(int(a) for a in splitting)
+    degrees = tuple(map(_as_int, splitting))
     if not 0 <= quotient_index < len(degrees):
         raise IndexError(
             f"quotient index {quotient_index} out of range for a "

@@ -132,11 +132,6 @@ def _hyp_profile(n: int, d: int):
     return hyp.hypersurface_profile(hyp.HypersurfaceSpec(n, d))
 
 
-def _op_comb_A_match(k: int, n: int) -> bool:
-    brute, closed = hyp.comb_identity_A(k, n)
-    return closed is not None and brute == closed
-
-
 OPS: dict[str, Callable[..., object]] = {
     "chow.eval_expr": _op_eval_expr,
     "chow.segre_top": _op_segre_top,
@@ -144,20 +139,17 @@ OPS: dict[str, Callable[..., object]] = {
     "chow.restrict_section": lambda splitting, quotient_index, eps:
         restrict_to_section(splitting, quotient_index, eps),
     "surfaces.lattice_check": _op_lattice_check,
-    "surfaces.minus_one_count": lambda degree:
-        len(surfaces.minus_one_curves(surfaces.surface_lattice(degree))),
-    "surfaces.conic_count": lambda degree:
-        len(surfaces.conic_classes(surfaces.surface_lattice(degree))),
+    "surfaces.count": lambda degree, family:
+        len(surfaces.family(degree, family)),
+    "surfaces.orbit_sum": lambda degree, family:
+        surfaces.orbit_sum(degree, family),
+    "surfaces.residual_match": lambda degree, source, target:
+        surfaces.residual_match(degree, source, target),
     "surfaces.degenerate_count": _op_degenerate_count,
-    "surfaces.degree4_pairing": lambda: surfaces.degree4_pairing(),
     "surfaces.conic_pair_count": lambda: len(surfaces.degree4_pencil_pairs()),
     "surfaces.degree4_vmrt_pair_sum": lambda: surfaces.degree4_vmrt_pair_sum(),
     "surfaces.degree4_lines_covered": lambda: surfaces.degree4_lines_covered(),
     "surfaces.quintic_pairwise": lambda: surfaces.quintic_conics_pairwise(),
-    "surfaces.degree5_sum": lambda: surfaces.degree5_sum(),
-    "surfaces.degree5_vmrt_sum": lambda: surfaces.degree5_vmrt_sum(),
-    "surfaces.cubic_conics_match_lines":
-        lambda: surfaces.cubic_conics_match_lines(),
     "surfaces.chi_sym": lambda degree, m:
         surfaces.chi_sym_tangent_surface(degree, m),
     "surfaces.noether_all": lambda:
@@ -173,7 +165,8 @@ OPS: dict[str, Callable[..., object]] = {
     "hyp.sum_positive": lambda n: hyp.sum_positive_part(n),
     "hyp.sum_negative": lambda n: hyp.sum_negative_part(n),
     "hyp.comb_A": lambda k, n: hyp.comb_identity_A(k, n)[0],
-    "hyp.comb_A_match": _op_comb_A_match,
+    "hyp.comb_A_match": lambda k, n:
+        hyp.comb_A_brute(k, n) == hyp.comb_A_closed(k, n),
     "hyp.recursion_A": lambda k, n: hyp.recursion_check_A(k, n),
     "threefolds.vmrt_class": lambda d: threefolds.vmrt_table()[d].cls,
     "threefolds.vmrt_k": lambda d: threefolds.vmrt_table()[d].k,

@@ -62,11 +62,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_surface_curves(args: argparse.Namespace) -> int:
     import json
     from . import surfaces
-    lattice = surfaces.surface_lattice(_ascii_int(args.degree))
-    if args.conics:
-        classes = surfaces.conic_classes(lattice)
-    else:
-        classes = surfaces.minus_one_curves(lattice)
+    classes = surfaces.family(_ascii_int(args.degree),
+                              "conics" if args.conics else "lines")
     print(json.dumps([list(c.coeffs) for c in classes]))
     return 0
 

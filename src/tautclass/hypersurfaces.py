@@ -25,7 +25,7 @@ from .record import Record
 # usage error rather than a long wait.  d has at most 9 digits, so Chern
 # numbers stay printable.
 MAX_HYPERSURFACE_DIM = 200
-# The closed forms of A(k, n) stop at k = 4; direct sums go a little further.
+# Largest power k of the sums A(k, n), for the direct sum and the closed form.
 MAX_COMB_POWER = 8
 
 
@@ -169,47 +169,46 @@ def sum_negative_part(n: int) -> Fraction:
     return _direct_sum(n, 0, 3 * (3 * n + 2) * (3 * n - 1))
 
 
+def _check_comb(k: int, n: int) -> None:
+    if not 0 <= k <= MAX_COMB_POWER or not 1 <= n <= MAX_HYPERSURFACE_DIM:
+        raise ValueError(f"need 0 <= k <= {MAX_COMB_POWER} and "
+                         f"1 <= n <= {MAX_HYPERSURFACE_DIM}, got k = {k}, "
+                         f"n = {n}")
+
+
 def comb_A_brute(k: int, n: int) -> Fraction:
     """A(k, n) = sum over 0 <= i <= n of i^k / (i! (n-i)!), exactly.
 
     k is at most MAX_COMB_POWER and n at most MAX_HYPERSURFACE_DIM: the sum
     has n + 1 terms over factorial denominators, so n = 2000 takes a second.
     """
-    if not 0 <= k <= MAX_COMB_POWER or not 1 <= n <= MAX_HYPERSURFACE_DIM:
-        raise ValueError(f"need 0 <= k <= {MAX_COMB_POWER} and "
-                         f"1 <= n <= {MAX_HYPERSURFACE_DIM}, got k = {k}, "
-                         f"n = {n}")
+    _check_comb(k, n)
     return sum((Fraction(i**k, math.factorial(i) * math.factorial(n - i))
                 for i in range(n + 1)), Fraction(0))
 
 
-def comb_A_closed(k: int, n: int) -> Fraction | None:
-    """Closed form P_k(n) / 2^k . 2^n / n! of A(k, n) for k <= 4; None
-    beyond the tabulated range."""
-    if not 1 <= n <= MAX_HYPERSURFACE_DIM:
-        raise ValueError(f"need 1 <= n <= {MAX_HYPERSURFACE_DIM}, got {n}")
-    if not 0 <= k <= 4:
-        return None
-    poly = (1, n, n * (n + 1), n * n * (n + 3),
-            n * (n + 1) * (n * n + 5 * n - 2))[k]
-    return Fraction(poly * 2**n, 2**k * math.factorial(n))
+def comb_A_closed(k: int, n: int) -> Fraction:
+    """A(k, n) = sum over j <= min(k, n) of S(k, j) 2^(n-j) / (n-j)!: i^k is
+    the sum of the falling powers i(i-1)...(i-j+1) times the Stirling numbers
+    S(k, j), and each falling power sums to 2^(n-j) / (n-j)!."""
+    _check_comb(k, n)
+    # row k of S(m, j) = j S(m-1, j) + S(m-1, j-1), from S(0, 0) = 1
+    stirling = [1]
+    for _ in range(k):
+        stirling = [j * a + b for j, (a, b)
+                    in enumerate(zip(stirling + [0], [0] + stirling))]
+    return sum((Fraction(s * 2**(n - j), math.factorial(n - j))
+                for j, s in enumerate(stirling[:n + 1])), Fraction(0))
 
 
-def comb_identity_A(k: int, n: int) -> tuple[Fraction, Fraction | None]:
-    """Pair (brute-force sum, closed form) for A(k, n).
-
-    For k <= 4 both entries are present and equal; for larger k only the
-    direct summation is available.
-    """
-    brute = comb_A_brute(k, n)
-    closed = comb_A_closed(k, n)
-    if closed is not None:
-        _agree(brute, closed, f"A({k},{n}): direct sum")
-    return brute, closed
+def comb_identity_A(k: int, n: int) -> tuple[Fraction, Fraction]:
+    """Pair (brute-force sum, closed form) for A(k, n), checked equal."""
+    brute, closed = comb_A_brute(k, n), comb_A_closed(k, n)
+    return _agree(brute, closed, f"A({k},{n}): direct sum"), closed
 
 
 def recursion_check_A(k: int, n: int) -> bool:
     """Check A(k, n) = n A(k-1, n) - A(k-1, n-1) by direct summation."""
-    if not 1 <= k <= 4 or n < 2:
-        raise ValueError("need 1 <= k <= 4 and n >= 2")
+    if not 1 <= k <= MAX_COMB_POWER or n < 2:
+        raise ValueError(f"need 1 <= k <= {MAX_COMB_POWER} and n >= 2")
     return comb_A_brute(k, n) == n * comb_A_brute(k - 1, n) - comb_A_brute(k - 1, n - 1)

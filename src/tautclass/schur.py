@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import index
 
 Partition = tuple[int, ...]
 
@@ -29,8 +30,13 @@ MAX_SSYT_WORK = 10**6
 
 
 def normalize_partition(parts) -> Partition:
-    """Validate a weakly decreasing sequence and strip trailing zeros."""
-    mu = tuple(int(p) for p in parts)
+    """Validate a weakly decreasing sequence of ints (read by
+    ``operator.index``, bools refused) and strip trailing zeros."""
+    parts = tuple(parts)
+    if any(isinstance(p, bool) or not hasattr(type(p), "__index__")
+           for p in parts):
+        raise ValueError(f"parts must be integers: {parts!r}")
+    mu = tuple(map(index, parts))
     if any(p < 0 for p in mu):
         raise ValueError(f"negative part in {mu}")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):

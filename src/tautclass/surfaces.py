@@ -224,41 +224,56 @@ def conic_vmrt_class(lattice: PicardLattice, fiber: CurveClass) -> PTClass:
     return dual_vmrt_generic(profile, 1, -relative_k)
 
 
-def cubic_conics_match_lines() -> bool:
-    """On the cubic, conic classes biject with lines via F = -K - l."""
-    lattice = surface_lattice(3)
-    lines = minus_one_curves(lattice)
-    conics = set(conic_classes(lattice))
-    return conics == {(-lattice.k) - l for l in lines}
+def family(degree: int, name: str) -> tuple[CurveClass, ...]:
+    """The "lines" or the "conics" of the degree-d lattice."""
+    if name not in ("lines", "conics"):
+        raise ValueError(f"unknown curve family {name!r}")
+    # looked up at call time, so a rebound enumerator is the one called
+    return (minus_one_curves if name == "lines" else conic_classes)(
+        surface_lattice(degree))
+
+
+def orbit_sum(degree: int, name: str) -> PTClass:
+    """Sum of a family as a class on ``dp-surface-<d>``; "conic_vmrt" sums
+    :func:`conic_vmrt_class` over the conics.
+
+    W(E_r) permutes the lines and the conics, and for d <= 6 it fixes only
+    the multiples of K (Manin, Cubic Forms, ch. IV; Dolgachev, Classical
+    Algebraic Geometry, ch. 8): N classes of anticanonical degree k sum to
+    (kN/d)(-K), and the N conic dual VMRTs to N zeta + N(d - 4)/d pi^*K.
+    At d = 7 the lines sum to H, invariant but no multiple of K."""
+    lattice = surface_lattice(degree)
+    profile = surface_lattice_profile(degree)
+    if name == "conic_vmrt":
+        vmrts = (conic_vmrt_class(lattice, f) for f in conic_classes(lattice))
+        return sum(vmrts, PTClass.zero(profile))
+    return curve_poly(profile, sum(family(degree, name),
+                                   CurveClass((0,) * lattice.rank)))
+
+
+def residual_match(degree: int, source: str, target: str) -> bool:
+    """Whether C -> -K - C maps the source family onto the target family."""
+    minus_k = -surface_lattice(degree).k
+    return ({minus_k - c for c in family(degree, source)}
+            == set(family(degree, target)))
 
 
 def degree4_pencil_pairs() -> tuple[tuple[CurveClass, CurveClass], ...]:
-    """The five pairs (C, C') of degree-4 conic classes with C + C' = -K."""
-    lattice = surface_lattice(4)
-    conics = conic_classes(lattice)
-    pool = set(conics)
-    pairs = []
-    for c in conics:
-        partner = (-lattice.k) - c
-        if partner not in pool:
-            raise ArithmeticError(f"conic {c.coeffs} has no anticanonical partner")
-        if c.coeffs < partner.coeffs:
-            pairs.append((c, partner))
-    return tuple(pairs)
+    """The five pairs (C, C') of degree-4 conic classes with C + C' = -K.
 
-
-def degree4_pairing() -> bool:
-    """Every degree-4 conic class lies in an anticanonical pair: none is its
-    own partner -K - C."""
-    covered = {c for pair in degree4_pencil_pairs() for c in pair}
-    return covered == set(conic_classes(surface_lattice(4)))
+    Degree 4 only: -K - C is a conic just when d = 4, as (-K - C)^2 = d - 4.
+    """
+    if not residual_match(4, "conics", "conics"):
+        raise ArithmeticError("a degree-4 conic has no anticanonical partner")
+    minus_k = -surface_lattice(4).k
+    return tuple((c, minus_k - c) for c in family(4, "conics")
+                 if c.coeffs < (minus_k - c).coeffs)
 
 
 def degree4_vmrt_pair_sum() -> PTClass:
-    """Common value of [C-dual] + [C'-dual] over the five pencil pairs.
-
-    The sum is 2 zeta, which is also the anticanonical class of P(T_X).
-    """
+    """Common value of [C-dual] + [C'-dual] over the five pencil pairs, 2 zeta,
+    the anticanonical class of P(T_X).  Degree 4 only, as the pencil pairs
+    C + C' = -K exist only there."""
     lattice = surface_lattice(4)
     sums = {conic_vmrt_class(lattice, p) + conic_vmrt_class(lattice, q)
             for p, q in degree4_pencil_pairs()}
@@ -268,39 +283,22 @@ def degree4_vmrt_pair_sum() -> PTClass:
 
 
 def degree4_lines_covered() -> int:
-    """Lines appearing in the degenerate members of one pencil pair."""
+    """Lines in the degenerate members of one pencil pair; degree 4 only,
+    as the pencil pairs C + C' = -K exist only there."""
     lattice = surface_lattice(4)
-    first_pair = degree4_pencil_pairs()[0]
-    lines: set[CurveClass] = set()
-    for fiber in first_pair:
-        for l1, l2 in degenerate_members(lattice, fiber):
-            lines.update((l1, l2))
-    return len(lines)
+    return len({line for fiber in degree4_pencil_pairs()[0]
+                for pair in degenerate_members(lattice, fiber)
+                for line in pair})
 
 
 def quintic_conics_pairwise() -> bool:
-    """Distinct degree-5 conic classes meet in exactly one point."""
+    """Distinct degree-5 conic classes meet in exactly one point.  Degree 5
+    only: C.C' = 1 holds for d = 5..7, but C.C' = 2 occurs for d = 3 and 4,
+    so a degree argument would have a single value in use."""
     lattice = surface_lattice(5)
     conics = conic_classes(lattice)
     return all(lattice.pair(a, b) == 1
                for a, b in itertools.combinations(conics, 2))
-
-
-def degree5_sum() -> bool:
-    """Sum of the five degree-5 conic classes is -2K, hence the dual-VMRT
-    classes average to zeta + pi^*K/5."""
-    lattice = surface_lattice(5)
-    conics = conic_classes(lattice)
-    return sum(conics[1:], conics[0]) == -2 * lattice.k
-
-
-def degree5_vmrt_sum() -> PTClass:
-    """Sum of the five dual-VMRT classes: 5 zeta + pi^*K."""
-    lattice = surface_lattice(5)
-    total = PTClass.zero(surface_lattice_profile(5))
-    for fiber in conic_classes(lattice):
-        total = total + conic_vmrt_class(lattice, fiber)
-    return total
 
 
 def simple_roots(lattice: PicardLattice) -> tuple[CurveClass, ...]:

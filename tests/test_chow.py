@@ -765,6 +765,20 @@ def test_restrict_to_section():
         restrict_to_section((2, 1, 0), 5, 0)
 
 
+@pytest.mark.parametrize("degree", [2.7, "2", True, Fraction(2)])
+def test_restrict_to_section_refuses_non_integer_degrees(degree):
+    with pytest.raises(ValueError, match="not an integer"):
+        restrict_to_section([degree, 1, -1], 0, 0)
+
+
+@pytest.mark.parametrize("dim", [2.9, "2", True, Fraction(2), None])
+def test_profile_json_dim_must_be_an_int(dim):
+    doc = get_profile("cubic-surface").to_json()
+    doc["dim"] = dim
+    with pytest.raises(ValueError, match="not an integer"):
+        BaseProfile.from_json(doc)
+
+
 def test_dual_vmrt_generic():
     profile = get_profile("cubic-surface")
     h, f = profile.symbol("H"), profile.symbol("F")

@@ -109,8 +109,8 @@ def test_coverage_doc_is_generated():
 # the claimed ones against.
 REFERENCE_ROUTES = {
     "hypersurfaces.segre_closed_form_factored",  # test_hypersurfaces
-    "surfaces.simple_roots",  # test_surfaces Weyl-orbit tests
-    "surfaces.reflect",  # test_surfaces Weyl-orbit tests
+    "surfaces.simple_roots",  # test_surfaces Weyl-orbit and orbit-sum tests
+    "surfaces.reflect",  # test_surfaces Weyl-orbit and orbit-sum tests
 }
 
 

@@ -12,6 +12,9 @@ change, rerun the command and overwrite its file.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,19 @@ CASES = [
 def test_cli_output_matches_golden_bytes(name, argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_verify_bytes_do_not_depend_on_the_hash_seed(seed):
+    # the in-process test above sees only the hash seed of its own run
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(root / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "tautclass.cli", "verify", "--format", "json"],
+        cwd=root, env=env, capture_output=True, check=False)
+    assert run.returncode == 1
+    assert run.stdout == (GOLDEN / "verify.json").read_bytes()
 
 
 def test_profile_json_matches_golden_bytes():

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from tautclass.chow import PTClass, segre_omega
-from tautclass.hypersurfaces import (MAX_HYPERSURFACE_DIM, HypersurfaceSpec,
-                                     binom, comb_A_brute, comb_A_closed,
-                                     comb_identity_A,
+from tautclass.hypersurfaces import (MAX_COMB_POWER, MAX_HYPERSURFACE_DIM,
+                                     HypersurfaceSpec, binom, comb_A_brute,
+                                     comb_A_closed, comb_identity_A,
                                      cubic_mnef_closed_form,
                                      cubic_mnef_number, hypersurface_profile,
                                      recursion_check_A, segre_closed_form,
@@ -119,8 +119,12 @@ def test_comb_identity_examples():
     assert brute == closed == Fraction(4, 15)
     assert comb_identity_A(1, 3)[0] == 2
     assert comb_identity_A(2, 3)[0] == 4
-    brute_only, missing = comb_identity_A(5, 4)
-    assert missing is None and brute_only == comb_A_brute(5, 4)
+    # the Stirling closed form covers every k <= MAX_COMB_POWER
+    for k in range(MAX_COMB_POWER + 1):
+        for n in range(1, 61):
+            assert comb_A_closed(k, n) == comb_A_brute(k, n), (k, n)
+    with pytest.raises(ValueError, match=f"k <= {MAX_COMB_POWER}"):
+        comb_A_closed(MAX_COMB_POWER + 1, 3)
     # both routes stop at n = MAX_HYPERSURFACE_DIM
     assert comb_A_brute(4, 200) == comb_A_closed(4, 200)
     with pytest.raises(ValueError, match="n <= 200"):
@@ -138,5 +142,6 @@ def test_recursion_check():
     assert recursion_check_A(1, 3)
     assert all(recursion_check_A(4, n) for n in range(2, 31))
     assert recursion_check_A(1, 2)
-    with pytest.raises(ValueError):
-        recursion_check_A(5, 3)
+    assert all(recursion_check_A(k, 12) for k in range(1, MAX_COMB_POWER + 1))
+    with pytest.raises(ValueError, match=f"k <= {MAX_COMB_POWER}"):
+        recursion_check_A(MAX_COMB_POWER + 1, 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,16 @@ def test_normalize_partition():
         normalize_partition([1, 2])
     with pytest.raises(ValueError):
         normalize_partition([2, -1])
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1), ("2", 1), (True,), (2, False),
+                                   (Fraction(2), 1)])
+def test_partition_parts_must_be_ints(parts):
+    # (2.7, 1) was once truncated to (2, 1), whose dimension is 8 at n = 3
+    with pytest.raises(ValueError, match="parts must be integers"):
+        normalize_partition(parts)
+    with pytest.raises(ValueError, match="parts must be integers"):
+        schur_dim(parts, 3)
 
 
 def test_schur_dim_special_shapes():

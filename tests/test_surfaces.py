@@ -12,17 +12,17 @@ from tautclass.chow import PTClass, eval_top
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.profiles import get_profile
+from tautclass import claims, surfaces
 from tautclass.surfaces import (CurveClass, _a0_range,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, conic_classes,
-                                conic_vmrt_class, cubic_conics_match_lines,
-                                curve_poly,
+                                conic_vmrt_class, curve_poly,
                                 degenerate_members, degree4_lines_covered,
-                                degree4_pairing, degree4_pencil_pairs,
-                                degree4_vmrt_pair_sum, degree5_sum,
-                                degree5_vmrt_sum, minus_one_curves,
-                                noether_check, reflect, simple_roots,
-                                surface_lattice, surface_lattice_profile)
+                                degree4_pencil_pairs, degree4_vmrt_pair_sum,
+                                family, minus_one_curves, noether_check,
+                                orbit_sum, reflect, residual_match,
+                                simple_roots, surface_lattice,
+                                surface_lattice_profile)
 
 
 def test_lattice_invariants():
@@ -82,7 +82,43 @@ def test_conic_counts_and_conditions():
 
 
 def test_cubic_conics_biject_with_lines():
-    assert cubic_conics_match_lines()
+    assert residual_match(3, "lines", "conics")
+    assert residual_match(3, "conics", "lines")
+    # equal sizes, no match: -K - l is a conic, never a line
+    assert not residual_match(3, "lines", "lines")
+    assert not residual_match(3, "conics", "conics")
+    assert not residual_match(5, "conics", "conics")
+
+
+def test_family_names():
+    for degree in (3, 4, 5):
+        lattice = surface_lattice(degree)
+        assert family(degree, "lines") == minus_one_curves(lattice)
+        assert family(degree, "conics") == conic_classes(lattice)
+    for name in ("conic_vmrt", "line", ""):
+        with pytest.raises(ValueError, match="unknown curve family"):
+            family(3, name)
+    with pytest.raises(ValueError):
+        family(2, "conics")
+
+
+@pytest.mark.parametrize("name, enumerator",
+                         [("lines", "minus_one_curves"),
+                          ("conics", "conic_classes")])
+def test_count_op_calls_the_enumerator_it_finds_on_the_module(
+        name, enumerator, monkeypatch):
+    # a tracer counts enumerations by rebinding the module attribute, so
+    # the count op must reach the enumerator through it
+    original, calls = getattr(surfaces, enumerator), []
+
+    def counting(lattice):
+        calls.append(lattice.degree)
+        return original(lattice)
+
+    monkeypatch.setattr(surfaces, enumerator, counting)
+    assert claims.OPS["surfaces.count"](degree=4, family=name) == {
+        "lines": 16, "conics": 10}[name]
+    assert calls == [4]
 
 
 def test_degenerate_member_counts():
@@ -102,7 +138,7 @@ def test_degenerate_member_counts():
 
 
 def test_degree4_pairing_and_coverage():
-    assert degree4_pairing()
+    assert residual_match(4, "conics", "conics")
     pairs = degree4_pencil_pairs()
     assert len(pairs) == 5
     lattice = surface_lattice(4)
@@ -128,11 +164,11 @@ def test_degree5_conics():
     conics = conic_classes(lattice)
     for a, b in itertools.combinations(conics, 2):
         assert lattice.pair(a, b) == 1
-    assert degree5_sum()
     profile = surface_lattice_profile(5)
+    assert orbit_sum(5, "conics") == curve_poly(profile, -2 * lattice.k)
     expected = (PTClass.zeta(profile) * 5
                 + curve_poly(profile, lattice.k))
-    assert degree5_vmrt_sum() == expected
+    assert orbit_sum(5, "conic_vmrt") == expected
 
 
 def test_conic_vmrt_invariant_under_degeneration():
@@ -188,6 +224,39 @@ def test_weyl_reflection_closure():
         conics = set(conic_classes(lattice))
         for root in simple_roots(lattice):
             assert {reflect(lattice, c, root) for c in conics} == conics
+
+
+def test_orbit_sums_are_the_weyl_invariant_closed_forms():
+    # second route: W(E_r) permutes each family and, for d <= 6, fixes only
+    # the multiples of K, so N classes of anticanonical degree k sum to
+    # (kN/d)(-K); the conic dual VMRTs zeta + pi^*(K + 2F) then sum to
+    # N zeta + N(d - 4)/d pi^*K
+    vmrt_sums = {3: "27z - 9K", 4: "10z", 5: "5z + K", 6: "3z + K"}
+    for degree in range(1, 8):
+        lattice = surface_lattice(degree)
+        profile = surface_lattice_profile(degree)
+        minus_k = -profile.canonical
+        zeta = PTClass.zeta(profile)
+        names = ("lines", "conics") if degree >= 3 else ("lines",)
+        for name, k in zip(names, (1, 2)):
+            curves = family(degree, name)
+            total = sum(curves[1:], curves[0])
+            # the lattice sum is fixed by every simple reflection
+            for root in simple_roots(lattice):
+                assert reflect(lattice, total, root) == total
+            assert curve_poly(profile, total) == orbit_sum(degree, name)
+            closed = Fraction(k * len(curves), degree) * minus_k
+            assert (orbit_sum(degree, name) == closed) == (degree <= 6)
+        if degree >= 3:
+            n = len(family(degree, "conics"))
+            closed = n * zeta - Fraction(n * (degree - 4), degree) * minus_k
+            vmrt_sum = orbit_sum(degree, "conic_vmrt")
+            assert (vmrt_sum == closed) == (degree <= 6)
+            if degree <= 6:
+                assert vmrt_sum == parse_expr(profile, vmrt_sums[degree])
+    # at d = 7 the lines E1, E2, H - E1 - E2 sum to H: invariant, yet no
+    # multiple of K
+    assert orbit_sum(7, "lines") == surface_lattice_profile(7).symbol("H")
 
 
 def _weyl_orbit(lattice, seed):
