@@ -128,16 +128,21 @@ def cubic_mnef_closed_form(n: int) -> Fraction:
 def cubic_mnef_number(n: int) -> Fraction:
     """zeta^2 . (zeta + pi^*H)^(2n-3) on the cubic hypersurface of dim n.
 
-    Evaluated through the pushforward engine; the result is checked against
-    the closed form and is strictly negative, which is what rules out zeta
-    being modified nef.
+    Evaluated through the pushforward engine; the factor zeta + pi^*H is
+    built from the terms of its two atoms, without re-validation.  The
+    result is checked against the closed form and is strictly negative,
+    which is what rules out zeta being modified nef.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     profile = hypersurface_profile(HypersurfaceSpec(n, 3))
     zeta = PTClass.zeta(profile)
     h = profile.symbol("H")
-    value = eval_product(profile, [zeta, zeta] + [zeta + h] * (2 * n - 3))
+    # The atoms' keys (0, (1,)) and (1, (0,)) differ and are in sorted
+    # order, so their terms concatenated are already canonical: the class
+    # PTClass.make would build from zeta + h.
+    factor = PTClass(profile, h.terms + zeta.terms)
+    value = eval_product(profile, [zeta, zeta] + [factor] * (2 * n - 3))
     return _agree(value, cubic_mnef_closed_form(n), "engine value")
 
 

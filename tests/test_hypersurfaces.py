@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautclass import chow, hypersurfaces
 from tautclass.chow import PTClass, segre_omega
 from tautclass.hypersurfaces import (MAX_COMB_POWER, MAX_HYPERSURFACE_DIM,
                                      HypersurfaceSpec, binom, comb_A_brute,
@@ -88,14 +89,50 @@ def test_cubic_mnef_values():
 
 
 def test_cubic_mnef_strictly_negative():
-    for n in range(3, 13):
-        assert cubic_mnef_number(n) < 0
+    # n = 3..72 covers every n of the mnef_scaling benchmark, 16..72
+    for n in range(3, 73):
+        assert cubic_mnef_number(n) == cubic_mnef_closed_form(n) < 0, n
 
 
 def test_cubic_mnef_large_n():
     # 2n-1 = 127 fills 7 bits of a packed key field; 129 needs 8.
     for n in (40, 64, 65, 72, 120, MAX_HYPERSURFACE_DIM):
         assert cubic_mnef_number(n) == cubic_mnef_closed_form(n) < 0
+
+
+def test_cubic_mnef_builds_no_class_by_make(monkeypatch):
+    # the factor zeta + H is the atoms' terms joined, not PTClass.__add__'s
+    # make, and eval_product raises its runs without a pairwise product;
+    # the factor equals the class make builds from zeta + H
+    makes, products, runs = [], [], []
+    make, kernel = PTClass.make, chow._mul_packed
+    evaluate = hypersurfaces.eval_product
+
+    def counting_make(*args):
+        makes.append(1)
+        return make(*args)
+
+    def counting_mul(*args):
+        products.append(1)
+        return kernel(*args)
+
+    def capturing(profile, factors):
+        runs.append((profile, factors))
+        return evaluate(profile, factors)
+
+    monkeypatch.setattr(PTClass, "make", staticmethod(counting_make))
+    monkeypatch.setattr(chow, "_mul_packed", counting_mul)
+    monkeypatch.setattr(hypersurfaces, "eval_product", capturing)
+    for n in (3, 16, 72, MAX_HYPERSURFACE_DIM):
+        cubic_mnef_number(n)
+    assert makes == [] and products == []
+    monkeypatch.undo()
+    assert len(runs) == 4
+    for profile, factors in runs:
+        zeta = PTClass.zeta(profile)
+        assert factors[:2] == [zeta, zeta]
+        assert factors[-1] == zeta + profile.symbol("H")
+        assert len(factors) == 2 * profile.dim - 1
 
 
 def test_binomial_sums():
