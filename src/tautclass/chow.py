@@ -198,6 +198,17 @@ class BaseProfile(Record):
         width = (2 * self.dim - 1).bit_length()
         return *_pack([(k, c) for k, c in table.items() if c], width), width
 
+    @cached_property
+    def names(self) -> dict[str, PTClass]:
+        """Every name of the expression grammar and its class (shared, never
+        changed): ``c1``..``cn`` (c_j(T_X)), ``K``, the basis symbols, then
+        ``z``, a later name replacing an equal earlier one."""
+        names = {f"c{j}": c for j, c in enumerate(self.chern, start=1)}
+        names["K"] = self.canonical
+        names.update((name, self.symbol(name)) for name in self.basis)
+        names["z"] = PTClass.zeta(self)
+        return names
+
     def symbol(self, name: str) -> PTClass:
         """The pulled-back divisor class of a basis symbol."""
         index = self.basis.index(name)
@@ -292,7 +303,8 @@ def _pack(terms: Sequence[tuple[PTKey, Scalar]],
         key = zp
         for e in exps:
             key = key << width | e
-        packed[key << width | sum(exps)] = c.numerator * (den // c.denominator)
+        n, d = c.numerator, c.denominator
+        packed[key << width | sum(exps)] = n if d == den else n * (den // d)
     return den, packed
 
 
@@ -302,13 +314,13 @@ def _unpack(profile: BaseProfile, den: int, packed: Mapping[int, int],
 
     Packed keys sort as their (zeta-power, exponents) keys do.
     """
-    nsyms = profile.nsyms
+    top = width * (profile.nsyms + 1)
+    shifts = range(top - width, 0, -width)
     mask = (1 << width) - 1
-    return PTClass(profile, tuple(
-        ((key >> width * (nsyms + 1),
-          tuple(key >> width * i & mask for i in range(nsyms, 0, -1))),
+    return PTClass(profile, tuple([
+        ((key >> top, tuple([key >> s & mask for s in shifts])),
          Fraction(c, den))
-        for key, c in sorted(packed.items())))
+        for key, c in sorted(packed.items())]))
 
 
 def _mul_packed(a: Mapping[int, int], b: Mapping[int, int], width: int,
@@ -513,10 +525,12 @@ class PTClass(Record):
         return PTClass(self.profile, tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other: "PTClass | Scalar") -> "PTClass":
-        if isinstance(other, (int, Fraction)):
-            terms = tuple((k, c * other) for k, c in self.terms) if other else ()
-            return PTClass(self.profile, terms)
-        return _product(self.profile, (self, other))
+        if type(other) is PTClass or not isinstance(other, (int, Fraction)):
+            return _product(self.profile, (self, other))
+        # one exact Fraction; a term whose coefficient is 1 takes it as is
+        q = other if type(other) is Fraction else Fraction(other)
+        return PTClass(self.profile, tuple(
+            [(k, q if c == 1 else c * q) for k, c in self.terms] if q else ()))
 
     def __rmul__(self, other: Scalar) -> "PTClass":
         return self * other

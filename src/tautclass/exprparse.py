@@ -44,8 +44,6 @@ from .hypersurfaces import MAX_HYPERSURFACE_DIM
 _TOKEN_RE = re.compile(
     r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()])|(\S))")
 _KINDS = (None, "num", "sym", "op")
-# c<j> with at most 9 digits, so int() never sees a huge digit string
-_CHERN_RE = re.compile(r"c([1-9][0-9]{0,8})")
 MAX_NESTING = 100
 MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
 # The folded scalar, and each power of a base's largest coefficient, then
@@ -124,7 +122,7 @@ class _Parser:
         while True:
             start = self.index
             base, exponent = self.power()
-            literal = isinstance(base, Fraction)
+            literal = type(base) is Fraction
             if literal:
                 bits += exponent * _size(base)
             elif exponent > 1:
@@ -135,7 +133,9 @@ class _Parser:
                     f"coefficients may exceed {MAX_PRODUCT_BITS} bits",
                     self.tokens[start][2])
             if literal:
-                scalar *= base ** exponent
+                if exponent != 1:
+                    base **= exponent
+                scalar = base if scalar == 1 else scalar * base
             else:
                 factors.extend([base] * exponent)
             kind, text, _ = self.peek()
@@ -190,18 +190,11 @@ class _Parser:
                               position)
 
     def resolve(self, text: str, position: int) -> PTClass:
-        profile = self.profile
-        if text == "z":
-            return PTClass.zeta(profile)
-        if text in profile.basis:
-            return profile.symbol(text)
-        if text == "K":
-            return profile.canonical
-        match = _CHERN_RE.fullmatch(text)
-        if match and int(match[1]) <= profile.dim:
-            return profile.chern[int(match[1]) - 1]
-        raise ExprSyntaxError(
-            f"unknown symbol {text!r} for profile {profile.label!r}", position)
+        cls = self.profile.names.get(text)
+        if cls is None:
+            raise ExprSyntaxError(f"unknown symbol {text!r} for profile "
+                                  f"{self.profile.label!r}", position)
+        return cls
 
 
 def _size(q: Fraction) -> int:

@@ -211,6 +211,17 @@ def test_ptclass_mul_matches_naive_fraction_product(data):
     product = x * y
     assert product == _naive_mul(x, y)
     assert all(isinstance(c, Fraction) and c for _, c in product.terms)
+    # a scalar multiple keeps exact Fraction coefficients, an int scalar
+    # included, also where it is itself the new coefficient of a term of 1
+    for scalar in (2, -3, Fraction(1), Fraction(-2, 3), 0):
+        expected = PTClass.make(profile, {k: c * scalar for k, c in x.terms})
+        for multiple in (x * scalar, scalar * x):
+            assert multiple == expected
+            assert all(type(c) is Fraction for _, c in multiple.terms)
+    h = (0, (1,) + (0,) * (profile.nsyms - 1))
+    two_h = parse_expr(profile, "2*H").terms
+    assert two_h == PTClass.make(profile, {h: 2}).terms == ((h, Fraction(2)),)
+    assert type(two_h[0][1]) is Fraction
     # every field of x, y and the product is below 2^5: the class survives
     # packing and unpacking
     for cls in (x, y, product):
@@ -239,7 +250,8 @@ def test_ptclass_pow_matches_naive_fraction_product(x, power):
         x ** -1
 
 
-@pytest.mark.parametrize("label", FIXED_LABELS + ("hypersurface-n4-d3",))
+@pytest.mark.parametrize("label", FIXED_LABELS + ("hypersurface-n4-d3",
+                                                   "hypersurface-n6-d3"))
 def test_atoms_equal_make_built_classes(label):
     # symbol, zeta and one build their one-term classes without make;
     # they must be the classes make would build
@@ -253,6 +265,15 @@ def test_atoms_equal_make_built_classes(label):
                 == PTClass.make(profile, {(power, zeros): 1}))
     assert PTClass.zeta(profile) == PTClass.make(profile, {(1, zeros): 1})
     assert PTClass.one(profile) == PTClass.make(profile, {(0, zeros): 1})
+    # the parser reads every name from the profile's one table
+    assert parse_expr(profile, "z") == PTClass.zeta(profile)
+    for name in profile.basis:
+        assert parse_expr(profile, name) == profile.symbol(name)
+    assert parse_expr(profile, "K") == profile.canonical
+    for j in range(1, profile.dim + 1):
+        assert parse_expr(profile, f"c{j}") == profile.chern[j - 1]
+    assert set(profile.names) == {"z", "K", *profile.basis,
+                                  *(f"c{j}" for j in range(1, profile.dim + 1))}
     with pytest.raises(ValueError, match="bad term key"):
         PTClass.zeta(profile, -1)
     # a key that is not an int is refused, not truncated by int()

@@ -76,8 +76,9 @@ def test_unknown_symbol():
     profile = get_profile("dp3-degree2")
     with pytest.raises(ExprSyntaxError, match="unknown symbol 'F'"):
         parse_expr(profile, "z + F")
-    # c<j> names c_j(T_X) only for 1 <= j <= n, without a leading zero
-    for symbol in ("c0", "c4", "c01", "C1"):
+    # c<j> names c_j(T_X) only for 1 <= j <= n, without a leading zero; a
+    # huge j is an unknown name, never converted to an int
+    for symbol in ("c0", "c4", "c01", "C1", "c" + "9" * 5000):
         with pytest.raises(ExprSyntaxError,
                            match=f"unknown symbol '{symbol}'") as err:
             parse_expr(profile, f"z^2 + {symbol}")
