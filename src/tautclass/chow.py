@@ -351,9 +351,9 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     """f^m for a packed term map f, truncated like the kernel.
 
     f^1 is f.  Otherwise f^m takes one of three routes: a two-term f is
-    raised by the binomial theorem, an f whose base-degree-0 part is one
-    monomial by J.C.P. Miller's recurrence, and any other f is multiplied
-    out.
+    raised by the binomial theorem, an f whose lowest base-degree part is
+    one monomial by J.C.P. Miller's recurrence, and any other f is
+    multiplied out.
 
     The binomial route (m >= 2): f = a + b, with b of base degree no lower
     than a, has the terms t_j = C(m, j) c_a^(m-j) c_b^j on the keys
@@ -363,26 +363,29 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     degree of t_j does not fall with j, so the pass stops at the first t_j
     past ``max_base_degree``, and no term is kept when t_0 is past it.
 
-    The recurrence: graded by base degree, f = P_0 + P_1 + ...  When P_0
-    is one monomial c_0 zeta^d (f need not be homogeneous: z^2 + H + F
-    qualifies), Q = f^m has parts Q_0 = c_0^m zeta^(dm) and, from
+    The recurrence: graded by base degree above f's lowest one, low,
+    f = P_0 + P_1 + ...  When P_0 is one monomial c_0 x^(k_0) (f need not
+    be homogeneous: z^2 + H + F and H + E1^2 + E2^2 qualify, and a one-term
+    f is one term), Q = f^m has parts Q_0 = c_0^m x^(m k_0) and, from
     f Q' = m f' Q (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7),
 
         k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
 
-    Q_k reads only lower parts, so stopping at base degree
-    ``max_base_degree`` is exact.  Dividing by zeta^d subtracts P_0's key
-    (the zeta-power is the top field), and that is done once: P_0 is taken
-    out of the levels, and every other level's keys are shifted down by
-    P_0's key, so each product key is already the key of Q_k.  Dividing by
-    k c_0 is exact because f^m has integer coefficients.  Each part Q_k is
-    a list of (key, coefficient) pairs; level k walks only the levels i
-    that f has, in increasing order up to k, skips a zero weight, and the
-    result map is built once, from all parts, at the end.  When P_0 is
-    missing or has several terms (H + F + E1, z + H + 1), f is multiplied
-    m times.  For m = -1, P_0 must be the constant 1, and then
-    Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other negative m or constant
-    part raises :class:`ValueError`.
+    Q_k has base degree m low + k and reads only lower parts, so stopping
+    at ``max_base_degree`` is exact, and nothing is kept when m low is
+    past it.  Dividing by x^(k_0) subtracts P_0's key, and that is done
+    once: P_0 is taken out of the levels, and every other level's keys are
+    shifted down by P_0's key, so each product key is already the key of
+    Q_k.  A product may have a negative field, but such products cancel,
+    and keys are linear in the exponents, so every key left is one of
+    Q_k's.  Dividing by k c_0 is exact because f^m has integer
+    coefficients.  Each part Q_k is a list of (key, coefficient) pairs;
+    level k walks only the levels i that f has, in increasing order up to
+    k, skips a zero weight, and the result map is built once, from all
+    parts, at the end.  When P_0 has several terms (H + F + E1,
+    z + H + 1), f is multiplied m times.  For m = -1, P_0 must be the
+    constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other
+    negative m or constant part raises :class:`ValueError`.
     """
     if m == 1:
         return f
@@ -406,16 +409,20 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     if m < 0 and (m != -1 or levels.get(0) != [(0, 1)]):
         raise ValueError(f"no power {m} of a series with constant part "
                          f"{levels.get(0, [])}: only 1 has a power -1 here")
-    if len(levels.get(0, ())) != 1:
+    low = min(levels) if levels else 0
+    if len(levels.get(low, ())) != 1:
         power = f
         for _ in range(m - 1):
             power = _mul_packed(power, f, width, max_base_degree)
         return power
-    (k0, c0), = levels.pop(0)
-    shifted = [(i, [(key - k0, c) for key, c in levels[i]])
+    room = max_base_degree - m * low
+    if room < 0:
+        return {}
+    (k0, c0), = levels.pop(low)
+    shifted = [(i - low, [(key - k0, c) for key, c in levels[i]])
                for i in sorted(levels)]
-    top = max(levels, default=0)
-    last = max_base_degree if m < 0 else min(max_base_degree, m * top)
+    top = max(levels) - low if levels else 0
+    last = room if m < 0 else min(room, m * top)
     parts = [[(k0 * m, c0 ** abs(m))]]  # c_0 = 1 when m = -1
     for k in range(1, last + 1):
         acc: dict[int, int] = {}
@@ -677,10 +684,10 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
 
     The runs go through :func:`_chain`, as in the formal product, and
     :func:`_pow_packed` raises each: a two-term f, such as zeta + aH, by
-    the binomial theorem; another f with a pure zeta term by J.C.P.
-    Miller's power recurrence, which also inverts c(Omega_X) in
-    :func:`segre_omega` (as the power -1); and any other f is multiplied
-    out.  The chain uses the table's field width
+    the binomial theorem; an f whose lowest base-degree part is one
+    monomial by J.C.P. Miller's power recurrence, which also inverts
+    c(Omega_X) in :func:`segre_omega` (as the power -1); and any other f
+    is multiplied out.  The chain uses the table's field width
     (2n-1).bit_length() and bound n.  The factors are homogeneous with
     non-negative exponents and degrees adding up to 2n-1, so no base
     exponent or base degree of a factor, partial product or contracted

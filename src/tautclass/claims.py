@@ -123,22 +123,12 @@ def _op_degenerate_count(degree: int) -> int:
     return counts.pop()
 
 
-def _op_lattice_check(degree: int) -> bool:
-    lattice = surfaces.surface_lattice(degree)
-    return lattice.pair(lattice.k, lattice.k) == lattice.degree
-
-
-def _hyp_profile(n: int, d: int):
-    return hyp.hypersurface_profile(hyp.HypersurfaceSpec(n, d))
-
-
 OPS: dict[str, Callable[..., object]] = {
     "chow.eval_expr": _op_eval_expr,
     "chow.segre_top": _op_segre_top,
     "chow.dual_vmrt": _op_dual_vmrt,
     "chow.restrict_section": lambda splitting, quotient_index, eps:
         restrict_to_section(splitting, quotient_index, eps),
-    "surfaces.lattice_check": _op_lattice_check,
     "surfaces.count": lambda degree, family:
         len(surfaces.family(degree, family)),
     "surfaces.orbit_sum": lambda degree, family:
@@ -157,16 +147,12 @@ OPS: dict[str, Callable[..., object]] = {
     "surfaces.chi_growth_threshold": lambda:
         all((surfaces.chi_sym_cubic_coefficient(d) > 0) == (d >= 7)
             for d in range(1, 10)),
-    "hyp.c1_coeff": lambda n, d:
-        dict(_hyp_profile(n, d).chern[0].terms).get((0, (1,)), Fraction(0)),
     "hyp.segre_closed": lambda n, d, l:
         hyp.segre_closed_form(hyp.HypersurfaceSpec(n, d), l),
     "hyp.mnef": lambda n: hyp.cubic_mnef_number(n),
     "hyp.sum_positive": lambda n: hyp.sum_positive_part(n),
     "hyp.sum_negative": lambda n: hyp.sum_negative_part(n),
     "hyp.comb_A": lambda k, n: hyp.comb_identity_A(k, n)[0],
-    "hyp.comb_A_match": lambda k, n:
-        hyp.comb_A_brute(k, n) == hyp.comb_A_closed(k, n),
     "hyp.recursion_A": lambda k, n: hyp.recursion_check_A(k, n),
     "threefolds.vmrt_class": lambda d: threefolds.vmrt_table()[d].cls,
     "threefolds.vmrt_k": lambda d: threefolds.vmrt_table()[d].k,

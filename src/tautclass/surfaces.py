@@ -57,7 +57,7 @@ class CurveClass(Record):
 
 
 class PicardLattice(Record):
-    """Picard lattice of a del Pezzo surface of degree 1..7."""
+    """Picard lattice of P^2 blown up in 9 - d points, degree d in 1..9."""
 
     __slots__ = ("degree",)
     degree: int
@@ -321,19 +321,15 @@ def reflect(lattice: PicardLattice, curve: CurveClass,
 
 
 def _surface_chern_numbers(degree: int) -> tuple[int, int]:
-    """(c_1^2, c_2) of a del Pezzo surface from its blow-up description.
+    """(c_1^2, c_2) of a del Pezzo surface from its blow-up lattice.
 
-    c_1^2 = K^2 and c_2 is the topological Euler number 2 + b_2; both come
-    from the lattice for degree <= 7 and from the blow-up count 9 - degree
-    for degrees 8 and 9.
+    c_1^2 = K^2 and c_2 is the topological Euler number 2 + b_2, both read
+    from ``PicardLattice(degree)`` for every degree 1..9.
     """
-    if 1 <= degree <= 7:
-        lattice = surface_lattice(degree)
-        return lattice.pair(lattice.k, lattice.k), 2 + lattice.rank
-    if degree in (8, 9):
-        r = 9 - degree
-        return 9 - r, 3 + r
-    raise ValueError(f"degree must lie in 1..9, got {degree}")
+    if not 1 <= degree <= 9:
+        raise ValueError(f"degree must lie in 1..9, got {degree}")
+    lattice = PicardLattice(degree)
+    return lattice.pair(lattice.k, lattice.k), 2 + lattice.rank
 
 
 def chi_sym_tangent_surface(degree: int, m: int) -> Fraction:

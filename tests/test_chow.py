@@ -515,6 +515,20 @@ def two_terms(draw):
     return {first: draw(NONZERO), second: draw(NONZERO)}
 
 
+@st.composite
+def one_lowest_monomial(draw):
+    # (low, f): a one-term f of base degree low = 0..3, or one monomial of
+    # base degree low = 1..2 under two or more terms of higher base degree,
+    # so the power recurrence from a lowest part above base degree 0
+    low = draw(st.integers(0, 3))
+    f = {draw(key_of_degree(low)): draw(NONZERO)}
+    if 1 <= low <= 2 and draw(st.booleans()):
+        f.update(draw(st.dictionaries(
+            st.integers(low + 1, 3).flatmap(key_of_degree), NONZERO,
+            min_size=2, max_size=6)))
+    return low, f
+
+
 def repeated_power(f, m, width, bound):
     power = f
     for _ in range(m - 1):
@@ -524,9 +538,10 @@ def repeated_power(f, m, width, bound):
 
 @settings(max_examples=60, deadline=None)
 @given(LEVEL_TERMS, CONSTANT_TERMS, LEVEL_TERMS,
-       st.integers(min_value=1, max_value=6), two_terms(), st.data())
+       st.integers(min_value=1, max_value=6), two_terms(),
+       one_lowest_monomial(), st.data())
 def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
-                                                       m, pair, data):
+                                                       m, pair, lowest, data):
     # f is inhomogeneous; f^m truncated at a bound below m * (f's top base
     # degree) against m - 1 truncated multiplications (f^1 is f itself)
     top = max(sum(e) for _, e in upper)
@@ -546,6 +561,18 @@ def test_power_kernel_matches_repeated_multiplication(upper, constant, other,
                                 st.just(top), st.integers(top + 1, top + 3)))
     width = max(bound, 3).bit_length()
     _, f = _pack(list(pair.items()), width)
+    assert _pow_packed(f, m, width, bound) == repeated_power(f, m, width,
+                                                             bound)
+    # one lowest monomial of base degree low, truncated below, at or above
+    # m * low: below it, no term is kept
+    low, terms = lowest
+    m = data.draw(st.integers(min_value=2, max_value=6))
+    floor, top = m * low, m * max(sum(e) for _, e in terms)
+    bound = data.draw(st.one_of(st.integers(0, max(floor - 1, 0)),
+                                st.just(floor),
+                                st.integers(floor + 1, max(top, floor + 1))))
+    width = max(bound, 3).bit_length()
+    _, f = _pack(list(terms.items()), width)
     assert _pow_packed(f, m, width, bound) == repeated_power(f, m, width,
                                                              bound)
 

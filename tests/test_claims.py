@@ -385,26 +385,25 @@ def test_hypersurface_caps_hold_on_the_claim_route():
     registry = tuple(
         Claim(f"t.{i}", "d", "", op, args, {"int": expected}, "trivial")
         for i, (op, args, expected) in enumerate((
-            ("hyp.c1_coeff", {"n": 201, "d": 3}, 200),
             ("hyp.segre_closed", {"n": 201, "d": 3, "l": 1}, 0),
-            ("hyp.c1_coeff", {"n": 3, "d": 10**9}, 5 - 10**9),
-            ("hyp.c1_coeff", {"n": 200, "d": 3}, 199),
+            ("hyp.segre_closed", {"n": 3, "d": 10**9, "l": 1}, 10**9 - 5),
+            ("hyp.segre_closed", {"n": 200, "d": 3, "l": 1}, -199),
             ("hyp.sum_positive", {"n": 201}, 0),
             ("hyp.sum_negative", {"n": 201}, 0))))
     results = run_claims(registry=registry)
-    assert [r.status for r in results] == ["fail", "fail", "fail", "pass",
-                                           "fail", "fail"]
-    for i in (0, 1, 4, 5):
+    assert [r.status for r in results] == ["fail", "fail", "pass", "fail",
+                                           "fail"]
+    for i in (0, 3, 4):
         assert results[i].computed == (
             f"error: need n <= {MAX_HYPERSURFACE_DIM}, got 201")
-    assert results[2].computed == "error: d has at most 9 digits"
+    assert results[1].computed == "error: d has at most 9 digits"
     assert hypersurfaces.HypersurfaceSpec(200, 3).n == 200
 
 
 @pytest.mark.parametrize("op, args, message", [
     ("hyp.comb_A", {"k": 2, "n": 201}, "1 <= n <= 200, got k = 2, n = 201"),
     ("hyp.comb_A", {"k": 9, "n": 3}, "0 <= k <= 8"),
-    ("hyp.comb_A_match", {"k": 4, "n": 201}, "n = 201"),
+    ("hyp.comb_A", {"k": 4, "n": 201}, "n = 201"),
     ("hyp.recursion_A", {"k": 4, "n": 201}, "n = 201"),
     ("schur.euler_forms", {"n": 5000, "p": 5000, "k": 1}, "need n <= 200"),
     ("schur.euler_forms", {"n": 201, "p": 1, "k": 1}, "need n <= 200"),
@@ -499,7 +498,7 @@ def test_cold_run_makes_each_profile_once(monkeypatch):
 
     monkeypatch.setattr(BaseProfile, "make", staticmethod(counting_make))
     run_claims()
-    assert len(made) == 14
+    assert len(made) == 15
     assert set(made.values()) == {1}
 
 

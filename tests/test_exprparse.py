@@ -292,6 +292,12 @@ def test_exponents_below_the_cap_are_one_power(monkeypatch, capsys):
             cls = parse_expr(get_profile(label), f"({base})^{k}")
             assert len(cls.terms) == k + 1
             assert calls == [], (base, k)
+    # a one-term base is one term at once, whatever its base degree
+    for base in ("H", "E1"):
+        calls.clear()
+        cls = parse_expr(get_profile("dp-surface-1"), f"{base}^399")
+        assert len(cls.terms) == 1
+        assert calls == [], base
 
 
 def test_exponent_cap_regression(monkeypatch, capsys):

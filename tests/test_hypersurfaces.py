@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from tautclass import chow, hypersurfaces
-from tautclass.chow import PTClass, segre_omega
+from tautclass.chow import PTClass, eval_top, segre_omega
+from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import (MAX_COMB_POWER, MAX_HYPERSURFACE_DIM,
                                      HypersurfaceSpec, binom, comb_A_brute,
                                      comb_A_closed, comb_identity_A,
@@ -30,6 +31,8 @@ def test_cubic_threefold_profile():
     assert profile.chern[0] == 2 * h
     assert profile.evaluate(profile.chern[1] * h) == 12
     assert profile.evaluate(profile.chern[2]) == -6
+    # the registry's c_1 claim: n + 2 - d = 2
+    assert eval_top(profile, parse_expr(profile, "1/3*z^2*c1*H^2")) == 2
 
 
 def test_chern_recurrence_matches_binomial_sum():
@@ -54,6 +57,8 @@ def test_quartic_k3_profile_numbers():
     profile = hypersurface_profile(HypersurfaceSpec(2, 4))
     assert profile.chern[0].is_zero
     assert profile.evaluate(profile.chern[1]) == 24
+    # the registry's c_1 claim: n + 2 - d = 0
+    assert eval_top(profile, parse_expr(profile, "1/4*z*c1*H")) == 0
 
 
 def test_segre_closed_form_examples():

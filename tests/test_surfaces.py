@@ -14,6 +14,7 @@ from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.profiles import get_profile
 from tautclass import claims, surfaces
 from tautclass.surfaces import (CurveClass, _a0_range,
+                                _surface_chern_numbers,
                                 chi_sym_cubic_coefficient,
                                 chi_sym_tangent_surface, conic_classes,
                                 conic_vmrt_class, curve_poly,
@@ -328,3 +329,6 @@ def test_chi_growth_threshold():
 def test_noether_relation():
     for degree in range(1, 10):
         assert noether_check(degree)
+    # the lattice rule at the two degrees past surface_lattice's range
+    assert _surface_chern_numbers(8) == (8, 4)
+    assert _surface_chern_numbers(9) == (9, 3)
