@@ -130,22 +130,29 @@ class BaseProfile(Record):
         if len(set(basis)) != len(basis) or not basis:
             raise ValueError("basis symbols must be distinct and nonempty")
 
+        nsyms = len(basis)
+
         def homogeneous(terms: Mapping[Exponents, Scalar], degree: int,
                         name: str) -> tuple[tuple[Exponents, Fraction], ...]:
+            # Keys that normalise to one exponent vector, such as (1,) and
+            # an object whose __index__ is 1, add up; zero sums are dropped.
             collected: dict[Exponents, Fraction] = {}
             for exps, value in terms.items():
                 try:
-                    exps = tuple(index(e) for e in exps)
+                    exps = tuple([index(e) for e in exps])
                 except TypeError:
                     raise ValueError(f"bad {name} exponents {exps}") from None
-                if len(exps) != len(basis) or any(e < 0 for e in exps):
+                if len(exps) != nsyms or min(exps) < 0:
                     raise ValueError(f"bad {name} exponents {exps}")
-                if sum(exps) != degree:
+                total = sum(exps)
+                if total != degree:
                     raise DegreeMismatchError(
-                        f"{name} entry {exps} has degree {sum(exps)} != {degree}")
-                collected[exps] = (collected.get(exps, Fraction(0))
-                                   + as_fraction(value))
-            return tuple(sorted((e, c) for e, c in collected.items() if c))
+                        f"{name} entry {exps} has degree {total} != {degree}")
+                value = as_fraction(value)
+                if exps in collected:
+                    value += collected[exps]
+                collected[exps] = value
+            return tuple(sorted([(e, c) for e, c in collected.items() if c]))
 
         form = homogeneous(top_form, dim, "top_form")
         chern = tuple(chern)
@@ -260,18 +267,40 @@ def segre_omega(profile: BaseProfile) -> tuple[PTClass, ...]:
     Returns s_0..s_n with s(Omega) = s_0 + ... + s_n the inverse of
     c(Omega) up to base degree n, so s_0 = 1.  With every c_i(Omega)
     written over one denominator D, the series 1 + sum_i D^i c_i(Omega)
-    has integer coefficients, its inverse has part D^j s_j in base degree
-    j, the lowest field of a packed key, and :func:`_pow_packed` computes
-    that inverse as the power -1.  The series is packed with field width
-    n.bit_length(): every term has zeta-power 0 and base degree at most n,
-    so no field reaches 2^width and no pair is truncated.  The inversion
-    runs on every call and its result is not kept; :func:`eval_top` and
-    :func:`eval_product` read the profile's pushforward table, built once.
+    has integer coefficients, and its inverse has part D^j s_j in base
+    degree j.  c_i(Omega) = (-1)^i c_i(T_X) is read from ``chern_terms``,
+    so the inversion does not build the chern classes.
+
+    With one basis symbol H (hypersurfaces, ``dp3-degree*``, ``k3-quartic``,
+    weighted complete intersections), c_i(Omega) = a_i H^i, and the
+    integers p_i = D^i a_i give q_0 = 1 and
+    q_k = -(p_1 q_(k-1) + ... + p_k q_0), one dot product of p with the
+    reversed q_0..q_(k-1); then s_k = (q_k / D^k) H^k.  With several
+    symbols the series is packed with field width n.bit_length(), the base
+    degree in the lowest field, and :func:`_pow_packed` computes its
+    inverse as the power -1: every term has zeta-power 0 and base degree
+    at most n, so no field reaches 2^width and no pair is truncated.  The
+    inversion runs on every call and its result is not kept;
+    :func:`eval_top` and :func:`eval_product` read the profile's
+    pushforward table, built once.
     """
     n = profile.dim
+    if profile.nsyms == 1:
+        coeffs = [terms[0][1] if terms else 0
+                  for terms in profile.chern_terms]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        p = [(-1) ** i * c.numerator * (den // c.denominator) * den ** (i - 1)
+             for i, c in enumerate(coeffs, start=1)]
+        q = [1]
+        for _ in range(n):
+            q.append(-sum(map(mul, p, reversed(q))))
+        segre, scale = [], 1
+        for k, c in enumerate(q):
+            segre.append(PTClass(profile, (((0, (k,)), Fraction(c, scale)),)
+                                 if c else ()))
+            scale *= den
+        return tuple(segre)
     width = n.bit_length()
-    # c_i(Omega) = (-1)^i c_i(T_X), read from chern_terms so that the
-    # inversion does not build the chern classes.
     omega = [_pack([((0, e), -c if i % 2 else c) for e, c in terms], width)
              for i, terms in enumerate(profile.chern_terms, start=1)]
     den = math.lcm(*(d for d, _ in omega))
@@ -385,7 +414,9 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     parts, at the end.  When P_0 has several terms (H + F + E1,
     z + H + 1), f is multiplied m times.  For m = -1, P_0 must be the
     constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other
-    negative m or constant part raises :class:`ValueError`.
+    negative m or constant part raises :class:`ValueError`.  The power -1
+    inverts c(Omega_X) in :func:`segre_omega` on profiles with several
+    basis symbols; a one-symbol profile has its own integer route there.
     """
     if m == 1:
         return f
@@ -686,14 +717,15 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     :func:`_pow_packed` raises each: a two-term f, such as zeta + aH, by
     the binomial theorem; an f whose lowest base-degree part is one
     monomial by J.C.P. Miller's power recurrence, which also inverts
-    c(Omega_X) in :func:`segre_omega` (as the power -1); and any other f
-    is multiplied out.  The chain uses the table's field width
-    (2n-1).bit_length() and bound n.  The factors are homogeneous with
-    non-negative exponents and degrees adding up to 2n-1, so no base
-    exponent or base degree of a factor, partial product or contracted
-    pair exceeds 2n-1 < 2^width, and no field carries.  So a contracted
-    pair of base degree above n needs no test: its key is not in the table,
-    whose keys zeta^(n-1+j) . m have base degree n-j <= n, and it reads 0.
+    c(Omega_X) in :func:`segre_omega` (as the power -1) on profiles with
+    several basis symbols; and any other f is multiplied out.  The chain
+    uses the table's field width (2n-1).bit_length() and bound n.  The
+    factors are homogeneous with non-negative exponents and degrees adding
+    up to 2n-1, so no base exponent or base degree of a factor, partial
+    product or contracted pair exceeds 2n-1 < 2^width, and no field
+    carries.  So a contracted pair of base degree above n needs no test:
+    its key is not in the table, whose keys zeta^(n-1+j) . m have base
+    degree n-j <= n, and it reads 0.
     """
     runs = [(factor, len(list(group)))
             for factor, group in itertools.groupby(factors)]

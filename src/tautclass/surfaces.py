@@ -366,6 +366,13 @@ def chi_sym_cubic_coefficient(degree: int) -> Fraction:
 
 
 def noether_check(degree: int) -> bool:
-    """c_1^2 + c_2 = 12 from the two independent lattice computations."""
+    """c_1^2 + c_2 = 12 on the Chern numbers of ``PicardLattice(degree)``.
+
+    Both numbers come from one lattice with r blown-up points: K^2 = 9 - r
+    and c_2 = 2 + rank = 3 + r, so the identity holds for every r and
+    cannot fail.  A second, independent route, such as the weighted
+    complete intersections of degrees 1..4, is open work (ROADMAP.md, the
+    ``dp2.chi.noether`` row).
+    """
     c1sq, c2 = _surface_chern_numbers(degree)
     return c1sq + c2 == 12

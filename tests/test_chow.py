@@ -75,6 +75,52 @@ def test_segre_first_entries():
     assert segre[1] == profile.chern[0]  # s_1(Omega) = c_1(T_X)
 
 
+def series_inverse_segre(profile: BaseProfile) -> tuple[PTClass, ...]:
+    # The multi-symbol route of segre_omega, on any profile: c(Omega) packed
+    # and scaled to integers, then inverted as the power -1.
+    n = profile.dim
+    width = n.bit_length()
+    omega = [_pack([((0, e), -c if i % 2 else c) for e, c in terms], width)
+             for i, terms in enumerate(profile.chern_terms, start=1)]
+    den = math.lcm(*(d for d, _ in omega))
+    series = {0: 1}
+    for i, (d, packed) in enumerate(omega, start=1):
+        series.update((k, c * (den // d) * den ** (i - 1))
+                      for k, c in packed.items())
+    mask = (1 << width) - 1
+    parts = [{} for _ in range(n + 1)]
+    for key, c in _pow_packed(series, -1, width, n).items():
+        parts[key & mask][key] = c
+    return tuple(_unpack(profile, den ** j, part, width)
+                 for j, part in enumerate(parts))
+
+
+@st.composite
+def one_symbol_profiles(draw):
+    # c_1..c_dim of T_X as H-multiples, zero entries (c_1 = 0 too) included
+    dim = draw(st.integers(min_value=1, max_value=60))
+    coeffs = draw(st.lists(st.one_of(st.just(0), fractions_st),
+                           min_size=dim, max_size=dim))
+    return BaseProfile.make("one-symbol", dim, ["H"], {(dim,): 1},
+                            [{(i,): c} for i, c in enumerate(coeffs, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_symbol_profiles())
+@example(BaseProfile.make("c1-zero", 3, ["H"], {(3,): 1},
+                          [{(1,): 0}, {(2,): Fraction(3, 4)}, {(3,): -2}]))
+def test_one_symbol_segre_matches_series_inversion(profile):
+    segre = segre_omega(profile)
+    assert segre == series_inverse_segre(profile)
+    # s(Omega) . c(Omega) = 1 up to degree dim, on H-coefficients
+    s = [dict(s_k.terms).get((0, (k,)), 0) for k, s_k in enumerate(segre)]
+    c = [1] + [(-1) ** i * dict(terms).get((i,), 0)
+               for i, terms in enumerate(profile.chern_terms, start=1)]
+    assert all(len(s_k.terms) <= 1 for s_k in segre)
+    assert [sum(s[j] * c[k - j] for j in range(k + 1))
+            for k in range(profile.dim + 1)] == [1] + [0] * profile.dim
+
+
 @st.composite
 def homogeneous_classes(draw, profile):
     top = 2 * profile.dim - 1
@@ -893,3 +939,63 @@ def test_profile_validation():
         BaseProfile.make("bad", 2, ["H"], {}, [{(1,): 1}])
     with pytest.raises(DegreeMismatchError):
         BaseProfile.make("bad", 2, ["H"], {}, [{(2,): 1}, {(2,): 1}])
+
+
+CUBIC_CHERN = [{(1,): 2}, {(2,): 3}]
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0, ["H"], {}, []), ValueError, "dim must be positive"),
+    ((2, ["H", "H"], {}, CUBIC_CHERN), ValueError,
+     "basis symbols must be distinct and nonempty"),
+    ((2, [], {}, CUBIC_CHERN), ValueError,
+     "basis symbols must be distinct and nonempty"),
+    ((2, ["H"], {(2,): 3}, [{(1,): 2}]), ValueError,
+     "need exactly 2 Chern entries, got 1"),
+    ((2, ["H"], {(2,): 3}, [*CUBIC_CHERN, {(3,): 1}]), ValueError,
+     "need exactly 2 Chern entries, got 3"),
+    ((2, ["H", "F"], {(3, -1): 3}, [{(1, 0): 2}, {(2, 0): 3}]), ValueError,
+     "bad top_form exponents (3, -1)"),
+    ((2, ["H", "F"], {(2, 0): 3}, [{(2, -1): 2}, {(2, 0): 3}]), ValueError,
+     "bad c_1 exponents (2, -1)"),
+    ((2, ["H"], {(1, 1): 3}, CUBIC_CHERN), ValueError,
+     "bad top_form exponents (1, 1)"),
+    ((2, ["H", "F"], {(2, 0): 3}, [{(1,): 2}, {(2, 0): 3}]), ValueError,
+     "bad c_1 exponents (1,)"),
+    ((2, ["H"], {2: 3}, CUBIC_CHERN), ValueError, "bad top_form exponents 2"),
+    ((2, ["H"], {(1,): 3}, CUBIC_CHERN), DegreeMismatchError,
+     "top_form entry (1,) has degree 1 != 2"),
+    ((2, ["H"], {(2,): 3}, [{(1,): 2}, {(1,): 3}]), DegreeMismatchError,
+     "c_2 entry (1,) has degree 1 != 2"),
+    ((2, ["H"], {(2,): 3}, [{(2,): 2}, {(2,): 3}]), DegreeMismatchError,
+     "c_1 entry (2,) has degree 2 != 1"),
+    ((2, ["H"], {(2,): "1e9"}, CUBIC_CHERN), ValueError,
+     "not a 'p/q' rational: '1e9'"),
+])
+def test_profile_make_refusals(args, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        BaseProfile.make("bad", *args)
+
+
+class IndexOne:
+    """An exponent that is not the int 1 but reads as 1 through __index__."""
+
+    def __index__(self) -> int:
+        return 1
+
+
+def test_profile_make_sums_keys_that_normalise_alike():
+    # (IndexOne(),) and (1,) are distinct keys of one exponent vector: their
+    # values add up, in the top form and in the Chern entries, and a sum of
+    # zero drops the entry, as does a zero value.
+    one = IndexOne()
+    profile = BaseProfile.make(
+        "sum", 2, ["H", "F"], {(2, 0): 3, (1, one): Fraction(1, 2),
+                               (one, 1): Fraction(1, 3), (0, 2): 0},
+        [{(1, 0): 2, (one, 0): "-2", (0, one): 1},
+         {(2, 0): 3, (0, 2): 0}])
+    assert profile.top_form == (((1, 1), Fraction(5, 6)), ((2, 0), 3))
+    assert profile.chern_terms == ((((0, 1), 1),), (((2, 0), 3),))
+    assert all(type(c) is Fraction for terms in (profile.top_form,
+                                                 *profile.chern_terms)
+               for _, c in terms)

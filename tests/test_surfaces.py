@@ -12,6 +12,7 @@ from tautclass.chow import PTClass, eval_top
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import weighted_ci_profile
 from tautclass.profiles import get_profile
+from tautclass.threefolds import WEIGHTED_CI
 from tautclass import claims, surfaces
 from tautclass.surfaces import (CurveClass, _a0_range,
                                 _surface_chern_numbers,
@@ -37,8 +38,10 @@ def test_lattice_invariants():
 
 # (weights, degrees) of the del Pezzo surfaces of degree 1..4: a sextic in
 # P(1,1,2,3), a quartic in P(1,1,1,2), a cubic in P^3 and (2,2) in P^4.
-WEIGHTED_DP_SURFACES = {1: ((1, 1, 2, 3), (6,)), 2: ((1, 1, 1, 2), (4,)),
-                        3: ((1,) * 4, (3,)), 4: ((1,) * 5, (2, 2))}
+# dP_d is a hyperplane section of the threefold V_d, so each is V_d's
+# weighted complete intersection with one weight-1 coordinate dropped.
+WEIGHTED_DP_SURFACES = {d: (weights[1:], degrees)
+                        for d, (weights, degrees) in WEIGHTED_CI.items()}
 
 
 @pytest.mark.parametrize("degree", sorted(WEIGHTED_DP_SURFACES))
