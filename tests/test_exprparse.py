@@ -66,6 +66,88 @@ def test_numbers_are_ascii_digits(capsys, text, position):
     assert capsys.readouterr().out == ""
 
 
+BIG = "9" * 4000
+
+
+# The parser's error contract: each malformed input and its exact message,
+# offset included, for every kind of error it reports.
+@pytest.mark.parametrize("text, message", [
+    pytest.param(text, message, id=f"{i:02}")
+    for i, (text, message) in enumerate([
+        # a character no token starts with
+        ("z^٣", "unexpected character '٣' (offset 3)"),
+        ("３z", "unexpected character '３' (offset 1)"),
+        ("1/٣z", "unexpected character '/' (offset 2)"),
+        ("z / H", "unexpected character '/' (offset 3)"),
+        ("/", "unexpected character '/' (offset 1)"),
+        ("_z", "unexpected character '_' (offset 1)"),
+        ("z*\t%H", "unexpected character '%' (offset 4)"),
+        ("z + H\t²", "unexpected character '²' (offset 7)"),
+        # a bad character is reported before an earlier syntax error
+        ("z) %", "unexpected character '%' (offset 4)"),
+        # a token where it cannot stand, and the end of input
+        ("z + )", "unexpected ')' (offset 5)"),
+        ("z)", "unexpected ')' (offset 2)"),
+        ("z^2^3", "unexpected '^' (offset 4)"),
+        ("*z", "unexpected '*' (offset 1)"),
+        ("z**H", "unexpected '*' (offset 3)"),
+        ("z+(*H)", "unexpected '*' (offset 4)"),
+        ("z*(z+H))", "unexpected ')' (offset 8)"),
+        ("", "unexpected 'end of input' (offset 1)"),
+        ("   ", "unexpected 'end of input' (offset 4)"),
+        ("z+", "unexpected 'end of input' (offset 3)"),
+        ("-", "unexpected 'end of input' (offset 2)"),
+        ("(z+H)(", "unexpected 'end of input' (offset 7)"),
+        ("z*(z+H", "expected ')' (offset 7)"),
+        # literals and names
+        ("1/0z", "zero denominator in '1/0' (offset 1)"),
+        ("z*(3/00)", "zero denominator in '3/00' (offset 4)"),
+        ("c0", "unknown symbol 'c0' for profile 'cubic-surface' (offset 1)"),
+        ("z*c01", "unknown symbol 'c01' for profile 'cubic-surface' "
+                  "(offset 3)"),
+        ("z + zeta", "unknown symbol 'zeta' for profile 'cubic-surface' "
+                     "(offset 5)"),
+        ("z_", "unknown symbol 'z_' for profile 'cubic-surface' (offset 1)"),
+        # the nesting cap
+        ("(" * 101 + "z" + ")" * 101,
+         "parentheses nest deeper than 100 levels (offset 101)"),
+        ("z*" + "(" * 101 + "z" + ")" * 101,
+         "parentheses nest deeper than 100 levels (offset 103)"),
+        # exponents
+        ("z^1/2", "exponent must be a non-negative integer (offset 3)"),
+        ("z^z", "exponent must be a non-negative integer (offset 3)"),
+        ("z^-1", "exponent must be a non-negative integer (offset 3)"),
+        ("z^(2)", "exponent must be a non-negative integer (offset 3)"),
+        ("z^ ", "exponent must be a non-negative integer (offset 4)"),
+        ("z^400", "exponent exceeds 399 (offset 3)"),
+        ("(z+H)^0400", "exponent exceeds 399 (offset 7)"),
+        ("z^" + "9" * 4000, "exponent exceeds 399 (offset 3)"),
+        ("z^" + "0" * 4001, "exponent exceeds 399 (offset 3)"),
+        # the coefficient-size cap, at the factor that passes it
+        (f"({BIG})^399*z^3", "coefficients may exceed 14000 bits (offset 1)"),
+        (f"z*{BIG}*{BIG}*H",
+         "coefficients may exceed 14000 bits (offset 4004)"),
+        (f"z + H*(1/{BIG})^4", "coefficients may exceed 14000 bits (offset 7)"),
+        (f"-(1/{BIG})^4*z", "coefficients may exceed 14000 bits (offset 2)"),
+    ])])
+def test_error_contract(text, message):
+    profile = get_profile("cubic-surface")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(profile, text)
+    assert str(err.value) == message
+    assert err.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
+
+@pytest.mark.parametrize("left, right", [
+    ("(z+H)*(z+H)", "(z+H)^2"), ("z*z*H", "z^2*H"), ("2*3*z", "6z"),
+    ("z^0*H", "H"), ("(0)^0", "1"), ("(z+H)^2*(z+H)*z^0*(z+H)", "(z+H)^4"),
+])
+def test_runs_written_apart(left, right):
+    for label in ("cubic-surface", "dp-surface-1"):
+        profile = get_profile(label)
+        assert parse_expr(profile, left) == parse_expr(profile, right)
+
+
 def test_format_class_rejects_other_profile():
     cls = PTClass.zeta(get_profile("dp3-degree2"))
     with pytest.raises(ProfileMismatchError):
