@@ -38,7 +38,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import index, mul, sub
+from operator import index, itemgetter, mul, sub
 
 from .record import Record
 
@@ -137,11 +137,14 @@ class BaseProfile(Record):
             # Keys that normalise to one exponent vector, such as (1,) and
             # an object whose __index__ is 1, add up; zero sums are dropped.
             collected: dict[Exponents, Fraction] = {}
-            for exps, value in terms.items():
+            for key, value in terms.items():
                 try:
-                    exps = tuple([index(e) for e in exps])
+                    exps = tuple([index(e) for e in key])
                 except TypeError:
-                    raise ValueError(f"bad {name} exponents {exps}") from None
+                    raise ValueError(f"bad {name} exponents {key}") from None
+                if bool in map(type, key):
+                    bad = next(e for e in key if type(e) is bool)
+                    raise ValueError(f"not an integer: {bad!r}")
                 if len(exps) != nsyms or min(exps) < 0:
                     raise ValueError(f"bad {name} exponents {exps}")
                 total = sum(exps)
@@ -564,7 +567,7 @@ class PTClass(Record):
 
     def __mul__(self, other: "PTClass | Scalar") -> "PTClass":
         if type(other) is PTClass or not isinstance(other, (int, Fraction)):
-            return _product(self.profile, (self, other))
+            return _product(self.profile, ((self, 1), (other, 1)))
         # one exact Fraction; a term whose coefficient is 1 takes it as is
         q = other if type(other) is Fraction else Fraction(other)
         return PTClass(self.profile, tuple(
@@ -576,7 +579,7 @@ class PTClass(Record):
     def __pow__(self, power: int) -> "PTClass":
         if power < 0:
             raise ValueError("negative power")
-        return _product(self.profile, (self,) * power)
+        return _product(self.profile, ((self, power),) if power else ())
 
     def total_degrees(self) -> set[int]:
         return {zp + sum(e) for (zp, e), _ in self.terms}
@@ -613,10 +616,16 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
     the sum of m times each f's largest total degree.  When the smaller
     bound is above MAX_TERMS it raises :class:`ValueError`.  The minimum
     passes MAX_TERMS only if the multiset bound does, so the degree bound,
-    a pass over every term, is computed only then.
+    a pass over every term, is computed only then; equal neighbouring runs,
+    which a product written as ``f*f`` gives, are first merged into one, so
+    they are bounded (and raised) as the power they are.
     """
     terms = math.prod(math.comb(len(f.terms) + m - 1, m) for f, m in runs)
     if terms > MAX_TERMS:
+        runs = [(f, sum(m for _, m in group))
+                for f, group in itertools.groupby(runs, itemgetter(0))]
+        terms = math.prod(math.comb(len(f.terms) + m - 1, m)
+                          for f, m in runs)
         top = sum(m * max(zp + sum(e) for (zp, e), _ in f.terms)
                   for f, m in runs)
         terms = min(terms,
@@ -650,24 +659,24 @@ def _contract(a: Mapping[int, int], b: Mapping[int, int],
                for k, c in a.items())
 
 
-def _product(profile: BaseProfile, factors: Sequence[PTClass]) -> PTClass:
-    """The formal product of the factors, multiplied in one integer chain.
+def _product(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]]
+             ) -> PTClass:
+    """The formal product of the runs f^m (m >= 1), in one integer chain.
 
-    Consecutive equal factors form one run f^m for :func:`_chain`, so X^k
-    is one power.  Nothing is truncated: the chain's bound is the sum of
-    the factors' largest base degrees, and its field width is the bound's
-    bit length.  Every factor's profile is checked first; a zero factor
-    then gives the zero class, a single factor is returned as it is, and
-    no factors give 1.
+    The runs go to :func:`_chain` as they are given: the expression parser
+    hands over the runs it read, as written, so X^k is one power and
+    ``f*f`` is two runs (:func:`eval_product` still groups equal factors).
+    Nothing is truncated: the chain's bound is the sum of the runs' largest
+    base degrees, and its field width is the bound's bit length.  Every
+    run's profile is checked first; a zero factor then gives the zero
+    class, a lone run f^1 is returned as f, and no runs give 1.
     """
-    for factor in factors:
+    for factor, _ in runs:
         _require_profile(profile, factor)
-    if not factors:
+    if not runs:
         return PTClass.one(profile)
-    if len(factors) == 1:
-        return factors[0]
-    runs = [(factor, len(list(group)))
-            for factor, group in itertools.groupby(factors)]
+    if len(runs) == 1 and runs[0][1] == 1:
+        return runs[0][0]
     if any(factor.is_zero for factor, _ in runs):
         return PTClass.zero(profile)
     bound = sum(m * max(sum(e) for (_, e), _ in factor.terms)

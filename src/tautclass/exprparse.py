@@ -8,10 +8,17 @@ parentheses.
 A numeric literal directly followed by a symbol or ``(`` multiplies it, so
 printed forms like ``3z - H`` parse back to the same class.
 
-In one product, numeric literals multiply into one Fraction that scales
-the product once; the other factors, ``X^k`` counted as k factors, are
-multiplied in one packed integer chain (``chow._product``), in which a
-run of equal factors is one power.  A product that may have more than
+Parsing is one pass.  The token texts come from one ``findall``, in which
+a non-space character that starts no token reads as the empty text; the
+first such character is a syntax error before anything is parsed.  The
+parser reads the texts by index, and a token's offset is computed, by a
+``finditer`` scan, only for an error.  Every name resolves by one lookup
+in ``BaseProfile.names``, built once per profile.
+
+In one product, the signs and the numeric literals fold into one scalar,
+an int while every literal is an integer, which scales the product once.
+The other factors go to ``chow._product`` as the runs they were written
+as, ``X^k`` one run and ``X^0`` none.  A product that may have more than
 ``chow.MAX_TERMS`` terms by its a-priori bound raises before it is
 expanded.  Before that, the sizes of its numeric literals and of its
 powers' bases (for a class, its largest coefficient), each
@@ -32,6 +39,7 @@ Offsets in error messages are 1-based character positions.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -39,11 +47,12 @@ from .chow import (BaseProfile, PTClass, _product, _require_profile,
                    fraction_str)
 from .hypersurfaces import MAX_HYPERSURFACE_DIM
 
-# One token per match, after any whitespace: the group that matched is its
-# kind, and a non-space character that starts no token matches group 4.
+# One token per match, after any whitespace; a non-space character that
+# starts no token matches as the empty text.
 _TOKEN_RE = re.compile(
-    r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z][A-Za-z0-9_]*)|([-+*^()])|(\S))")
-_KINDS = (None, "num", "sym", "op")
+    r"\s*(?:([0-9]+(?:/[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|[-+*^()])|\S)")
+# The tokens after which a product ends; "" is the end of input.
+_PRODUCT_ENDS = frozenset(("+", "-", ")", "^", ""))
 MAX_NESTING = 100
 MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
 # The folded scalar, and each power of a base's largest coefficient, then
@@ -60,141 +69,122 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-# A token is (kind, text, 1-based position); kind is "num", "sym", "op" or
-# "end".
-_Token = tuple[str, str, int]
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
-        if group == 4:
-            raise ExprSyntaxError(f"unexpected character {match[4]!r}",
-                                  match.start(4) + 1)
-        tokens.append((_KINDS[group], match[group], match.start(group) + 1))
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
+def _offset(text: str, index: int) -> int:
+    """1-based offset of token ``index`` of ``text``, or of its end."""
+    for match in itertools.islice(_TOKEN_RE.finditer(text), index, None):
+        return match.start(1) + 1 if match[1] else match.end()
+    return len(text) + 1
 
 
 class _Parser:
+    """One parse: the token texts, ``""`` at the end, read by index."""
+
     def __init__(self, profile: BaseProfile, text: str) -> None:
+        tokens = _TOKEN_RE.findall(text)
+        if "" in tokens:
+            position = _offset(text, tokens.index(""))
+            raise ExprSyntaxError(
+                f"unexpected character {text[position - 1]!r}", position)
+        tokens.append("")
         self.profile = profile
-        self.tokens = _tokenize(text)
-        self.index = 0
+        self.text = text
+        self.tokens = tokens
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def error(self, message: str, index: int) -> ExprSyntaxError:
+        return ExprSyntaxError(message, _offset(self.text, index))
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
+    def sum(self, i: int) -> tuple[PTClass, int]:
+        """The sum from token ``i`` on, and the index of the token after it.
 
-    def parse(self) -> PTClass:
-        value = self.sum()
-        kind, text, position = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {text!r}", position)
-        return value
-
-    def sum(self) -> PTClass:
-        value = self.signed()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            rhs = self.signed()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def signed(self) -> PTClass:
-        sign = 1
-        while self.peek()[1] in ("+", "-"):
-            if self.advance()[1] == "-":
-                sign = -sign
-        value = self.product()
-        return value if sign > 0 else -value
-
-    def product(self) -> PTClass:
-        factors: list[PTClass] = []
-        scalar = 1
-        bits = 0
+        Each term's signs fold into its product's scalar, and the terms are
+        added one by one.
+        """
+        tokens, names = self.tokens, self.profile.names
+        total = None
         while True:
-            start = self.index
-            base, exponent = self.power()
-            literal = type(base) is Fraction
-            if literal:
-                bits += exponent * _size(base)
-            elif exponent > 1:
-                bits += exponent * max((_size(c) for _, c in base.terms),
-                                       default=0)
-            if bits > MAX_PRODUCT_BITS:
-                raise ExprSyntaxError(
-                    f"coefficients may exceed {MAX_PRODUCT_BITS} bits",
-                    self.tokens[start][2])
-            if literal:
-                if exponent != 1:
-                    base **= exponent
-                scalar = base if scalar == 1 else scalar * base
-            else:
-                factors.extend([base] * exponent)
-            kind, text, _ = self.peek()
-            if text == "*":
-                self.advance()
-            elif kind not in ("num", "sym") and text != "(":
-                value = _product(self.profile, factors)
-                return value if scalar == 1 else value * scalar
+            scalar, runs, bits = 1, [], 0
+            token = tokens[i]
+            while token == "+" or token == "-":
+                if token == "-":
+                    scalar = -scalar
+                i += 1
+                token = tokens[i]
+            while True:
+                start = i
+                i += 1
+                base = names.get(token)
+                if base is None:
+                    base, i = self.atom(start)
+                exponent = 1
+                if tokens[i] == "^":
+                    token = tokens[i + 1]
+                    if not token[:1].isdigit() or "/" in token:
+                        raise self.error(
+                            "exponent must be a non-negative integer", i + 1)
+                    # 4000 digits convert at once, within Python's
+                    # int-string limit
+                    if (len(token) > 4000
+                            or (exponent := int(token)) > MAX_EXPONENT):
+                        raise self.error(f"exponent exceeds {MAX_EXPONENT}",
+                                         i + 1)
+                    i += 2
+                literal = type(base) is not PTClass
+                if literal:
+                    bits += exponent * _size(base)
+                elif exponent > 1:
+                    bits += exponent * max(
+                        (_size(c) for _, c in base.terms), default=0)
+                if bits > MAX_PRODUCT_BITS:
+                    raise self.error(
+                        f"coefficients may exceed {MAX_PRODUCT_BITS} bits",
+                        start)
+                if literal:
+                    if exponent != 1:
+                        base **= exponent
+                    scalar = base if scalar == 1 else scalar * base
+                elif exponent:
+                    runs.append((base, exponent))
+                token = tokens[i]
+                if token == "*":
+                    i += 1
+                    token = tokens[i]
+                elif token in _PRODUCT_ENDS:
+                    break
+            value = _product(self.profile, runs)
+            if scalar != 1:
+                value *= scalar
+            total = value if total is None else total + value
+            if token != "+" and token != "-":
+                return total, i
 
-    def power(self) -> tuple[PTClass | Fraction, int]:
-        """One atom and its exponent, 1 without ``^``."""
-        base = self.atom()
-        if self.peek()[1] != "^":
-            return base, 1
-        self.advance()
-        kind, text, position = self.peek()
-        if kind != "num" or "/" in text:
-            raise ExprSyntaxError("exponent must be a non-negative integer",
-                                  position)
-        # 4000 digits convert at once, within Python's int-string limit
-        if len(text) > 4000 or int(text) > MAX_EXPONENT:
-            raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", position)
-        self.advance()
-        return base, int(text)
-
-    def atom(self) -> PTClass | Fraction:
-        """A class, or a Fraction for a numeric literal."""
-        kind, text, position = self.advance()
-        if kind == "num":
-            numerator, _, denominator = text.partition("/")
+    def atom(self, i: int) -> tuple[PTClass | int | Fraction, int]:
+        """The literal, an int or a Fraction, or the parenthesised sum at
+        token ``i``, which is not a name, and the index after it."""
+        token = self.tokens[i]
+        if token[:1].isdigit():
+            numerator, slash, denominator = token.partition("/")
+            if not slash:
+                return int(token), i + 1
             try:
-                return Fraction(int(numerator), int(denominator or "1"))
+                return Fraction(int(numerator), int(denominator)), i + 1
             except ZeroDivisionError:
-                raise ExprSyntaxError(f"zero denominator in {text!r}",
-                                      position) from None
-        if kind == "sym":
-            return self.resolve(text, position)
-        if text == "(":
-            if self.depth == MAX_NESTING:
-                raise ExprSyntaxError(
-                    f"parentheses nest deeper than {MAX_NESTING} levels",
-                    position)
-            self.depth += 1
-            value = self.sum()
-            _, closing, closing_position = self.peek()
-            if closing != ")":
-                raise ExprSyntaxError("expected ')'", closing_position)
-            self.advance()
-            self.depth -= 1
-            return value
-        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}",
-                              position)
-
-    def resolve(self, text: str, position: int) -> PTClass:
-        cls = self.profile.names.get(text)
-        if cls is None:
-            raise ExprSyntaxError(f"unknown symbol {text!r} for profile "
-                                  f"{self.profile.label!r}", position)
-        return cls
+                raise self.error(f"zero denominator in {token!r}",
+                                 i) from None
+        if token[:1].isalpha():
+            raise self.error(f"unknown symbol {token!r} for profile "
+                             f"{self.profile.label!r}", i)
+        if token != "(":
+            raise self.error(f"unexpected {token or 'end of input'!r}", i)
+        if self.depth == MAX_NESTING:
+            raise self.error(
+                f"parentheses nest deeper than {MAX_NESTING} levels", i)
+        self.depth += 1
+        value, i = self.sum(i + 1)
+        if self.tokens[i] != ")":
+            raise self.error("expected ')'", i)
+        self.depth -= 1
+        return value, i + 1
 
 
 def _size(q: Fraction) -> int:
@@ -205,7 +195,11 @@ def _size(q: Fraction) -> int:
 
 def parse_expr(profile: BaseProfile, text: str) -> PTClass:
     """Parse an expression into a class over the given profile."""
-    return _Parser(profile, text).parse()
+    parser = _Parser(profile, text)
+    value, i = parser.sum(0)
+    if parser.tokens[i]:
+        raise parser.error(f"unexpected {parser.tokens[i]!r}", i)
+    return value
 
 
 def format_class(profile: BaseProfile, cls: PTClass) -> str:

@@ -873,6 +873,14 @@ def test_profile_json_dim_must_be_an_int(dim):
         BaseProfile.from_json(doc)
 
 
+def test_profile_json_exponents_must_be_ints():
+    # JSON true would read as the exponent 1 through operator.index
+    doc = get_profile("cubic-surface").to_json()
+    doc["chern"][0][0]["exponents"] = [True, False]
+    with pytest.raises(ValueError, match=re.escape("not an integer: True")):
+        BaseProfile.from_json(doc)
+
+
 def test_dual_vmrt_generic():
     profile = get_profile("cubic-surface")
     h, f = profile.symbol("H"), profile.symbol("F")
@@ -971,6 +979,11 @@ CUBIC_CHERN = [{(1,): 2}, {(2,): 3}]
      "c_1 entry (2,) has degree 2 != 1"),
     ((2, ["H"], {(2,): "1e9"}, CUBIC_CHERN), ValueError,
      "not a 'p/q' rational: '1e9'"),
+    # a bool is not an exponent, as it is not a dim
+    ((2, ["H", "F"], {(2, 0): 3}, [{(True, False): 2}, {(2, 0): 3}]),
+     ValueError, "not an integer: True"),
+    ((2, ["H", "F"], {(2, False): 3}, [{(1, 0): 2}, {(2, 0): 3}]),
+     ValueError, "not an integer: False"),
 ])
 def test_profile_make_refusals(args, error, message):
     with pytest.raises(error, match=re.escape(message)):

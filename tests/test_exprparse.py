@@ -141,6 +141,8 @@ def test_error_contract(text, message):
 @pytest.mark.parametrize("left, right", [
     ("(z+H)*(z+H)", "(z+H)^2"), ("z*z*H", "z^2*H"), ("2*3*z", "6z"),
     ("z^0*H", "H"), ("(0)^0", "1"), ("(z+H)^2*(z+H)*z^0*(z+H)", "(z+H)^4"),
+    # bounded a priori as one power, not as 2^20 distinct products
+    ("*".join(["(z+H)"] * 20), "(z+H)^20"),
 ])
 def test_runs_written_apart(left, right):
     for label in ("cubic-surface", "dp-surface-1"):

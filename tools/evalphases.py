@@ -1,16 +1,18 @@
 """Time each phase of eval_mix's op, and its untimed round-trip check.
 
     python3 tools/evalphases.py [--seed 1] [--count 3000] [--root DIR]
+                                [--labels PREFIX ...]
 
 For the first ``--count`` inputs of ``perfbench/workloads.eval_inputs(seed)``
-this runs the calls of ``workloads.eval_op`` one by one and times each
+(with ``--labels``, the first ``--count`` whose profile label starts with
+one of the prefixes, such as ``hypersurface`` or ``dp-surface``) this runs the calls of ``workloads.eval_op`` one by one and times each
 phase with ``time.perf_counter``: ``profile`` (``get_profile``), ``parse``
 (``parse_expr``), ``format`` (``format_class``), ``degree``
 (``homogeneous_degree``) and ``eval`` (``eval_top`` and ``fraction_str``,
 at top degree only), then ``roundtrip``, the benchmark's untimed check
 ``workloads.eval_roundtrip_ok``, that is ``parse_expr(format_class(c)) ==
-c``.  It prints each phase's median and total over the inputs, in
-microseconds and milliseconds, and the op's (the sum of its phases).  As in
+c``.  It prints each phase's median, 90th percentile and total over the
+inputs, in microseconds and milliseconds, and the op's (the sum of its phases).  As in
 the benchmark's warm-up, one ``warm-up`` input per profile label runs
 first, so profile builds fall outside the medians.
 
@@ -41,15 +43,19 @@ def load_workloads(root: Path):
     return importlib.import_module("workloads")
 
 
-def time_phases(wl, seed: str, count: int) -> dict[str, list[float]]:
-    """Per-input seconds of every phase over the first ``count`` inputs."""
+def time_phases(wl, seed: str, count: int, labels: tuple[str, ...] = ("",)
+                ) -> dict[str, list[float]]:
+    """Per-input seconds of every phase over the first ``count`` inputs
+    whose label starts with one of ``labels``."""
     from tautclass import chow, exprparse, profiles
     clock = time.perf_counter
     warm = wl.eval_inputs("warm-up")
     for _ in wl.EVAL_LABELS:
         wl.eval_op(next(warm))
     times: dict[str, list[float]] = {phase: [] for phase in PHASES}
-    for item in itertools.islice(wl.eval_inputs(seed), count):
+    items = (item for item in wl.eval_inputs(seed)
+             if item.label.startswith(labels))
+    for item in itertools.islice(items, count):
         t0 = clock()
         profile = profiles.get_profile(item.label)
         t1 = clock()
@@ -77,16 +83,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", default="1")
     parser.add_argument("--count", type=int, default=3000)
     parser.add_argument("--root", type=Path, default=ROOT)
+    parser.add_argument("--labels", nargs="+", default=[""],
+                        metavar="PREFIX")
     args = parser.parse_args(argv)
+    labels = tuple(args.labels)
     times = time_phases(load_workloads(args.root.resolve()), args.seed,
-                        args.count)
+                        args.count, labels)
     print(f"# {args.count} eval_mix inputs, seed {args.seed}, "
-          f"root {args.root}, Python {sys.version.split()[0]}")
-    print(f"{'phase':<10} {'median_us':>10} {'total_ms':>10}")
+          f"labels {' '.join(labels) or 'all'}, root {args.root}, "
+          f"Python {sys.version.split()[0]}")
+    print(f"{'phase':<10} {'median_us':>10} {'p90_us':>10} {'total_ms':>10}")
     for phase in PHASES:
         values = times[phase]
+        p90 = statistics.quantiles(values, n=10)[-1]
         print(f"{phase:<10} {statistics.median(values) * 1e6:>10.1f} "
-              f"{sum(values) * 1e3:>10.1f}")
+              f"{p90 * 1e6:>10.1f} {sum(values) * 1e3:>10.1f}")
     return 0
 
 
