@@ -25,6 +25,48 @@ values that the test suite treats as mandatory: zeta^3 = -6 on the
 cubic-surface profile and zeta^5 = -78 on the degree-1 del Pezzo threefold
 profile.
 
+Packed integer keys
+-------------------
+Every class product runs on packed integer keys, one Python int per
+monomial, so multiplying two monomials adds two ints.  Classes cross into
+that form at one boundary: :func:`_pack` reads a class's ``Fraction``
+terms as integer numerators over their lcm denominator, and
+:func:`_unpack` builds the sorted class back.  In between, a product is
+one chain (:func:`_chain`): every run f^m is raised by :func:`_pow_packed`,
+the runs are multiplied by the one pairwise kernel :func:`_mul_packed`,
+and the result is reduced to ``Fraction``s once.  A one-term f is raised
+in closed form, a two-term f (z + H, H + E1, z + 1) by the binomial
+theorem, an f with one term of its lowest base degree (z^2 + H + F,
+H + E1^2 + E2^2) by J.C.P. Miller's recurrence, and only any other f
+(z + H + 1, H + E1 + z*E2) is multiplied out; so ``X^k``, ``H^399`` and
+``cubic_mnef_number(n)`` do not multiply k - 1, 398 or 2n-3 times.  Before
+a product is expanded, its term count is bounded a priori, and a bound
+above MAX_TERMS raises :class:`ValueError` before anything is multiplied.
+The formal product (:func:`_product`, behind ``*`` and ``**``) truncates
+nothing.
+
+Evaluation
+----------
+:func:`segre_omega` inverts c(Omega_X) on every call, and its result is
+not kept.  What each profile keeps is its pushforward table
+(``BaseProfile._pushforward``): one integer per top-degree monomial
+zeta^(n-1+j) . m with a nonzero value s_j(Omega_X) . m on the top form,
+over one denominator, on packed keys.  :func:`eval_product` evaluates a
+product without building it: it multiplies every run but the last,
+dropping base terms of degree > dim X as it goes (they vanish on X), and
+pairs the last run with that partial product and the table, the sum over
+a of A[a] times the sum over b of B[b] T[a+b] (:func:`_contract`); a key
+missing from the table reads 0.  A last run of two terms is never built:
+its binomial terms are summed against the table as they are computed
+(:func:`_contract_power`).  So ``cubic_mnef_number(n)``, zeta^2 .
+(zeta + pi^*H)^(2n-3) on the cubic n-fold, raises zeta^2 in closed form
+and streams the other run, with no pairwise product; its factor
+zeta + pi^*H is the two atoms' terms joined, whose keys are distinct and
+already in sorted order, so no ``PTClass.make`` runs on its path.
+:func:`eval_top` is the product of one factor: the dot product of its
+visible terms, those of zeta-power n-1 or more, with the table.  One
+``Fraction`` is reduced per evaluation.
+
 All values in this module are immutable and hashable records (subclasses of
 :class:`tautclass.record.Record`), so they can be shared freely across
 threads or processes.
@@ -35,7 +77,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import index, itemgetter, mul, sub
@@ -105,8 +147,13 @@ class BaseProfile(Record):
     homogeneous of degree j, as sorted exponent-vector term maps that
     :meth:`make` validates.  :attr:`chern` is the same data as zeta-free
     :class:`PTClass` values over the profile, and :attr:`canonical` is
-    K_X = -c_1(T_X).  Profiles compare by value, so a profile rebuilt from
-    its JSON equals the original.
+    K_X = -c_1(T_X); the canonical class is not stored.  Profiles compare
+    by value, so a profile rebuilt from its JSON equals the original, and
+    classes over two different profiles that share a label do not combine.
+    :meth:`make` checks every entry and makes one ``Fraction`` per entry,
+    adding two only when their keys name the same exponents.
+    :meth:`to_json` writes a ``"canonical"`` entry computed from c_1, which
+    :meth:`from_json` ignores.
     """
 
     __slots__ = ("label", "dim", "basis", "top_form", "chern_terms",
@@ -382,41 +429,13 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
                 max_base_degree: int) -> dict[int, int]:
     """f^m for a packed term map f, truncated like the kernel.
 
-    f^1 is f.  Otherwise f^m takes one of three routes: a two-term f is
-    raised by the binomial theorem, an f whose lowest base-degree part is
-    one monomial by J.C.P. Miller's recurrence, and any other f is
-    multiplied out.
-
-    The binomial route (m >= 2): f = a + b, with b of base degree no lower
-    than a, has the terms t_j = C(m, j) c_a^(m-j) c_b^j on the keys
-    (m-j) k_a + j k_b, computed in one pass from t_0 = c_a^m by
-    t_j = t_(j-1) (m-j+1) c_b / (j c_a).  That division is exact, since
-    t_(j-1) (m-j+1) c_b = j c_a t_j and t_j is an integer.  The base
-    degree of t_j does not fall with j, so the pass stops at the first t_j
-    past ``max_base_degree``, and no term is kept when t_0 is past it.
-
-    The recurrence: graded by base degree above f's lowest one, low,
-    f = P_0 + P_1 + ...  When P_0 is one monomial c_0 x^(k_0) (f need not
-    be homogeneous: z^2 + H + F and H + E1^2 + E2^2 qualify, and a one-term
-    f is one term), Q = f^m has parts Q_0 = c_0^m x^(m k_0) and, from
-    f Q' = m f' Q (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2, 4.7),
-
-        k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
-
-    Q_k has base degree m low + k and reads only lower parts, so stopping
-    at ``max_base_degree`` is exact, and nothing is kept when m low is
-    past it.  Dividing by x^(k_0) subtracts P_0's key, and that is done
-    once: P_0 is taken out of the levels, and every other level's keys are
-    shifted down by P_0's key, so each product key is already the key of
-    Q_k.  A product may have a negative field, but such products cancel,
-    and keys are linear in the exponents, so every key left is one of
-    Q_k's.  Dividing by k c_0 is exact because f^m has integer
-    coefficients.  Each part Q_k is a list of (key, coefficient) pairs;
-    level k walks only the levels i that f has, in increasing order up to
-    k, skips a zero weight, and the result map is built once, from all
-    parts, at the end.  When P_0 has several terms (H + F + E1,
-    z + H + 1), f is multiplied m times.  For m = -1, P_0 must be the
-    constant 1, and then Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0); any other
+    f^1 is f.  Otherwise f^m takes one of four routes: a one-term f is
+    raised in closed form, {k m: c^m}, or to nothing when m times its base
+    degree is past ``max_base_degree``; a two-term f takes the binomial
+    terms of :func:`_binomial`; an f whose lowest base-degree part is one
+    monomial takes J.C.P. Miller's recurrence, :func:`_miller_power`; and
+    any other f is multiplied out by :func:`_mul_packed`.  For m = -1, f's
+    constant part must be 1, and then the recurrence inverts f; any other
     negative m or constant part raises :class:`ValueError`.  The power -1
     inverts c(Omega_X) in :func:`segre_omega` on profiles with several
     basis symbols; a one-symbol profile has its own integer route there.
@@ -424,19 +443,12 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
     if m == 1:
         return f
     mask = (1 << width) - 1
+    if m >= 2 and len(f) == 1:
+        (key, c), = f.items()
+        return {key * m: c ** m} if (key & mask) * m <= max_base_degree else {}
     if m >= 2 and len(f) == 2:
-        (ka, ca), (kb, cb) = sorted(f.items(), key=lambda t: t[0] & mask)
-        key, degree, c = ka * m, (ka & mask) * m, ca ** m
-        step, rise = kb - ka, (kb & mask) - (ka & mask)
-        power = {}
-        for j in range(m + 1):
-            if degree > max_base_degree:
-                break
-            power[key] = c
-            key += step
-            degree += rise
-            c = c * (m - j) * cb // ((j + 1) * ca)
-        return power
+        start, step, terms = _binomial(f, m, mask, max_base_degree)
+        return dict(zip(itertools.count(start, step), terms))
     levels: dict[int, list[tuple[int, int]]] = {}
     for key, c in f.items():
         levels.setdefault(key & mask, []).append((key, c))
@@ -449,6 +461,71 @@ def _pow_packed(f: Mapping[int, int], m: int, width: int,
         for _ in range(m - 1):
             power = _mul_packed(power, f, width, max_base_degree)
         return power
+    return _miller_power(levels, low, m, max_base_degree)
+
+
+def _binomial(f: Mapping[int, int], m: int, mask: int, max_base_degree: int
+              ) -> tuple[int, int, Iterator[int]]:
+    """The terms of a two-term f^m (m >= 2), truncated like the kernel, as
+    (first key, key step, coefficients): the generator yields the
+    coefficients of the keys first, first + step, first + 2 step, ...
+
+    f = a + b, with b of base degree no lower than a, has the terms
+    t_j = C(m, j) c_a^(m-j) c_b^j on the keys (m-j) k_a + j k_b, an
+    arithmetic progression of step k_b - k_a (negative when k_a's
+    zeta-power is the higher).  The base degree of t_j rises with j by
+    b's degree less a's, so the terms within ``max_base_degree`` are the
+    first ones, and their number is known before any is computed: none
+    when t_0 is past the bound.  The generator computes them in one pass
+    from t_0 = c_a^m by t_j = t_(j-1) (m-j+1) c_b / (j c_a).  That division
+    is exact, since t_(j-1) (m-j+1) c_b = j c_a t_j and t_j is an integer.
+    """
+    (ka, ca), (kb, cb) = sorted(f.items(), key=lambda t: t[0] & mask)
+    low, rise = (ka & mask) * m, (kb & mask) - (ka & mask)
+    if low > max_base_degree:
+        count = 0
+    else:
+        count = min(m, (max_base_degree - low) // rise) + 1 if rise else m + 1
+
+    def terms() -> Iterator[int]:
+        if count:
+            c = ca ** m
+            yield c
+            for j in range(1, count):
+                c = c * ((m - j + 1) * cb) // (j * ca)
+                yield c
+
+    return ka * m, kb - ka, terms()
+
+
+def _miller_power(levels: dict[int, list[tuple[int, int]]], low: int, m: int,
+                  max_base_degree: int) -> dict[int, int]:
+    """f^m by J.C.P. Miller's recurrence, for f given by its ``levels`` (the
+    (key, coefficient) terms of each base degree) whose lowest base degree
+    ``low`` holds one monomial; m >= 2, or m = -1 with that monomial 1.
+
+    Graded by base degree above low, f = P_0 + P_1 + ...  With
+    P_0 = c_0 x^(k_0) (f need not be homogeneous: z^2 + H + F and
+    H + E1^2 + E2^2 qualify), Q = f^m has parts Q_0 = c_0^m x^(m k_0) and,
+    from f Q' = m f' Q (J.C.P. Miller's recurrence; Knuth, TAOCP vol. 2,
+    4.7),
+
+        k P_0 Q_k = sum_{i >= 1} ((m+1) i - k) P_i Q_{k-i}.
+
+    For m = -1 that is Q_k = -(P_1 Q_{k-1} + ... + P_k Q_0).  Q_k has base
+    degree m low + k and reads only lower parts, so stopping at
+    ``max_base_degree`` is exact, and nothing is kept when m low is past
+    it.  Dividing by x^(k_0) subtracts P_0's key, and that is done once:
+    P_0 is taken out of the levels, and every other level's keys are
+    shifted down by P_0's key, so each product key is already the key of
+    Q_k.  A product may have a negative field, but such products cancel,
+    and keys are linear in the exponents, so every key left is one of
+    Q_k's.  Dividing by k c_0 is exact because f^m has integer
+    coefficients.  Each part Q_k is a list of (key, coefficient) pairs;
+    level k walks only the levels i that f has, in increasing order up to
+    k, skips a zero weight, and the result map is built once, from all
+    parts, at the end.
+    """
     room = max_base_degree - m * low
     if room < 0:
         return {}
@@ -603,10 +680,10 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
     Each f is packed once with field width ``width`` and raised by
     :func:`_pow_packed`; the powers are multiplied by :func:`_mul_packed`,
     both dropping base degree above ``bound``, and the product is returned
-    packed.  Given a ``table`` on packed keys, the last run is paired with
-    the others' product by :func:`_contract`, and the product's value is
-    returned.  The caller keeps every field below the zeta-power under
-    2^width.
+    packed.  Given a ``table`` on packed keys, the last run is not raised
+    here: :func:`_contract_power` pairs it with the others' product, and
+    the product's value is returned.  The caller keeps every field below
+    the zeta-power under 2^width.
 
     Before anything is multiplied, the term count of the product and of
     every partial product is bounded a priori: a run of a t-term f has at
@@ -637,9 +714,10 @@ def _chain(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]],
     for i, (factor, m) in enumerate(runs, start=1):
         factor_den, f = _pack(factor.terms, width)
         den *= factor_den ** m
-        f = _pow_packed(f, m, width, bound)
         if table is not None and i == len(runs):
-            return den, _contract({0: 1} if nums is None else nums, f, table)
+            return den, _contract_power({0: 1} if nums is None else nums,
+                                        f, m, width, bound, table)
+        f = _pow_packed(f, m, width, bound)
         nums = f if nums is None else _mul_packed(nums, f, width, bound)
     return den, nums
 
@@ -656,6 +734,35 @@ def _contract(a: Mapping[int, int], b: Mapping[int, int],
     get, zeros = table.get, itertools.repeat(0)
     return sum(c * sum(map(mul, b.values(),
                            map(get, map(k.__add__, b) if k else b, zeros)))
+               for k, c in a.items())
+
+
+def _contract_power(a: Mapping[int, int], f: Mapping[int, int], m: int,
+                    width: int, bound: int, table: Mapping[int, int]) -> int:
+    """``_contract(a, _pow_packed(f, m, width, bound), table)``, with a
+    two-term power (m >= 2) streamed rather than built.
+
+    The binomial terms of :func:`_binomial` go straight into the sums: for
+    each key k of a, the coefficients are multiplied with the table's
+    values on the progression k + first, k + first + step, ..., all in
+    C-level iterators.  When a has one key (a lone run is contracted with
+    1, and cubic_mnef_number's other run is zeta^2), that is one pass of
+    the generator, and no term of the power is stored.  Otherwise the
+    coefficients are listed once, and the smaller side is the Python loop,
+    as in :func:`_contract`.  Any other power is built and contracted.
+    """
+    if m < 2 or len(f) != 2:
+        return _contract(a, _pow_packed(f, m, width, bound), table)
+    first, step, terms = _binomial(f, m, (1 << width) - 1, bound)
+    get, zeros = table.get, itertools.repeat(0)
+    if len(a) > 1:
+        terms = list(terms)
+        if len(terms) < len(a):
+            return sum(t * sum(map(mul, a.values(),
+                                   map(get, map(key.__add__, a), zeros)))
+                       for key, t in zip(itertools.count(first, step), terms))
+    return sum(c * sum(map(mul, terms,
+                           map(get, itertools.count(first + k, step), zeros)))
                for k, c in a.items())
 
 
@@ -704,7 +811,8 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
     below n-1 contribute zero.  This is :func:`eval_product` of the one
     factor ``cls``, with its guards: the zero class gives 0, and a class of
     mixed or wrong degree raises :class:`DegreeMismatchError`.  Its one run
-    is contracted with 1: the dot product with the pushforward table.
+    is contracted with 1: the dot product with the pushforward table, over
+    the terms of zeta-power n-1 or more only, the ones the table can see.
     """
     return eval_product(profile, (cls,))
 
@@ -722,19 +830,23 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
     0, and a product that is not homogeneous of top degree raises
     :class:`DegreeMismatchError` as on the formal product.
 
-    The runs go through :func:`_chain`, as in the formal product, and
-    :func:`_pow_packed` raises each: a two-term f, such as zeta + aH, by
-    the binomial theorem; an f whose lowest base-degree part is one
-    monomial by J.C.P. Miller's power recurrence, which also inverts
-    c(Omega_X) in :func:`segre_omega` (as the power -1) on profiles with
-    several basis symbols; and any other f is multiplied out.  The chain
-    uses the table's field width (2n-1).bit_length() and bound n.  The
-    factors are homogeneous with non-negative exponents and degrees adding
-    up to 2n-1, so no base exponent or base degree of a factor, partial
-    product or contracted pair exceeds 2n-1 < 2^width, and no field
-    carries.  So a contracted pair of base degree above n needs no test:
-    its key is not in the table, whose keys zeta^(n-1+j) . m have base
-    degree n-j <= n, and it reads 0.
+    The runs go through :func:`_chain`, as in the formal product:
+    :func:`_pow_packed` raises every run but the last, and
+    :func:`_contract_power` contracts the last.  A last run of a two-term f,
+    such as (zeta + aH)^(2n-3) in ``cubic_mnef_number``, is streamed: its
+    binomial terms are summed against the table as they are computed, and
+    the power is never stored.  A lone factor (m = 1, as from
+    :func:`eval_top`) is not sent through the chain, since nothing is
+    expanded: only its terms of zeta-power n-1 or more are packed, selected
+    by their zeta-power, because every other term has base degree above n
+    and reads 0.  The chain uses the table's field width
+    (2n-1).bit_length() and bound n.  The factors are homogeneous with
+    non-negative exponents and degrees adding up to 2n-1, so no base
+    exponent or base degree of a factor, partial product or contracted
+    pair exceeds 2n-1 < 2^width, and no field carries.  So a contracted
+    pair of base degree above n needs no test: its key is not in the
+    table, whose keys zeta^(n-1+j) . m have base degree n-j <= n, and it
+    reads 0.
     """
     runs = [(factor, len(list(group)))
             for factor, group in itertools.groupby(factors)]
@@ -749,6 +861,10 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
             f"eval_top on {profile.label!r} needs total degree "
             f"{2 * n - 1} (= 2*{n}-1), got {degree}")
     table_den, table, width = profile._pushforward
+    if len(runs) == 1 and runs[0][1] == 1:
+        den, f = _pack([term for term in runs[0][0].terms
+                        if term[0][0] >= n - 1], width)
+        return Fraction(_contract({0: 1}, f, table), den * table_den)
     den, value = _chain(profile, runs, width, n, table)
     return Fraction(value, den * table_den)
 

@@ -59,6 +59,8 @@ MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
 # has a numerator and a denominator of at most 14 001 bits, so at most 4215
 # digits, within Python's 4300-digit print limit.
 MAX_PRODUCT_BITS = 14_000
+# Python's default limit on the digits int() converts from a string.
+_INT_DIGITS = 4300
 
 
 class ExprSyntaxError(ValueError):
@@ -164,8 +166,17 @@ class _Parser:
         token = self.tokens[i]
         if token[:1].isdigit():
             numerator, slash, denominator = token.partition("/")
+            if len(token) > _INT_DIGITS:
+                # int() converts at most 4300 digits; leading zeros count
+                # there, so they go first, and a part with more digits left
+                # is above 10^4300 > 2^MAX_PRODUCT_BITS
+                numerator = numerator.lstrip("0") or "0"
+                denominator = denominator.lstrip("0") or "0"
+                if max(len(numerator), len(denominator)) > _INT_DIGITS:
+                    raise self.error(
+                        f"coefficients may exceed {MAX_PRODUCT_BITS} bits", i)
             if not slash:
-                return int(token), i + 1
+                return int(numerator), i + 1
             try:
                 return Fraction(int(numerator), int(denominator)), i + 1
             except ZeroDivisionError:

@@ -21,9 +21,9 @@ from .chow import BaseProfile, PTClass, eval_product
 from .record import Record
 
 # Evaluation cost grows at least quadratically in n (the Segre inversion
-# alone is one power recurrence of O(n^2) part products), so a larger n is a
-# usage error rather than a long wait.  d has at most 9 digits, so Chern
-# numbers stay printable.
+# alone is one integer dot product per degree, O(n^2) products of integers
+# that grow with n), so a larger n is a usage error rather than a long
+# wait.  d has at most 9 digits, so Chern numbers stay printable.
 MAX_HYPERSURFACE_DIM = 200
 # Largest power k of the sums A(k, n), for the direct sum and the closed form.
 MAX_COMB_POWER = 8

@@ -66,3 +66,20 @@ def test_summary_of_one_pair_and_a_missing_metric():
     assert rows[0]["parent"] == (0.2, 0.2, 0.2)
     assert rows[0]["won"] == 1 and rows[0]["clears_iqr"]
     assert rows[1]["won"] == 0 and not rows[1]["clears_iqr"]
+
+
+def test_rss_change_per_extra_attempted_op():
+    # medians: RSS 30 -> 33 MB, attempted 1000 -> 4072 ops, so 3 MB over
+    # 3072 more ops is 1 KB per op; no change of attempted gives n/a
+    parent = [line(0.1, 100, rss, ops)
+              for rss, ops in ((29, 900), (30, 1000), (31, 1100))]
+    change = [line(0.1, 100, rss, ops)
+              for rss, ops in ((33, 4072), (32, 3000), (34, 5000))]
+    kb = benchpairs.rss_per_attempted(list(zip(parent, change)))
+    assert kb == pytest.approx(1.0)
+    assert benchpairs.format_rss_per_attempted(kb) == (
+        "peak_rss_mb per extra attempted op: +1 KB/op")
+    assert benchpairs.rss_per_attempted(list(zip(parent, parent))) is None
+    assert benchpairs.format_rss_per_attempted(None).endswith(": n/a")
+    del change[0]["metrics"]["peak_rss_mb"]
+    assert benchpairs.rss_per_attempted(list(zip(parent, change))) is None

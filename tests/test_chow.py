@@ -16,8 +16,8 @@ from tautclass.chow import (BaseProfile, DegreeMismatchError,
                             eval_product, eval_top, fraction_str,
                             restrict_to_section, segre_omega)
 from tautclass import chow
-from tautclass.chow import (_contract, _mul_packed, _pack, _pow_packed,
-                            _unpack, as_fraction)
+from tautclass.chow import (_contract, _contract_power, _mul_packed, _pack,
+                            _pow_packed, _unpack, as_fraction)
 from tautclass.exprparse import parse_expr
 from tautclass.hypersurfaces import (MAX_HYPERSURFACE_DIM, cubic_mnef_number,
                                      hypersurface_profile)
@@ -445,8 +445,8 @@ def test_eval_product_contracts_every_last_run(label, shape):
 
 
 def test_eval_product_multiplies_all_runs_but_the_last(monkeypatch):
-    # cubic_mnef_number's two runs, zeta^2 raised by the power recurrence
-    # and (zeta + H)^(2n-3) by the binomial route, make no pairwise
+    # cubic_mnef_number's two runs, zeta^2 raised in closed form and
+    # (zeta + H)^(2n-3) streamed into the contraction, make no pairwise
     # product, and k distinct consecutive factors (every run has m = 1)
     # make k - 2
     calls = []
@@ -471,6 +471,19 @@ def test_eval_product_multiplies_all_runs_but_the_last(monkeypatch):
         calls.clear()
         eval_product(profile, factors)
         assert len(calls) == k - 2, (label, k)
+    # a one-term power is raised in closed form: no binomial terms, no
+    # recurrence and no pairwise product
+    routes = []
+    for name in ("_binomial", "_miller_power"):
+        route = getattr(chow, name)
+        monkeypatch.setattr(chow, name, lambda *args, name=name, route=route:
+                            routes.append(name) or route(*args))
+    profile = get_profile("dp-surface-1")
+    calls.clear()
+    h = PTClass(profile, (((0, (399,) + (0,) * (profile.nsyms - 1)), 1),))
+    assert parse_expr(profile, "z^399") == PTClass.zeta(profile, 399)
+    assert parse_expr(profile, "H^399") == h
+    assert routes == [] and calls == []
 
 
 @pytest.mark.parametrize("n", [72, MAX_HYPERSURFACE_DIM])
@@ -649,6 +662,79 @@ def test_contraction_is_the_table_on_the_product(a, b, bound, data):
                    for k, c in _mul_packed(a, b, width, bound).items())
     assert _contract(a, b, table) == expected
     assert _contract(b, a, table) == expected
+
+
+def binomial_power(f, m, bound, mask):
+    # C(m, j) c_a^(m-j) c_b^j on the key (m-j) k_a + j k_b, for every j
+    # whose base degree is within the bound, from math.comb
+    (ka, ca), (kb, cb) = f.items()
+    power = {}
+    for j in range(m + 1):
+        if (ka & mask) * (m - j) + (kb & mask) * j <= bound:
+            key = ka * (m - j) + kb * j
+            power[key] = math.comb(m, j) * ca ** (m - j) * cb ** j
+    return power
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_terms(), st.integers(2, 150), st.integers(0, 12),
+       st.dictionaries(st.sampled_from([(zp, e) for zp in range(4) for e in
+                                        [(0, 0), *TWO_SYMBOL_DEGREE_3]]),
+                       NONZERO, min_size=1, max_size=16), st.data())
+def test_streamed_power_contracts_like_the_built_power(pair, m, bound, a,
+                                                       data):
+    # a two-term power, with equal or unequal base degrees and a key step
+    # of either sign, truncated at the bound, against the built power and
+    # against math.comb; a has 1 to 16 terms, so it is the smaller or the
+    # larger side of the power's row.  The table holds random values on
+    # the product's keys and on keys no pair reaches.
+    width = (bound + 3).bit_length()
+    mask = (1 << width) - 1
+    _, f = _pack(list(pair.items()), width)
+    _, a = _pack(list(a.items()), width)
+    power = binomial_power(f, m, bound, mask)
+    assert _pow_packed(f, m, width, bound) == power
+    keys = sorted({k + p for k in a for p in power} | {0, 1, 1 << width})
+    values = data.draw(st.lists(st.integers(-9, 9), min_size=len(keys),
+                                max_size=len(keys)))
+    table = {k: v for k, v in zip(keys, values) if v}
+    expected = _contract(a, power, table)
+    assert _contract_power(a, f, m, width, bound, table) == expected
+    assert expected == sum(c * table.get(k, 0) for k, c in
+                           _mul_packed(a, power, width, 3 + bound).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(key_of_degree), NONZERO,
+       st.integers(2, 30), st.data())
+def test_one_term_power_matches_repeated_multiplication(key, c, m, data):
+    # {k m: c^m} within the bound, and nothing once m times the base
+    # degree is past it, as m - 1 truncated multiplications give
+    degree = sum(key[1])
+    bound = data.draw(st.integers(0, m * degree + 2))
+    width = max(bound, 3).bit_length()
+    _, f = _pack([(key, c)], width)
+    power = _pow_packed(f, m, width, bound)
+    assert power == repeated_power(f, m, width, bound)
+    assert (power == {}) == (m * degree > bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXED_LABELS + tuple(
+    f"hypersurface-n{n}-d{d}" for n in range(3, 9) for d in range(2, 5))),
+    st.data())
+def test_eval_top_reads_only_the_visible_terms(label, data):
+    # eval_top packs only the terms of zeta-power n-1 or more; against the
+    # contraction of every term with the table, on a class whose terms are
+    # shuffled, so no term order is relied on
+    profile = get_profile(label)
+    cls = data.draw(homogeneous_classes(profile))
+    shuffled = PTClass(profile, tuple(data.draw(st.permutations(cls.terms))))
+    table_den, table, width = profile._pushforward
+    den, packed = _pack(cls.terms, width)
+    full = Fraction(_contract({0: 1}, packed, table), den * table_den)
+    assert eval_top(profile, cls) == full
+    assert eval_top(profile, shuffled) == full
 
 
 @pytest.mark.parametrize("m, constant", [(-2, 1), (-1, 2), (-1, -1), (-1, 0)])

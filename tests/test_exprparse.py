@@ -448,3 +448,32 @@ def test_coefficient_size_is_bounded_before_multiplying(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: coefficients may exceed 14000 bits (offset 1)\n"
+
+
+def test_oversized_literal_is_refused_at_its_offset(capsys):
+    # a part of a literal with more than 4300 digits, which int() would
+    # refuse with its own message, is refused by the coefficient bound at
+    # the literal's offset, on either side of the slash; leading zeros do
+    # not count, and a 4300-digit literal still parses
+    profile = get_profile("cubic-surface")
+    nines = "9" * 4400
+    for expr, offset in ((f"{nines}*z^3", 1), (f"z^3*{nines}", 5),
+                         (f"z^3*{nines}/7", 5), (f"z^3*1/{nines}", 5),
+                         (f"z^2*(z + {nines}/{nines})", 10)):
+        with pytest.raises(ExprSyntaxError,
+                           match=rf"^coefficients may exceed 14000 bits "
+                                 rf"\(offset {offset}\)$"):
+            parse_expr(profile, expr)
+        assert main(["eval", "--profile", "cubic-surface",
+                     "--expr", expr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: coefficients may exceed 14000 bits "
+                       f"(offset {offset})\n")
+    zeros = "0" * 4400
+    assert parse_expr(profile, f"{zeros}7/{zeros}3*z^3") == (
+        Fraction(7, 3) * PTClass.zeta(profile, 3))
+    assert parse_expr(profile, f"{'9' * 4300}^0*z^3") == PTClass.zeta(
+        profile, 3)
+    with pytest.raises(ExprSyntaxError, match=r"^zero denominator in "):
+        parse_expr(profile, f"z^3*3/{zeros}")

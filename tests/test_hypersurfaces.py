@@ -107,10 +107,11 @@ def test_cubic_mnef_large_n():
 
 def test_cubic_mnef_builds_no_class_by_make(monkeypatch):
     # the factor zeta + H is the atoms' terms joined, not PTClass.__add__'s
-    # make, and eval_product raises its runs without a pairwise product;
-    # the factor equals the class make builds from zeta + H
-    makes, products, runs = [], [], []
-    make, kernel = PTClass.make, chow._mul_packed
+    # make, and eval_product raises its runs without a pairwise product and
+    # streams the two-term run, which never reaches _pow_packed; the factor
+    # equals the class make builds from zeta + H
+    makes, products, runs, powers = [], [], [], []
+    make, kernel, power = PTClass.make, chow._mul_packed, chow._pow_packed
     evaluate = hypersurfaces.eval_product
 
     def counting_make(*args):
@@ -125,12 +126,18 @@ def test_cubic_mnef_builds_no_class_by_make(monkeypatch):
         runs.append((profile, factors))
         return evaluate(profile, factors)
 
+    def recording_pow(f, *args):
+        powers.append(len(f))
+        return power(f, *args)
+
     monkeypatch.setattr(PTClass, "make", staticmethod(counting_make))
     monkeypatch.setattr(chow, "_mul_packed", counting_mul)
+    monkeypatch.setattr(chow, "_pow_packed", recording_pow)
     monkeypatch.setattr(hypersurfaces, "eval_product", capturing)
     for n in (3, 16, 72, MAX_HYPERSURFACE_DIM):
         cubic_mnef_number(n)
     assert makes == [] and products == []
+    assert powers == [1] * 4  # zeta^2 only, once per n
     monkeypatch.undo()
     assert len(runs) == 4
     for profile, factors in runs:

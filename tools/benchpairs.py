@@ -15,7 +15,10 @@ each side's median and quartiles, the change of the median, the pairs the
 change won (ties count for neither side), whether the median gap is wider
 than the parent's interquartile range, and whether the change is worse than
 the metric's bound.  ``attempted`` and ``failed`` are summarised the same
-way, without a winner.
+way, without a winner.  A last row divides the change of the median
+``peak_rss_mb`` by the change of the median ``attempted``, in KB per op, so
+a rise in RSS that comes from the harness's per-op records shows as a
+steady cost per extra op.
 
 Stdlib only.  Runs are sequential, one worker process at a time.
 """
@@ -74,6 +77,27 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]
         rows.append(_row(name, [p[name] for p, _ in pairs],
                          [c[name] for _, c in pairs]))
     return rows
+
+
+def rss_per_attempted(pairs: list[tuple[dict, dict]]) -> float | None:
+    """The change of the median ``peak_rss_mb``, in KB (1 MB = 1024 KB),
+    per op of change of the median ``attempted``; None when the median
+    ``attempted`` did not change or a run lacks ``peak_rss_mb``."""
+    if not all("peak_rss_mb" in side["metrics"]
+               for pair in pairs for side in pair):
+        return None
+    rss = [statistics.median(side["metrics"]["peak_rss_mb"]["value"]
+                             for side in sides) for sides in zip(*pairs)]
+    ops = [statistics.median(side["attempted"] for side in sides)
+           for sides in zip(*pairs)]
+    if ops[1] == ops[0]:
+        return None
+    return (rss[1] - rss[0]) * 1024 / (ops[1] - ops[0])
+
+
+def format_rss_per_attempted(kb_per_op: float | None) -> str:
+    value = "n/a" if kb_per_op is None else f"{kb_per_op:+.4g} KB/op"
+    return f"peak_rss_mb per extra attempted op: {value}"
 
 
 def _relative(parent: list[float], change: list[float]) -> float:
@@ -154,6 +178,8 @@ def main() -> int:
                   f"change {args.change}")
             for row in summarize(pairs, bench["end_to_end"]):
                 print(format_row(row), flush=True)
+            print(format_rss_per_attempted(rss_per_attempted(pairs)),
+                  flush=True)
     return 0
 
 
