@@ -56,16 +56,16 @@ product without building it: it multiplies every run but the last,
 dropping base terms of degree > dim X as it goes (they vanish on X), and
 pairs the last run with that partial product and the table, the sum over
 a of A[a] times the sum over b of B[b] T[a+b] (:func:`_contract`); a key
-missing from the table reads 0.  A last run of two terms is never built:
-its binomial terms are summed against the table as they are computed
-(:func:`_contract_power`).  So ``cubic_mnef_number(n)``, zeta^2 .
-(zeta + pi^*H)^(2n-3) on the cubic n-fold, raises zeta^2 in closed form
-and streams the other run, with no pairwise product; its factor
-zeta + pi^*H is the two atoms' terms joined, whose keys are distinct and
-already in sorted order, so no ``PTClass.make`` runs on its path.
+missing from the table reads 0.  When the rest of the product is one
+term, a last run of two terms is not built: its binomial terms are summed
+against the table as they are computed (:func:`_contract_power`).  So
+``cubic_mnef_number(n)``, zeta^2 . (zeta + pi^*H)^(2n-3) on the cubic
+n-fold, raises zeta^2 in closed form and streams the other run, with no
+pairwise product; its factor zeta + pi^*H is the two atoms' terms joined,
+whose keys are distinct and already in sorted order, so no
+``PTClass.make`` runs on its path.
 :func:`eval_top` is the product of one factor: the dot product of its
-visible terms, those of zeta-power n-1 or more, with the table.  One
-``Fraction`` is reduced per evaluation.
+terms with the table.  One ``Fraction`` is reduced per evaluation.
 
 All values in this module are immutable and hashable records (subclasses of
 :class:`tautclass.record.Record`), so they can be shared freely across
@@ -740,30 +740,21 @@ def _contract(a: Mapping[int, int], b: Mapping[int, int],
 def _contract_power(a: Mapping[int, int], f: Mapping[int, int], m: int,
                     width: int, bound: int, table: Mapping[int, int]) -> int:
     """``_contract(a, _pow_packed(f, m, width, bound), table)``, with a
-    two-term power (m >= 2) streamed rather than built.
+    two-term power (m >= 2) streamed rather than built when a has one key.
 
-    The binomial terms of :func:`_binomial` go straight into the sums: for
-    each key k of a, the coefficients are multiplied with the table's
-    values on the progression k + first, k + first + step, ..., all in
-    C-level iterators.  When a has one key (a lone run is contracted with
-    1, and cubic_mnef_number's other run is zeta^2), that is one pass of
-    the generator, and no term of the power is stored.  Otherwise the
-    coefficients are listed once, and the smaller side is the Python loop,
-    as in :func:`_contract`.  Any other power is built and contracted.
+    a has one key when a lone run is contracted with 1, and in
+    ``cubic_mnef_number``, whose other run is zeta^2.  Then the binomial
+    terms of :func:`_binomial` go straight into one sum: the coefficients
+    are multiplied with the table's values on the progression k + first,
+    k + first + step, ..., in C-level iterators, and no term of the power
+    is stored.  Any other power is built and contracted.
     """
-    if m < 2 or len(f) != 2:
+    if m < 2 or len(f) != 2 or len(a) != 1:
         return _contract(a, _pow_packed(f, m, width, bound), table)
     first, step, terms = _binomial(f, m, (1 << width) - 1, bound)
-    get, zeros = table.get, itertools.repeat(0)
-    if len(a) > 1:
-        terms = list(terms)
-        if len(terms) < len(a):
-            return sum(t * sum(map(mul, a.values(),
-                                   map(get, map(key.__add__, a), zeros)))
-                       for key, t in zip(itertools.count(first, step), terms))
-    return sum(c * sum(map(mul, terms,
-                           map(get, itertools.count(first + k, step), zeros)))
-               for k, c in a.items())
+    (k, c), = a.items()
+    keys = itertools.count(first + k, step)
+    return c * sum(map(mul, terms, map(table.get, keys, itertools.repeat(0))))
 
 
 def _product(profile: BaseProfile, runs: Sequence[tuple[PTClass, int]]
@@ -811,8 +802,7 @@ def eval_top(profile: BaseProfile, cls: PTClass) -> Fraction:
     below n-1 contribute zero.  This is :func:`eval_product` of the one
     factor ``cls``, with its guards: the zero class gives 0, and a class of
     mixed or wrong degree raises :class:`DegreeMismatchError`.  Its one run
-    is contracted with 1: the dot product with the pushforward table, over
-    the terms of zeta-power n-1 or more only, the ones the table can see.
+    is contracted with 1: the dot product with the pushforward table.
     """
     return eval_product(profile, (cls,))
 
@@ -832,14 +822,11 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
 
     The runs go through :func:`_chain`, as in the formal product:
     :func:`_pow_packed` raises every run but the last, and
-    :func:`_contract_power` contracts the last.  A last run of a two-term f,
-    such as (zeta + aH)^(2n-3) in ``cubic_mnef_number``, is streamed: its
-    binomial terms are summed against the table as they are computed, and
-    the power is never stored.  A lone factor (m = 1, as from
-    :func:`eval_top`) is not sent through the chain, since nothing is
-    expanded: only its terms of zeta-power n-1 or more are packed, selected
-    by their zeta-power, because every other term has base degree above n
-    and reads 0.  The chain uses the table's field width
+    :func:`_contract_power` contracts the last.  A last run of a two-term f
+    after a one-term product, such as (zeta + aH)^(2n-3) after zeta^2 in
+    ``cubic_mnef_number``, is streamed: its binomial terms are summed
+    against the table as they are computed, and the power is never stored.
+    The chain uses the table's field width
     (2n-1).bit_length() and bound n.  The factors are homogeneous with
     non-negative exponents and degrees adding up to 2n-1, so no base
     exponent or base degree of a factor, partial product or contracted
@@ -861,10 +848,6 @@ def eval_product(profile: BaseProfile, factors: Iterable[PTClass]) -> Fraction:
             f"eval_top on {profile.label!r} needs total degree "
             f"{2 * n - 1} (= 2*{n}-1), got {degree}")
     table_den, table, width = profile._pushforward
-    if len(runs) == 1 and runs[0][1] == 1:
-        den, f = _pack([term for term in runs[0][0].terms
-                        if term[0][0] >= n - 1], width)
-        return Fraction(_contract({0: 1}, f, table), den * table_den)
     den, value = _chain(profile, runs, width, n, table)
     return Fraction(value, den * table_den)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from fractions import Fraction
 
 from .chow import (BaseProfile, PTClass, _product, _require_profile,
@@ -59,8 +60,14 @@ MAX_EXPONENT = 2 * MAX_HYPERSURFACE_DIM - 1
 # has a numerator and a denominator of at most 14 001 bits, so at most 4215
 # digits, within Python's 4300-digit print limit.
 MAX_PRODUCT_BITS = 14_000
-# Python's default limit on the digits int() converts from a string.
-_INT_DIGITS = 4300
+# A numeral with more significant digits is above 10^4300 > 2^MAX_PRODUCT_BITS.
+_MAX_DIGITS = 4300
+# int() converts a numeral of this many characters under any setting of
+# the interpreter's int_max_str_digits, whose smallest value is 640.
+_SHORT_NUMERAL = 640
+# That setting, read when a longer numeral is parsed: 0 for no limit, as
+# on interpreters without one.
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class ExprSyntaxError(ValueError):
@@ -124,10 +131,11 @@ class _Parser:
                     if not token[:1].isdigit() or "/" in token:
                         raise self.error(
                             "exponent must be a non-negative integer", i + 1)
-                    # 4000 digits convert at once, within Python's
-                    # int-string limit
-                    if (len(token) > 4000
-                            or (exponent := int(token)) > MAX_EXPONENT):
+                    # up to 4000 characters are read; leading zeros count
+                    # towards int()'s digit limit, so they go first
+                    digits = token.lstrip("0") or "0"
+                    if (len(token) > 4000 or len(digits) > _SHORT_NUMERAL
+                            or (exponent := int(digits)) > MAX_EXPONENT):
                         raise self.error(f"exponent exceeds {MAX_EXPONENT}",
                                          i + 1)
                     i += 2
@@ -166,15 +174,21 @@ class _Parser:
         token = self.tokens[i]
         if token[:1].isdigit():
             numerator, slash, denominator = token.partition("/")
-            if len(token) > _INT_DIGITS:
-                # int() converts at most 4300 digits; leading zeros count
-                # there, so they go first, and a part with more digits left
-                # is above 10^4300 > 2^MAX_PRODUCT_BITS
+            if len(token) > _SHORT_NUMERAL:
+                # leading zeros count towards int()'s digit limit, so they
+                # go first; a part with more digits left than the limit, or
+                # than _MAX_DIGITS, is refused here
                 numerator = numerator.lstrip("0") or "0"
                 denominator = denominator.lstrip("0") or "0"
-                if max(len(numerator), len(denominator)) > _INT_DIGITS:
+                digits = max(len(numerator), len(denominator))
+                if digits > _MAX_DIGITS:
                     raise self.error(
                         f"coefficients may exceed {MAX_PRODUCT_BITS} bits", i)
+                limit = _int_digits_limit()
+                if 0 < limit < digits:
+                    raise self.error(f"numeral has more than {limit} digits, "
+                                     f"the interpreter's int_max_str_digits",
+                                     i)
             if not slash:
                 return int(numerator), i + 1
             try:

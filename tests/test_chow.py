@@ -685,9 +685,10 @@ def test_streamed_power_contracts_like_the_built_power(pair, m, bound, a,
                                                        data):
     # a two-term power, with equal or unequal base degrees and a key step
     # of either sign, truncated at the bound, against the built power and
-    # against math.comb; a has 1 to 16 terms, so it is the smaller or the
-    # larger side of the power's row.  The table holds random values on
-    # the product's keys and on keys no pair reaches.
+    # against math.comb; a has 1 to 16 terms, and its first term alone
+    # is checked too, so the streamed sum (a of one key) and the built
+    # power both run.  The table holds random values on the product's keys
+    # and on keys no pair reaches.
     width = (bound + 3).bit_length()
     mask = (1 << width) - 1
     _, f = _pack(list(pair.items()), width)
@@ -700,6 +701,9 @@ def test_streamed_power_contracts_like_the_built_power(pair, m, bound, a,
     table = {k: v for k, v in zip(keys, values) if v}
     expected = _contract(a, power, table)
     assert _contract_power(a, f, m, width, bound, table) == expected
+    single = dict([next(iter(a.items()))])
+    assert _contract_power(single, f, m, width, bound, table) == _contract(
+        single, power, table)
     assert expected == sum(c * table.get(k, 0) for k, c in
                            _mul_packed(a, power, width, 3 + bound).items())
 
@@ -723,10 +727,9 @@ def test_one_term_power_matches_repeated_multiplication(key, c, m, data):
 @given(st.sampled_from(FIXED_LABELS + tuple(
     f"hypersurface-n{n}-d{d}" for n in range(3, 9) for d in range(2, 5))),
     st.data())
-def test_eval_top_reads_only_the_visible_terms(label, data):
-    # eval_top packs only the terms of zeta-power n-1 or more; against the
-    # contraction of every term with the table, on a class whose terms are
-    # shuffled, so no term order is relied on
+def test_eval_top_is_the_contraction_of_every_term(label, data):
+    # eval_top against the contraction of every term with the table, also
+    # on a class whose terms are shuffled, so no term order is relied on
     profile = get_profile(label)
     cls = data.draw(homogeneous_classes(profile))
     shuffled = PTClass(profile, tuple(data.draw(st.permutations(cls.terms))))

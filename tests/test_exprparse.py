@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -477,3 +478,40 @@ def test_oversized_literal_is_refused_at_its_offset(capsys):
         profile, 3)
     with pytest.raises(ExprSyntaxError, match=r"^zero denominator in "):
         parse_expr(profile, f"z^3*3/{zeros}")
+
+
+@pytest.fixture
+def int_digits_640():
+    # the smallest int_max_str_digits the interpreter allows
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_literal_past_a_lowered_int_limit_is_refused(int_digits_640,
+                                                     capsys):
+    # with int_max_str_digits at 640, a numeral part of 641 to 4300
+    # digits is refused at its offset rather than by int()'s own error;
+    # longer parts keep the coefficient bound's message, and leading zeros
+    # of literals and exponents still do not count
+    profile = get_profile("cubic-surface")
+    nines = "9" * 700
+    message = ("numeral has more than 640 digits, the interpreter's "
+               "int_max_str_digits")
+    for expr, offset, error in (
+            (f"{nines}*z^3", 1, message), (f"z^3*1/{nines}", 5, message),
+            (f"z^3*{'9' * 4400}", 5,
+             "coefficients may exceed 14000 bits"),
+            (f"z^{nines}", 3, f"exponent exceeds {MAX_EXPONENT}")):
+        with pytest.raises(ExprSyntaxError,
+                           match=rf"^{error} \(offset {offset}\)$"):
+            parse_expr(profile, expr)
+        assert main(["eval", "--profile", "cubic-surface",
+                     "--expr", expr]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {error} (offset {offset})\n"
+    zeros = "0" * 700
+    assert parse_expr(profile, f"{zeros}7/{zeros}3*z^{zeros}3") == (
+        Fraction(7, 3) * PTClass.zeta(profile, 3))
